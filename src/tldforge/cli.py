@@ -11,9 +11,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ForgeError, MultipleOrdersError
+from .errors import ForgeError
 from .workspace import (STAGE_NAMES, load_workspace, run_oracle, run_pipeline,
                         suggest_skeleton)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded-universe verification")
     p.add_argument("action", choices=("equiv",))
     common(p, pred_required=True)
-    p.add_argument("--depth", type=int, default=2, help="universe depth bound")
+    p.add_argument("--depth", type=_positive_int, default=2,
+                   help="universe depth bound (at least 1)")
 
     return parser
 
@@ -97,51 +108,48 @@ def main(argv=None) -> int:
             report = run_oracle(ws, args.pred, depth=args.depth)
             print(report.describe())
             return 0 if report.ok else 1
-        preds = [args.pred] if args.pred else list(ws.tlds)
-        if not preds:
-            print("nothing to do: the workspace has no descriptions", file=sys.stderr)
-            return 1
-        failed = False
-        outputs = []
-        for pred in preds:
-            if args.command == "transform":
-                r = run_pipeline(ws, pred, stage=args.emit_stage)
-                outputs.append(r.code)
-            elif args.command == "derive":
-                r = run_pipeline(ws, pred, stage=args.emit_stage)
-                outputs.append(r.code)
-            elif args.command == "analyze":
-                r = run_pipeline(ws, pred, level=args.level,
+    except ForgeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+
+    preds = [args.pred] if args.pred else list(ws.tlds)
+    if not preds:
+        print("nothing to do: the workspace has no descriptions", file=sys.stderr)
+        return 1
+    failed = False
+    outputs = []
+    for pred in preds:
+        # one procedure's error is reported and the others still run
+        try:
+            if args.command == "analyze":
+                r = run_pipeline(ws, pred, target=None, level=args.level,
                                  dir_index=args.dir_index - 1)
-                outputs.append(r.report)
-                if not r.ok:
-                    print(r.failure, file=sys.stderr)
-                    failed = True
             elif args.command == "gen":
                 r = run_pipeline(ws, pred, target=args.target, level=args.level,
                                  dir_index=args.dir_index - 1, cuts=args.cuts,
                                  split=args.split, stage=args.emit_stage)
-                if not r.ok:
-                    print(r.failure, file=sys.stderr)
-                    failed = True
-                    continue
-                outputs.append(r.code)
-                for w in r.warnings:
-                    print(f"warning: {w}", file=sys.stderr)
-                if ws.out_dir is not None and args.emit_stage is None:
-                    ws.out_dir.mkdir(parents=True, exist_ok=True)
-                    ext = ".pl" if args.target == "prolog" else ".m"
-                    (ws.out_dir / f"{pred}{ext}").write_text(r.code)
-            else:  # pragma: no cover
-                raise AssertionError(args.command)
-        print("\n".join(outputs), end="")
-        return 1 if failed else 0
-    except MultipleOrdersError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ForgeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+            else:  # transform, derive
+                r = run_pipeline(ws, pred, stage=args.emit_stage)
+        except ForgeError as e:
+            print(f"error: {e}", file=sys.stderr)
+            failed = True
+            continue
+        if args.command == "analyze":
+            outputs.append(r.report)
+        elif r.ok:
+            outputs.append(r.code)
+        if not r.ok:
+            print(r.failure, file=sys.stderr)
+            failed = True
+        elif args.command == "gen":
+            for w in r.warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            if ws.out_dir is not None and args.emit_stage is None:
+                ws.out_dir.mkdir(parents=True, exist_ok=True)
+                ext = ".pl" if args.target == "prolog" else ".m"
+                (ws.out_dir / f"{pred}{ext}").write_text(r.code)
+    print("\n".join(outputs), end="")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

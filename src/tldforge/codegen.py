@@ -207,12 +207,18 @@ def _prolog_clause(clause: Clause, name: str, cut_after: int | None) -> str:
 
 
 def check_order_compatibility(prog: Program, spec: Spec, registry: Registry,
-                              emitted_dir_index: int) -> list[int]:
+                              emitted_dir_index: int,
+                              dir_programs: list | None = None) -> list[int]:
     """Indices of declared directionalities that cannot execute the emitted
-    literal order."""
+    literal order.
+
+    ``dir_programs`` holds each directionality's own analysed program; one
+    identical to the emitted program is executable under its directionality
+    and is not walked again.
+    """
     bad = []
     for k, d in enumerate(spec.directionalities):
-        if k == emitted_dir_index:
+        if k == emitted_dir_index or (dir_programs and dir_programs[k] == prog):
             continue
         for clause in prog.clauses:
             state = initial_state(clause, d)
@@ -245,9 +251,12 @@ def emit_prolog(prog: Program, spec: Spec, opts: EmitOptions,
         chunks.append("")
     if registry is not None and len(spec.directionalities) > 1 \
             and not opts.split_directionalities:
-        bad = check_order_compatibility(prog, spec, registry, dir_index)
+        bad = check_order_compatibility(prog, spec, registry, dir_index,
+                                        dir_programs)
         if bad:
-            which = ", ".join(str(spec.directionalities[k]) for k in bad)
+            which = ", ".join(
+                f"{d} at {d.pos}" if d.pos else str(d)
+                for d in (spec.directionalities[k] for k in bad))
             raise MultipleOrdersError(
                 f"{spec.name}: the emitted literal order does not satisfy "
                 f"directionality {which}; {SPLIT_SUGGESTION}")

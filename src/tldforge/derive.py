@@ -194,9 +194,15 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
     return NormalizedBody(tuple(disjuncts))
 
 
-def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset()) -> Program:
-    """One clause per disjunct, head over the original parameter variables."""
-    nb = normalize(ld, type_names)
+def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset(),
+                   nb: NormalizedBody | None = None) -> Program:
+    """One clause per disjunct, head over the original parameter variables.
+
+    ``nb`` is the description's normalized body when the caller already
+    computed it.
+    """
+    if nb is None:
+        nb = normalize(ld, type_names)
     head = tuple(Var(p) for p in ld.params)
     clauses = []
     total = len(nb.disjuncts)

@@ -230,7 +230,6 @@ class PipelineResult:
     report: str = ""
     warnings: list = field(default_factory=list)
     failure: str | None = None
-    stages: dict = field(default_factory=dict)
     analysis: list = field(default_factory=list)
 
     @property
@@ -238,38 +237,11 @@ class PipelineResult:
         return self.failure is None
 
 
-def run_pipeline(ws: Workspace, predicate: str, target: str = "prolog",
-                 level: str = "paper-compat", dir_index: int = 0,
-                 cuts: bool = False, split: bool = False,
-                 stage: str | None = None) -> PipelineResult:
-    """transform -> simplify -> derive -> reorder -> eliminate -> analyze -> emit."""
-    tld = ws.tlds.get(predicate)
-    spec = ws.specs.get(predicate)
-    if tld is None or spec is None:
-        raise WorkspaceError(f"{predicate} needs both a specification and a description")
-    if not spec.directionalities:
-        raise WorkspaceError(f"{predicate} declares no directionalities")
-    if not 0 <= dir_index < len(spec.directionalities):
-        raise WorkspaceError(f"{predicate} has no directionality {dir_index + 1}")
-    result = PipelineResult(predicate)
-    type_names = frozenset(ws.env.defs)
-    registry = ws.registry
+def _format_clauses(prog) -> str:
+    return "\n".join(format_clause(c) for c in prog.clauses) + "\n"
 
-    ld_raw = transform_tld(tld)
-    ld = simplify_description(ld_raw)
-    nb = normalize(ld, type_names)
-    prog = flatten_program(derive_clauses(ld, type_names))
-    result.stages["tld"] = format_tld(tld)
-    result.stages["untyped"] = format_ld(ld_raw)
-    result.stages["simplified"] = format_ld(ld)
-    result.stages["normalized"] = format_formula(normalized_formula(nb)) + "\n"
-    result.stages["derived"] = "\n".join(format_clause(c) for c in prog.clauses) + "\n"
-    if stage is not None and stage in result.stages:
-        result.code = result.stages[stage]
-        return result
 
-    analysis = analyze_procedure(prog, spec, registry, level)
-    result.analysis = analysis
+def _format_report(predicate: str, spec: Spec, analysis: list) -> str:
     lines = [f"procedure {predicate}/{spec.arity}"]
     for k, res in enumerate(analysis, start=1):
         lines.append(f"  directionality {k}: {res.directionality}")
@@ -286,11 +258,64 @@ def run_pipeline(ws: Workspace, predicate: str, target: str = "prolog",
         verdict = "ok" if res.determinism.ok else "outside the declared bounds"
         lines.append(f"    computed multiplicity: {res.determinism.computed} "
                      f"(declared {res.determinism.declared}) [{verdict}]")
-        if not res.determinism.ok:
+    return "\n".join(lines) + "\n"
+
+
+def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
+                 level: str = "paper-compat", dir_index: int = 0,
+                 cuts: bool = False, split: bool = False,
+                 stage: str | None = None) -> PipelineResult:
+    """transform -> simplify -> derive -> reorder -> eliminate -> analyze -> emit.
+
+    With a ``stage``, the pipeline stops there and ``code`` holds that
+    stage's dump; no other stage is formatted.  With ``target=None`` it
+    stops after the analysis and ``report`` holds the analysis report,
+    which is formatted only then.
+    """
+    tld = ws.tlds.get(predicate)
+    spec = ws.specs.get(predicate)
+    if tld is None or spec is None:
+        raise WorkspaceError(f"{predicate} needs both a specification and a description")
+    if not spec.directionalities:
+        raise WorkspaceError(f"{predicate} declares no directionalities")
+    if not 0 <= dir_index < len(spec.directionalities):
+        raise WorkspaceError(f"{predicate} has no directionality {dir_index + 1}")
+    if stage is not None and stage not in STAGE_NAMES:
+        raise WorkspaceError(f"unknown stage {stage!r}; "
+                             f"choose from {', '.join(STAGE_NAMES)}")
+    result = PipelineResult(predicate)
+    type_names = frozenset(ws.env.defs)
+    registry = ws.registry
+
+    def dump(text: str) -> PipelineResult:
+        result.code = text
+        return result
+
+    if stage == "tld":
+        return dump(format_tld(tld))
+    ld_raw = transform_tld(tld)
+    if stage == "untyped":
+        return dump(format_ld(ld_raw))
+    ld = simplify_description(ld_raw)
+    if stage == "simplified":
+        return dump(format_ld(ld))
+    nb = normalize(ld, type_names)
+    if stage == "normalized":
+        return dump(format_formula(normalized_formula(nb)) + "\n")
+    prog = flatten_program(derive_clauses(ld, type_names, nb))
+    del nb  # flattening copied every literal; free the originals before analysis
+    if stage == "derived":
+        return dump(_format_clauses(prog))
+
+    analysis = analyze_procedure(prog, spec, registry, level)
+    result.analysis = analysis
+    for k, res in enumerate(analysis, start=1):
+        if res.ok and not res.determinism.ok:
             result.warnings.append(
                 f"{predicate}: directionality {k} computed {res.determinism.computed}, "
                 f"declared {res.determinism.declared}")
-    result.report = "\n".join(lines) + "\n"
+    if target is None:
+        result.report = _format_report(predicate, spec, analysis)
 
     failures = [r for r in analysis if not r.ok]
     if failures:
@@ -300,22 +325,18 @@ def run_pipeline(ws: Workspace, predicate: str, target: str = "prolog",
             + "; or ".join(f.suggestions))
         return result
 
-    result.stages["ordered"] = "\n".join(
-        format_clause(c) for c in analysis[dir_index].ordered.clauses) + "\n"
-    result.stages["eliminated"] = "\n".join(
-        format_clause(c) for c in analysis[dir_index].eliminated.clauses) + "\n"
-    if stage is not None:
-        if stage not in result.stages:
-            raise WorkspaceError(f"unknown stage {stage!r}; "
-                                 f"choose from {', '.join(STAGE_NAMES)}")
-        result.code = result.stages[stage]
+    chosen = analysis[dir_index]
+    if stage == "ordered":
+        return dump(_format_clauses(chosen.ordered))
+    if stage == "eliminated":
+        return dump(_format_clauses(chosen.eliminated))
+    if target is None:
         return result
 
     if target == "prolog":
         opts = EmitOptions("prolog", cut_introduction=cuts,
                            split_directionalities=split)
-        result.code = emit_prolog(analysis[dir_index].eliminated, spec, opts,
-                                  registry,
+        result.code = emit_prolog(chosen.eliminated, spec, opts, registry,
                                   [r.eliminated for r in analysis], dir_index)
     elif target == "mercury":
         text, warnings = emit_mercury(tld, spec, analysis)

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tldforge import ast
 from tldforge.analysis import (AbstractState, Registry, ReorderFailure,
                                RESPEC_SUGGESTION, SPLIT_SUGGESTION,
                                abstract_step, analyze_determinism,
                                analyze_procedure, detect_switch,
-                               eliminate_checks, initial_state, reorder)
+                               eliminate_checks, initial_state, reorder,
+                               _outs_satisfied)
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
 from tldforge.derive import body_formula, derive_clauses, literal_formula
@@ -352,3 +355,100 @@ def test_unification_post_states_cover_concrete_runs(registry):
             result = resolve(concrete, subst)
             assert instantiation_class(result) in post[name].atoms, (
                 trial, lit, st, post, name, result)
+
+
+# -- the memoized reorder against brute force -----------------------------------------
+
+def _first_valid_permutation(clause, d, registry):
+    """Slow reference: the first permutation in itertools order that every
+    abstract step accepts and that reaches the directionality's out modes."""
+    walked = {(): initial_state(clause, d)}  # prefix -> its state, None if stuck
+    for perm in itertools.permutations(range(len(clause.body))):
+        for k in range(1, len(perm) + 1):
+            prefix = perm[:k]
+            if prefix not in walked:
+                try:
+                    walked[prefix] = abstract_step(walked[perm[:k - 1]],
+                                                   clause.body[perm[k - 1]], registry)
+                except NotCallableError:
+                    walked[prefix] = None
+            if walked[prefix] is None:
+                break
+        else:
+            if _outs_satisfied(walked[perm], clause, d):
+                return perm
+    return None
+
+
+NAMES = ("X", "Y", "Z", "W")
+HEAD_MODES = ((GROUND, GROUND), (VAR, GROUND), (VAR, VAR), (VAR, ANY),
+              (Mode.from_name("ngv"), ANY))
+
+
+@st.composite
+def clauses_and_dirs(draw):
+    names = NAMES[:draw(st.integers(2, 4))]
+    var = st.sampled_from(names).map(Var)
+    const = st.sampled_from((Struct("a"), Struct("3")))
+    call = st.one_of(
+        st.tuples(st.sampled_from(("plus", "times")), var, st.one_of(var, const), var)
+        .map(lambda t: Call(t[0], t[1:])),
+        st.tuples(st.sampled_from(("gt", "lt")), var, st.one_of(var, const))
+        .map(lambda t: Call(t[0], t[1:])))
+    unify = st.tuples(var, st.one_of(var, const, var.map(lambda v: Struct("f", (v,))))) \
+        .map(lambda t: Unify(*t))
+    check = var.map(lambda v: TypeCheck("integer", v))
+    naf = st.one_of(unify, call).map(NafNot)
+    body = draw(st.lists(st.one_of(call, unify, check, naf), max_size=6))
+    head = tuple(Var(n) for n in names[:draw(st.integers(1, len(names)))])
+    modes = tuple(draw(st.sampled_from(HEAD_MODES)) for _ in head)
+    return Clause("p", head, tuple(body)), Directionality(modes, D01)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clauses_and_dirs())
+# the state after both literals depends on their order: X = f(Y) first
+# leaves X non-ground, so a failure must not be remembered by subset alone
+@example((Clause("p", (Var("X"), Var("Y")),
+                 (Unify(Var("X"), Struct("f", (Var("Y"),))), Unify(Var("Y"), Struct("a")))),
+          Directionality(((VAR, GROUND), (VAR, GROUND)), D01)))
+def test_reorder_is_the_first_valid_permutation(registry, case):
+    clause, d = case
+    pre_modes: list = []
+    out = reorder(clause, d, registry, pre_modes)
+    expected = _first_valid_permutation(clause, d, registry)
+    if expected is None:
+        assert isinstance(out, ReorderFailure)
+        return
+    assert out.body == tuple(clause.body[i] for i in expected)
+    # the recorded modes are those of a fresh walk over the returned order
+    state = initial_state(out, d)
+    for lit, modes in zip(out.body, pre_modes, strict=True):
+        assert modes == state.modes
+        state = abstract_step(state, lit, registry)
+
+
+def test_failing_reorder_visits_each_subset_once(registry, monkeypatch):
+    # eight literals, all callable in any order, none binding the output Y
+    import tldforge.analysis as analysis
+    steps = 0
+    original = analysis.abstract_step
+
+    def counting(state, lit, reg):
+        nonlocal steps
+        steps += 1
+        return original(state, lit, reg)
+
+    monkeypatch.setattr(analysis, "abstract_step", counting)
+    X = Var("X")
+    body = (Call("gt", (X, Struct("1"))), Call("plus", (X, Struct("2"), Var("V0"))),
+            Call("lt", (X, Struct("3"))), Call("times", (X, Struct("4"), Var("V1"))),
+            Call("ge", (X, Struct("5"))), Call("le", (X, Struct("6"))),
+            Call("gt", (X, Struct("7"))), TypeCheck("integer", X))
+    clause = Clause("p", (X, Var("Y")), body, provenance="disjunct 1 of 1")
+    d = Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)
+    out = reorder(clause, d, registry)
+    assert isinstance(out, ReorderFailure)
+    assert out.reason == ("no literal permutation satisfies the directionality "
+                          "(disjunct 1 of 1)")
+    assert 0 < steps <= 8 * 2 ** 8

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -190,8 +191,64 @@ def test_cli_reorder_failure_exits_nonzero(tmp_path, capsys):
     code = main(["gen", "prolog", "--manifest", str(path)])
     captured = capsys.readouterr()
     assert code == 1
+    assert ("no literal permutation satisfies the directionality (disjunct 1 of 1)"
+            in captured.err)
     assert "separate versions of the procedure" in captured.err
     assert "adapting the directionalities" in captured.err
+
+
+def test_cli_analyze_matches_golden(maxprefix_dir, golden_dir, capsys):
+    assert main(["analyze", "--manifest", str(maxprefix_dir / "manifest.txt")]) == 0
+    out = capsys.readouterr().out
+    assert out == (golden_dir / "max_prefix.analyze").read_text()
+
+
+def test_cli_analyze_reports_orders_the_emitter_would_refuse(tmp_path, capsys):
+    # each directionality needs its own order, which a single Prolog
+    # procedure cannot have; the analysis itself succeeds
+    path = write_workspace(
+        tmp_path,
+        types="fruit ::= enum {orange, apple, banana}.\n",
+        spec="procedure code(C, K).\ntype C : fruit.\ntype K : integer.\n"
+             "dir (ground, var -> ground) : <0-*>.\n"
+             "dir (var -> ground, ground) : <0-*>.\n",
+        tld="code(C: fruit, K: integer) <=> C = orange /\\ K = 1 \\/ C = apple /\\ K = 2.\n")
+    code = main(["analyze", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "order (clause 1): fruit(C), C = orange, K = 1, integer(K)" in captured.out
+    assert "order (clause 1): integer(K), C = orange, fruit(C), K = 1" in captured.out
+    assert captured.err == ""
+    # the emitter refuses, naming the directionality and where it is declared
+    assert main(["gen", "prolog", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"directionality \(var -> ground, ground\) : <0-\*> at \S+w\.spec:5:1; "
+                     "generate separate versions", err), err
+
+
+def test_cli_one_failing_procedure_does_not_abort_the_others(tmp_path, capsys):
+    path = write_workspace(
+        tmp_path,
+        types="nat ::= zero | s(nat).\n",
+        spec="procedure bad(X).\ntype X : nat.\ndir (ground) : <0-1>.\n\n"
+             "procedure good(X).\ntype X : nat.\ndir (ground) : <0-1>.\n",
+        tld="bad(X: nat) <=> forall Y: nat . ~(X = s(Y)).\n"
+            "good(X: nat) <=> X = zero.\n")
+    for command in (["gen", "prolog"], ["analyze"]):
+        code = main(command + ["--manifest", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.search(r"^error: .* at \S+w\.tld:1:\d+$", captured.err, re.M), captured.err
+        assert "good" in captured.out
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_cli_oracle_depth_below_one_is_a_usage_error(maxprefix_dir, depth, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "equiv", "--manifest", str(maxprefix_dir / "manifest.txt"),
+              "--pred", "max_prefix", "--depth", depth])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_cli_oracle_equiv(maxprefix_dir, capsys):
