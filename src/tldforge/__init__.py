@@ -19,7 +19,7 @@ from .semantics import (EvalContext, Truth, check_agreement, check_equivalence,
                         evaluate, evaluate_reference)
 from .transform import (check_of, simplify_checks, transform_formula,
                         transform_tld)
-from .typesys import TypeDef, TypeEnv, check_env, enumerate_type, is_member, structural_forms
+from .typesys import TypeDef, TypeEnv, check_env
 from .workspace import (Workspace, load_workspace, run_oracle, run_pipeline,
                         suggest_skeleton)
 
@@ -39,7 +39,6 @@ __all__ = [
     "parse_term", "parse_tld", "parse_tlds", "parse_types", "EvalContext",
     "Truth", "check_agreement", "check_equivalence", "evaluate",
     "evaluate_reference", "check_of", "simplify_checks", "transform_formula",
-    "transform_tld", "TypeDef", "TypeEnv", "check_env", "enumerate_type",
-    "is_member", "structural_forms", "Workspace", "load_workspace",
-    "run_oracle", "run_pipeline", "suggest_skeleton",
+    "transform_tld", "TypeDef", "TypeEnv", "check_env", "Workspace",
+    "load_workspace", "run_oracle", "run_pipeline", "suggest_skeleton",
 ]

@@ -365,29 +365,7 @@ def substitute(f: Formula, binding: Mapping[str, Term]) -> Formula:
 
 def rename_free(f: Formula, old: str, new: str) -> Formula:
     """Alpha-rename free occurrences of one variable."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Eq):
-        m = {old: Var(new)}
-        return Eq(subst_term(f.left, m), subst_term(f.right, m), pos=f.pos)
-    if isinstance(f, Atom):
-        m = {old: Var(new)}
-        return Atom(f.predicate, tuple(subst_term(a, m) for a in f.args), pos=f.pos)
-    if isinstance(f, And):
-        return And(tuple(rename_free(g, old, new) for g in f.items), pos=f.pos)
-    if isinstance(f, Or):
-        return Or(tuple(rename_free(g, old, new) for g in f.items), pos=f.pos)
-    if isinstance(f, Not):
-        return Not(rename_free(f.body, old, new), pos=f.pos)
-    if isinstance(f, Implies):
-        return Implies(rename_free(f.left, old, new), rename_free(f.right, old, new), pos=f.pos)
-    if isinstance(f, Iff):
-        return Iff(rename_free(f.left, old, new), rename_free(f.right, old, new), pos=f.pos)
-    if isinstance(f, (Exists, Forall)):
-        if f.var == old:
-            return f
-        return type(f)(f.var, f.type_name, rename_free(f.body, old, new), pos=f.pos)
-    raise TypeError(f"not a formula: {f!r}")
+    return _substitute(f, {old: Var(new)})
 
 
 def _substitute(f: Formula, binding: dict) -> Formula:

@@ -20,7 +20,7 @@ from .analysis import (Registry, SPLIT_SUGGESTION, SwitchInfo, abstract_step,
                        detect_switch, initial_state, _outs_satisfied)
 from .errors import MultipleOrdersError, NotCallableError
 from .modes import GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
-from .printer import format_term
+from .printer import format_literal, format_term
 
 ARITHMETIC_BUILTINS = {"+": "plus", "-": "minus", "*": "times"}
 
@@ -177,29 +177,12 @@ MERCURY_MODE_TO_DIRECTION = {
 # Prolog emission
 # ---------------------------------------------------------------------------
 
-def _prolog_literal(lit) -> str:
-    if isinstance(lit, Unify):
-        return f"{format_term(lit.left)} = {format_term(lit.right)}"
-    if isinstance(lit, Call):
-        if not lit.args:
-            return lit.predicate
-        return f"{lit.predicate}({', '.join(format_term(a) for a in lit.args)})"
-    if isinstance(lit, TypeCheck):
-        return f"{lit.type_name}({format_term(lit.arg)})"
-    if isinstance(lit, NafNot):
-        inner = _prolog_literal(lit.literal)
-        if isinstance(lit.literal, Unify):
-            inner = f"({inner})"
-        return f"\\+ {inner}"
-    raise TypeError(f"not a literal: {lit!r}")
-
-
 def _prolog_clause(clause: Clause, name: str, cut_after: int | None) -> str:
     head_args = ", ".join(format_term(a) for a in clause.head_args)
     head = f"{name}({head_args})" if clause.head_args else name
     if not clause.body:
         return f"{head}."
-    parts = [_prolog_literal(lit) for lit in clause.body]
+    parts = [format_literal(lit) for lit in clause.body]
     if cut_after is not None:
         parts.insert(cut_after + 1, "!")
     body = ",\n    ".join(parts)
@@ -298,21 +281,17 @@ def _strip_exists(f):
     return f
 
 
-def _mercury_term(t: Term) -> str:
-    return format_term(t)
-
-
 def _mercury_goal(f) -> str:
     if isinstance(f, ast.TrueF):
         return "true"
     if isinstance(f, ast.FalseF):
         return "fail"
     if isinstance(f, Eq):
-        return f"{_mercury_term(f.left)} = {_mercury_term(f.right)}"
+        return f"{format_term(f.left)} = {format_term(f.right)}"
     if isinstance(f, Atom):
         if not f.args:
             return f.predicate
-        return f"{f.predicate}({', '.join(_mercury_term(a) for a in f.args)})"
+        return f"{f.predicate}({', '.join(format_term(a) for a in f.args)})"
     if isinstance(f, Not):
         return f"not ({_mercury_goal(_strip_exists(f.body))})"
     if isinstance(f, And):

@@ -7,7 +7,7 @@ from .ast import (And, Atom, Call, Clause, Eq, Exists, FalseF, Forall, Formula,
                   Iff, Implies, LogicDescription, NafNot, Not, Or, Struct, Term,
                   TrueF, TypeCheck, TypedLogicDescription, Unify, Var)
 from .modes import Spec
-from .typesys import Alias, Builtin, TypeDef, TypeEnv
+from .typesys import Alias, Builtin, TypeDef
 
 _ARITH_PREC = {"+": 1, "-": 1, "*": 2}
 
@@ -95,19 +95,6 @@ def format_typedef(d: TypeDef) -> str:
         else:
             cases.append(c.functor)
     return f"{d.name} ::= {' | '.join(cases)}."
-
-
-def format_type_env(env: TypeEnv) -> str:
-    """The user-defined part of an environment as a .types file."""
-    lines = []
-    builtin = set(("term", "integer", "float", "atom", "list"))
-    for name, d in env.defs.items():
-        if name in builtin and isinstance(d.body, (Builtin,)):
-            continue
-        if name == "list" and d == TypeEnv().defs["list"]:
-            continue
-        lines.append(format_typedef(d))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _quote(text: str) -> str:

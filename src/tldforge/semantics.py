@@ -7,10 +7,11 @@ range over the bounded enumeration of their annotated type; the universal
 type ranges over all terms of the environment's signature up to the depth
 bound, so a true/false verdict is a fact about the bounded universe.
 
-The evaluator solves determining equations inside exists blocks and the
-equivalence checker sweeps free variables with partial evaluation and bulk
-counting.  Both are pure speedups: results are identical to brute-force
-enumeration (see evaluate_reference, which the tests compare against).
+The evaluator compiles each formula once into closures and solves
+determining equations inside exists blocks; the equivalence checker sweeps
+free variables with partial evaluation and bulk counting.  These are pure
+speedups: results are identical to brute-force enumeration (see
+evaluate_reference, which the tests compare against).
 """
 
 from __future__ import annotations
@@ -152,10 +153,14 @@ class EvalContext:
             raise ValueError("bounds must be at least 1")
 
 
-def _pick_description(entry, side: str):
+def _description(entry, side: str):
+    """The definition and parameter names of the description that ``side``
+    unfolds for an ``EvalContext.predicates`` entry."""
     if isinstance(entry, tuple):
-        return entry[0] if side == TYPED else entry[1]
-    return entry
+        entry = entry[0] if side == TYPED else entry[1]
+    if isinstance(entry, TypedLogicDescription):
+        return entry.definition, tuple(n for n, _ in entry.params)
+    return entry.definition, tuple(entry.params)
 
 
 def _fresh_name(base: str, used) -> str:
@@ -198,237 +203,264 @@ def _match(pattern: Term, value: Term, out: dict) -> bool:
     return all(_match(p, v, out) for p, v in zip(pattern.args, value.args))
 
 
+def _junction(parts, stop: Truth):
+    """Kleene conjunction (``stop`` FALSE) or disjunction (``stop`` TRUE) of
+    compiled parts, run left to right until one gives ``stop``."""
+    other = truth_not(stop)
+
+    def run(binding, budget: int) -> Truth:
+        result = other
+        for part in parts:
+            v = part(binding, budget)
+            if v is stop:
+                return stop
+            if v is UNKNOWN:
+                result = UNKNOWN
+        return result
+    return run
+
+
 class _Evaluator:
+    """Compiles formulas into closures ``run(binding, budget) -> Truth``.
+
+    ``compile`` works out once whatever depends only on the formula:
+    conjunct order, free names, absorbed quantifier blocks, mandatory
+    conjuncts, narrowed and empty domains.  A closure reads nothing but the
+    binding's values, so one compiled formula serves a whole sweep.  Each
+    quantifier closure memoizes its verdicts on the budget and the values of
+    its free variables.  With ``partial``, a variable missing from the
+    binding makes what depends on it unknown instead of raising.
+    """
+
     def __init__(self, ctx: EvalContext, side: str = TYPED, partial: bool = False):
         self.ctx = ctx
         self.side = side
         self.partial = partial
-        self._memo: dict = {}
-        self._free_cache: dict = {}
-        self._order_cache: dict = {}
-        self._keepalive: list = []
-
-    # -- caches -------------------------------------------------------------
-
-    def _free(self, f: Formula) -> frozenset:
-        key = id(f)
-        hit = self._free_cache.get(key)
-        if hit is None:
-            hit = frozenset(ast.free_names(f))
-            self._free_cache[key] = hit
-            self._keepalive.append(f)
-        return hit
-
-    def _ordered_items(self, f) -> tuple:
-        key = id(f)
-        hit = self._order_cache.get(key)
-        if hit is None:
-            hit = tuple(sorted(
-                f.items,
-                key=lambda g: (ast.has_quantifier(g), ast.formula_size(g))))
-            self._order_cache[key] = hit
-            self._keepalive.append(f)
-        return hit
+        self._definitions: dict = {}  # predicate name -> (params, run, memo)
+        self._sets: dict = {}
 
     def universe(self, type_name: str) -> tuple:
         return self.ctx.types.enumerate_type(type_name, self.ctx.universe_depth)
 
     def universe_set(self, type_name: str) -> frozenset:
-        key = ("uset", type_name)
-        hit = self._order_cache.get(key)
+        hit = self._sets.get(type_name)
         if hit is None:
-            hit = frozenset(self.universe(type_name))
-            self._order_cache[key] = hit
+            hit = self._sets[type_name] = frozenset(self.universe(type_name))
         return hit
-
-    # -- terms ---------------------------------------------------------------
-
-    def _subst(self, t: Term, binding: Mapping[str, Term]) -> Term:
-        out = ast.subst_term(t, binding)
-        if not self.partial and not ast.ground(out):
-            missing = ast.term_vars(out)[0]
-            raise MissingBindingError(f"no binding for variable {missing}")
-        return out
 
     # -- formulas -------------------------------------------------------------
 
-    def eval(self, f: Formula, binding: Mapping[str, Term], budget: int | None = None) -> Truth:
-        if budget is None:
-            budget = self.ctx.unfold_depth
-        return self._eval(f, binding, budget)
-
-    def _eval(self, f: Formula, binding, budget: int) -> Truth:
+    def compile(self, f: Formula, scope: frozenset):
+        """``run(binding, budget)`` evaluating f.  ``scope`` holds every name
+        the binding may hold; quantifier blocks rename their binders away
+        from it."""
         if isinstance(f, TrueF):
-            return TRUE
+            return lambda binding, budget: TRUE
         if isinstance(f, FalseF):
-            return FALSE
+            return lambda binding, budget: FALSE
         if isinstance(f, Eq):
-            left = self._subst(f.left, binding)
-            right = self._subst(f.right, binding)
-            if ast.ground(left) and ast.ground(right):
-                return TRUE if left == right else FALSE
-            return UNKNOWN
+            return self._eq(f)
         if isinstance(f, Atom):
-            return self._atom(f, binding, budget)
-        if isinstance(f, And):
-            result = TRUE
-            for g in self._ordered_items(f):
-                v = self._eval(g, binding, budget)
-                if v is FALSE:
-                    return FALSE
-                if v is UNKNOWN:
-                    result = UNKNOWN
-            return result
-        if isinstance(f, Or):
-            result = FALSE
-            for g in self._ordered_items(f):
-                v = self._eval(g, binding, budget)
-                if v is TRUE:
-                    return TRUE
-                if v is UNKNOWN:
-                    result = UNKNOWN
-            return result
+            return self._atom(f)
+        if isinstance(f, (And, Or)):
+            items = sorted(f.items,
+                           key=lambda g: (ast.has_quantifier(g), ast.formula_size(g)))
+            return _junction([self.compile(g, scope) for g in items],
+                             FALSE if isinstance(f, And) else TRUE)
         if isinstance(f, Not):
-            return truth_not(self._eval(f.body, binding, budget))
+            body = self.compile(f.body, scope)
+            return lambda binding, budget: truth_not(body(binding, budget))
         if isinstance(f, Implies):
-            va = self._eval(f.left, binding, budget)
-            if va is FALSE:
-                return TRUE
-            vb = self._eval(f.right, binding, budget)
-            if vb is TRUE:
-                return TRUE
-            if va is TRUE and vb is FALSE:
-                return FALSE
-            return UNKNOWN
+            return _junction([self.compile(Not(f.left), scope),
+                              self.compile(f.right, scope)], TRUE)
         if isinstance(f, Iff):
-            va = self._eval(f.left, binding, budget)
-            vb = self._eval(f.right, binding, budget)
-            if va is UNKNOWN or vb is UNKNOWN:
-                return UNKNOWN
-            return TRUE if va is vb else FALSE
+            left, right = self.compile(f.left, scope), self.compile(f.right, scope)
+
+            def iff(binding, budget):
+                va, vb = left(binding, budget), right(binding, budget)
+                if va is UNKNOWN or vb is UNKNOWN:
+                    return UNKNOWN
+                return TRUE if va is vb else FALSE
+            return iff
         if isinstance(f, (Exists, Forall)):
-            # memo keyed by the values of the node's free variables: block
-            # evaluation is expensive and sweeps revisit the same projections
-            proj = tuple(binding.get(n) for n in sorted(self._free(f)))
-            key = (id(f), budget, proj)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            if isinstance(f, Exists):
-                out = self._exists_block([], f, dict(binding), budget)
-            else:
-                out = self._forall_block([], f, dict(binding), budget)
-            self._memo[key] = out
-            self._keepalive.append(f)
-            return out
+            return self._quantifier(f, scope)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _atom(self, f: Atom, binding, budget: int) -> Truth:
-        name = f.predicate
-        args = tuple(self._subst(a, binding) for a in f.args)
-        if len(args) == 1 and name in self.ctx.types:
-            if not ast.ground(args[0]):
-                return UNKNOWN
-            return TRUE if self.ctx.types.is_member(name, args[0]) else FALSE
-        if not all(ast.ground(a) for a in args):
-            return UNKNOWN
-        entry = self.ctx.predicates.get(name)
-        if entry is not None:
-            if budget <= 0:
-                return UNKNOWN
-            key = (name, args, budget)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            desc = _pick_description(entry, self.side)
-            if isinstance(desc, TypedLogicDescription):
-                params = [n for n, _ in desc.params]
-            else:
-                params = list(desc.params)
-            if len(params) != len(args):
-                raise UnknownPredicateError(
-                    f"{name} called with {len(args)} args, defined with {len(params)}")
-            out = self._eval(desc.definition, dict(zip(params, args)), budget - 1)
-            self._memo[key] = out
+    def _term(self, t: Term):
+        """``value(binding)``: t with the binding's values substituted."""
+        if ast.ground(t):
+            return lambda binding: t
+        partial = self.partial
+
+        def value(binding):
+            out = ast.subst_term(t, binding)
+            if not partial and not ast.ground(out):
+                raise MissingBindingError(f"no binding for variable {ast.term_vars(out)[0]}")
             return out
+        return value
+
+    def _eq(self, f: Eq):
+        left, right = self._term(f.left), self._term(f.right)
+        ground = ast.ground
+
+        def eq(binding, budget):
+            a, b = left(binding), right(binding)
+            if ground(a) and ground(b):
+                return TRUE if a == b else FALSE
+            return UNKNOWN
+        return eq
+
+    def _atom(self, f: Atom):
+        name = f.predicate
+        args = [self._term(a) for a in f.args]
+        types = self.ctx.types
+        ground = ast.ground
+        if len(args) == 1 and name in types:
+            arg = args[0]
+
+            def member(binding, budget):
+                v = arg(binding)
+                if not ground(v):
+                    return UNKNOWN
+                return TRUE if types.is_member(name, v) else FALSE
+            return member
+        defined = self.ctx.predicates.get(name) is not None
         builtin = BUILTIN_PREDICATES.get(name)
-        if builtin is not None:
-            return builtin(args)
-        raise UnknownPredicateError(f"no description for predicate {name}/{len(args)}")
+
+        def atom(binding, budget):
+            values = tuple([a(binding) for a in args])
+            if not all(ground(v) for v in values):
+                return UNKNOWN
+            if defined:
+                return UNKNOWN if budget <= 0 else self._unfold(name, values, budget)
+            if builtin is not None:
+                return builtin(values)
+            raise UnknownPredicateError(f"no description for predicate {name}/{len(values)}")
+        return atom
+
+    def _unfold(self, name: str, args: tuple, budget: int) -> Truth:
+        """A call on ground arguments: the predicate's definition, compiled
+        on the first call and memoized on the arguments and the budget."""
+        hit = self._definitions.get(name)
+        if hit is None:
+            definition, params = _description(self.ctx.predicates[name], self.side)
+            hit = (params, self.compile(definition, frozenset(params)), {})
+            self._definitions[name] = hit
+        params, run, memo = hit
+        if len(params) != len(args):
+            raise UnknownPredicateError(
+                f"{name} called with {len(args)} args, defined with {len(params)}")
+        key = (args, budget)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = run(dict(zip(params, args)), budget - 1)
+        return out
 
     # -- quantifier blocks ----------------------------------------------------
 
-    def _absorb(self, block: list, kernel: Formula, binding: dict, cls) -> Formula:
-        """Fold a leading chain of same-kind quantifiers into the block,
-        renaming a binder that would collide with an existing name."""
+    def _quantifier(self, f, scope: frozenset):
+        # block evaluation is expensive and sweeps revisit the same values
+        # of the node's free variables
+        free = sorted(ast.free_names(f))
+        block = self._block(f, type(f), (), scope)
+        memo: dict = {}
+
+        def run(binding, budget):
+            key = (budget, tuple([binding.get(n) for n in free]))
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = block(binding, budget)
+            return out
+        return run
+
+    def _block(self, kernel: Formula, cls, block: tuple, scope: frozenset):
+        """A chain of ``cls`` quantifiers over ``block`` ((name, type) pairs)
+        and a kernel.  Leading ``cls`` binders of the kernel join the block,
+        renamed away from the scope and the block; an exists block splits
+        over a disjunction and a forall block over a conjunction."""
         while isinstance(kernel, cls):
-            name = kernel.var
-            body = kernel.body
-            taken = {n for n, _ in block} | set(binding)
+            name, body = kernel.var, kernel.body
+            taken = scope | {n for n, _ in block}
             if name in taken:
                 fresh = _fresh_name(name, taken | ast.all_names(body))
                 body = ast.rename_free(body, name, fresh)
                 name = fresh
-            block.append((name, kernel.type_name))
+            block += ((name, kernel.type_name),)
             kernel = body
-        return kernel
+        stop = TRUE if cls is Exists else FALSE
+        if any(not self.universe(t) for _, t in block):
+            verdict = truth_not(stop)  # exists over an empty domain, or vacuous forall
+            return lambda binding, budget: verdict
+        if isinstance(kernel, Or if cls is Exists else And):
+            return _junction([self._block(g, cls, block, scope) for g in kernel.items], stop)
+        return self._search(kernel, cls, block, scope)
 
-    def _exists_block(self, block, kernel: Formula, binding: dict, budget: int) -> Truth:
-        kernel = self._absorb(block, kernel, binding, Exists)
-        if isinstance(kernel, Or):
-            result = FALSE
-            for d in kernel.items:
-                v = self._exists_block(list(block), d, dict(binding), budget)
-                if v is TRUE:
-                    return TRUE
-                if v is UNKNOWN:
-                    result = UNKNOWN
-            return result
-        free = self._free(kernel)
-        live = []
-        for name, tname in block:
-            if name in free:
-                live.append((name, tname))
-            elif not self.universe(tname):
-                return FALSE  # exists over an empty domain
+    def _search(self, kernel: Formula, cls, block: tuple, scope: frozenset):
+        """Enumerate the block's binders that occur in the kernel.  An exists
+        block first binds values that a mandatory equation forces, narrows a
+        domain by a mandatory membership check, and in partial mode refutes
+        through a mandatory conjunct it can decide."""
+        names = {n for n, _ in block}
+        scope = scope | names
+        run_kernel = self.compile(kernel, scope)
+        free = set(ast.free_names(kernel))
+        live = tuple(n for n, _ in block if n in free)
         if not live:
-            return self._eval(kernel, binding, budget)
-        solved = self._solve_equation(live, kernel, binding)
-        if solved is FALSE:
-            return FALSE
-        if solved is not None:
-            bound_here, remaining = solved
-            return self._exists_block(remaining, kernel, {**binding, **bound_here}, budget)
-        if self.partial:
-            live_names = {n for n, _ in live}
-            outer = free - live_names - set(binding)
-            if outer:
+            return run_kernel
+        outer = tuple(free - names)
+        types = dict(block)
+        solvers, refuters = [], []
+        if cls is Exists:
+            stop = TRUE
+            mandatory = list(_mandatory_conjuncts(kernel))
+            for c, forbidden in mandatory:
+                solve = self._solver(c, forbidden, types)
+                if solve is not None:
+                    solvers.append(solve)
+                cvars = frozenset(ast.free_names(c))
+                if self.partial and not cvars & forbidden:
+                    refuters.append((self.compile(c, scope | forbidden), cvars))
+            domains = {n: self._narrowed_domain(n, types[n], mandatory) for n in live}
+        else:
+            stop = FALSE
+            domains = {n: self.universe(types[n]) for n in live}
+        other = truth_not(stop)
+        partial = self.partial
+
+        def search(live, binding, budget):
+            if not live:
+                return run_kernel(binding, budget)
+            for solve in solvers:
+                forced = solve(binding, live)
+                if forced is FALSE:
+                    return FALSE
+                if forced is not None:
+                    return search(tuple(n for n in live if n not in forced),
+                                  {**binding, **forced}, budget)
+            if partial and any(n not in binding for n in outer):
                 # enumeration cannot settle anything that depends on an
                 # unbound outer variable; refute via decidable mandatory
                 # conjuncts or give up conservatively
-                for c, forbidden in _mandatory_conjuncts(kernel):
-                    cvars = self._free(c)
-                    if cvars & (forbidden | live_names):
-                        continue
-                    if not cvars <= set(binding):
-                        continue
-                    if self._eval(c, binding, budget) is FALSE:
+                for run, cvars in refuters:
+                    if (cvars.isdisjoint(live) and cvars <= binding.keys()
+                            and run(binding, budget) is FALSE):
                         return FALSE
                 return UNKNOWN
-        (name, tname), rest = live[0], live[1:]
-        result = FALSE
-        for value in self._narrowed_domain(name, tname, kernel):
-            v = self._exists_block(list(rest), kernel, {**binding, name: value}, budget)
-            if v is TRUE:
-                return TRUE
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
+            name, rest = live[0], live[1:]
+            result = other
+            for value in domains[name]:
+                v = search(rest, {**binding, name: value}, budget)
+                if v is stop:
+                    return stop
+                if v is UNKNOWN:
+                    result = UNKNOWN
+            return result
+        return lambda binding, budget: search(live, binding, budget)
 
-    def _narrowed_domain(self, name: str, tname: str, kernel: Formula):
+    def _narrowed_domain(self, name: str, tname: str, mandatory: list) -> tuple:
         """A membership conjunct on the variable restricts its enumeration;
         values outside the check would falsify the kernel anyway."""
-        for c, forbidden in _mandatory_conjuncts(kernel):
+        for c, forbidden in mandatory:
             if (isinstance(c, Atom) and len(c.args) == 1
                     and isinstance(c.args[0], Var) and c.args[0].name == name
                     and name not in forbidden and c.predicate in self.ctx.types):
@@ -436,102 +468,66 @@ class _Evaluator:
                 return tuple(v for v in self.universe(c.predicate) if v in allowed)
         return self.universe(tname)
 
-    def _solve_equation(self, live, kernel: Formula, binding):
-        """Find a mandatory equation forcing values for block variables.
+    def _solver(self, c: Formula, forbidden: frozenset, types: dict):
+        """``solve(binding, live)`` for a mandatory conjunct that may force
+        values of live binders, or None for one that never does.
 
         Equations under nested existential conjuncts count as mandatory as
-        long as they avoid the inner binders.  Returns FALSE when such an
-        equation is unsatisfiable inside the bounded universe, a
-        (bound, remaining) pair when variables were determined, or None.
+        long as they avoid the inner binders.  ``solve`` returns FALSE when
+        the conjunct cannot hold inside the bounded universe, the forced
+        values when it determines some, or None.
         """
-        live_names = {n for n, _ in live}
-        types = dict(live)
-        for c, forbidden in _mandatory_conjuncts(kernel):
-            if isinstance(c, Atom) and c.predicate in _INVERTIBLE \
-                    and len(c.args) == 3 and c.predicate not in self.ctx.predicates:
-                if forbidden and any(set(ast.term_vars(a)) & forbidden
-                                     for a in c.args):
-                    continue
+        if (isinstance(c, Atom) and c.predicate in _INVERTIBLE and len(c.args) == 3
+                and c.predicate not in self.ctx.predicates):
+            if any(set(ast.term_vars(a)) & forbidden for a in c.args):
+                return None
+
+            def solve_builtin(binding, live):
                 args = [ast.subst_term(a, binding) for a in c.args]
                 open_positions = [i for i, a in enumerate(args) if not ast.ground(a)]
                 if len(open_positions) != 1:
-                    continue
+                    return None
                 hole = open_positions[0]
                 target = args[hole]
-                if not isinstance(target, Var) or target.name not in live_names:
-                    continue
+                if not isinstance(target, Var) or target.name not in live:
+                    return None
                 known = [ast.int_value(a) for i, a in enumerate(args) if i != hole]
                 solved = _invert_builtin(c.predicate, known, hole)
                 if solved is _NOT_DETERMINED:
-                    continue
+                    return None
                 if solved is _NO_SOLUTION:
                     return FALSE
                 value = Struct(str(solved))
                 if value not in self.universe_set(types[target.name]):
                     return FALSE  # the only satisfying value is out of reach
-                remaining = [(n, t) for n, t in live if n != target.name]
-                return ({target.name: value}, remaining)
-            if not isinstance(c, Eq):
-                continue
-            if forbidden and (set(ast.term_vars(c.left))
-                              | set(ast.term_vars(c.right))) & forbidden:
-                continue
+                return {target.name: value}
+            return solve_builtin
+        if not isinstance(c, Eq) or \
+                (set(ast.term_vars(c.left)) | set(ast.term_vars(c.right))) & forbidden:
+            return None
+
+        def solve_eq(binding, live):
             left = ast.subst_term(c.left, binding)
             right = ast.subst_term(c.right, binding)
             lg, rg = ast.ground(left), ast.ground(right)
             if lg and rg:
-                if left != right:
-                    return FALSE
-                continue
+                return FALSE if left != right else None
             if lg:
                 pattern, value = right, left
             elif rg:
                 pattern, value = left, right
             else:
-                continue
+                return None
             sol: dict = {}
             if not _match(pattern, value, sol):
                 return FALSE
-            bound_here = {k: v for k, v in sol.items() if k in live_names}
-            if not bound_here:
-                continue
-            for k, v in bound_here.items():
+            forced = {k: v for k, v in sol.items() if k in live}
+            for k, v in forced.items():
                 # a witness must come from the enumerated domain itself
                 if v not in self.universe_set(types[k]):
                     return FALSE
-            remaining = [(n, t) for n, t in live if n not in bound_here]
-            return (bound_here, remaining)
-        return None
-
-    def _forall_block(self, block, kernel: Formula, binding: dict, budget: int) -> Truth:
-        kernel = self._absorb(block, kernel, binding, Forall)
-        if isinstance(kernel, And):
-            result = TRUE
-            for c in kernel.items:
-                v = self._forall_block(list(block), c, dict(binding), budget)
-                if v is FALSE:
-                    return FALSE
-                if v is UNKNOWN:
-                    result = UNKNOWN
-            return result
-        free = self._free(kernel)
-        live = [(n, t) for n, t in block if n in free]
-        if not live:
-            for name, tname in block:
-                if not self.universe(tname):
-                    return TRUE  # vacuous over an empty domain
-            return self._eval(kernel, binding, budget)
-        if self.partial and free - {n for n, _ in live} - set(binding):
-            return UNKNOWN
-        (name, tname), rest = live[0], live[1:]
-        result = TRUE
-        for value in self.universe(tname):
-            v = self._forall_block(list(rest), kernel, {**binding, name: value}, budget)
-            if v is FALSE:
-                return FALSE
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
+            return forced or None
+        return solve_eq
 
 
 def evaluate(ctx: EvalContext, f: Formula, binding: Mapping[str, Term],
@@ -540,7 +536,8 @@ def evaluate(ctx: EvalContext, f: Formula, binding: Mapping[str, Term],
     for name, value in binding.items():
         if not ast.ground(value):
             raise MissingBindingError(f"binding for {name} is not ground")
-    return _Evaluator(ctx, side=side).eval(f, dict(binding))
+    run = _Evaluator(ctx, side=side).compile(f, frozenset(binding))
+    return run(dict(binding), ctx.unfold_depth)
 
 
 def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term],
@@ -564,12 +561,8 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
             if entry is not None:
                 if k <= 0:
                     return UNKNOWN
-                desc = _pick_description(entry, side)
-                if isinstance(desc, TypedLogicDescription):
-                    params = [n for n, _ in desc.params]
-                else:
-                    params = list(desc.params)
-                return run(desc.definition, dict(zip(params, args)), k - 1)
+                definition, params = _description(entry, side)
+                return run(definition, dict(zip(params, args)), k - 1)
             builtin = BUILTIN_PREDICATES.get(g.predicate)
             if builtin is None:
                 raise UnknownPredicateError(g.predicate)
@@ -659,8 +652,10 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     freevars = list(freevars)
     names = [n for n, _ in freevars]
     n = len(names)
-    ev_t = _Evaluator(ctx, side=TYPED, partial=True)
-    ev_u = _Evaluator(ctx, side=UNTYPED, partial=True)
+    scope = frozenset(names)
+    run_t = _Evaluator(ctx, side=TYPED, partial=True).compile(typed_f, scope)
+    run_u = _Evaluator(ctx, side=UNTYPED, partial=True).compile(untyped_f, scope)
+    budget = ctx.unfold_depth
     universe = list(ctx.types.enumerate_type(UNIVERSAL_TYPE, ctx.universe_depth))
     in_lists = []
     in_sets = []
@@ -680,10 +675,10 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
 
     def leaf(binding: dict, all_in: bool):
         report.total += 1
-        ru = ev_u.eval(untyped_f, binding)
+        ru = run_u(binding, budget)
         if all_in:
             report.inside += 1
-            rt = ev_t.eval(typed_f, binding)
+            rt = run_t(binding, budget)
             if ru is UNKNOWN or rt is UNKNOWN:
                 report.inconclusive += 1
             elif ru is rt:
@@ -725,7 +720,7 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         if i == n:
             leaf(binding, all_in)
             return
-        ru = ev_u.eval(untyped_f, binding)
+        ru = run_u(binding, budget)
         rem_total = U ** (n - i)
         rem_in = math.prod(len(s) for s in in_lists[i:]) if all_in else 0
         rem_out = rem_total - rem_in
@@ -734,7 +729,7 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
             report.outside += rem_out
             report.outside_false += rem_out
             if rem_in:
-                rt = ev_t.eval(typed_f, binding)
+                rt = run_t(binding, budget)
                 if rt is FALSE:
                     report.total += rem_in
                     report.inside += rem_in
@@ -750,7 +745,7 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
                 record_violation(out_completion(i, binding, all_in), "outside-true")
                 report.violations += rem_out - 1
             if rem_in:
-                rt = ev_t.eval(typed_f, binding)
+                rt = run_t(binding, budget)
                 if rt is TRUE:
                     report.total += rem_in
                     report.inside += rem_in
@@ -793,15 +788,16 @@ def check_agreement(ctx: EvalContext, f: Formula, g: Formula, freevars,
     """Compare two formulas on all bindings drawn from the declared types."""
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
-    ev = _Evaluator(ctx, side=side, partial=True)
     freevars = list(freevars)
     names = [n for n, _ in freevars]
+    ev = _Evaluator(ctx, side=side, partial=True)
+    run_f, run_g = ev.compile(f, frozenset(names)), ev.compile(g, frozenset(names))
     pools = [ctx.types.enumerate_type(t, ctx.universe_depth) for _, t in freevars]
     report = AgreementReport(depth=ctx.universe_depth)
     for combo in product(*pools):
         binding = dict(zip(names, combo))
-        va = ev.eval(f, binding)
-        vb = ev.eval(g, binding)
+        va = run_f(binding, ctx.unfold_depth)
+        vb = run_g(binding, ctx.unfold_depth)
         report.total += 1
         if va is UNKNOWN or vb is UNKNOWN:
             report.inconclusive += 1

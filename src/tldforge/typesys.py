@@ -380,16 +380,3 @@ def _sccs(graph: dict) -> list[set]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     return out
-
-
-# module-level conveniences matching the operation surface
-def is_member(env: TypeEnv, type_name: str, t: Term) -> bool:
-    return env.is_member(type_name, t)
-
-
-def enumerate_type(env: TypeEnv, type_name: str, depth: int) -> tuple:
-    return env.enumerate_type(type_name, depth)
-
-
-def structural_forms(env: TypeEnv, type_name: str, var: str) -> tuple:
-    return env.structural_forms(type_name, var)

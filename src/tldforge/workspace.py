@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import typesys
 from .analysis import Registry, analyze_procedure
-from .ast import Atom, subformulas
+from .ast import Atom, Exists, Forall, Var, subformulas
 from .codegen import (EmitOptions, emit_mercury, emit_prolog, flatten_program)
 from .derive import derive_clauses, normalize, normalized_formula
 from .diagnostics import SourceDiagnostic, SourcePos, error, has_errors, warning
@@ -204,11 +204,9 @@ def _called_predicates(tld, env: TypeEnv):
                 return  # a membership check, not a call
             arg_types = []
             for a in g.args:
-                from .ast import Var
                 arg_types.append(scope.get(a.name) if isinstance(a, Var) else None)
             out.append((g.predicate, len(g.args), tuple(arg_types)))
             return
-        from .ast import Exists, Forall
         if isinstance(g, (Exists, Forall)):
             walk(g.body, {**scope, g.var: g.type_name})
             return

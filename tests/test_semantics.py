@@ -6,9 +6,9 @@ from tldforge import ast
 from tldforge.ast import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Struct, Var
 from tldforge.errors import MissingBindingError, UnknownPredicateError
 from tldforge.parser import parse_formula, parse_tlds, parse_types
-from tldforge.semantics import (EvalContext, FALSE, TRUE, UNKNOWN,
-                                check_agreement, check_equivalence, evaluate,
-                                evaluate_reference)
+from tldforge.semantics import (EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
+                                _Evaluator, check_agreement, check_equivalence,
+                                evaluate, evaluate_reference)
 from tldforge.transform import transform_formula, transform_tld
 
 zero = Struct("zero")
@@ -163,11 +163,11 @@ def test_ground_conjunctions_match_direct_checking(ctx):
         assert evaluate(ctx, f, {}) is expected
 
 
-def test_fast_evaluator_agrees_with_reference(ctx):
-    rng = random.Random(11)
-    universe = list(ctx.types.enumerate_type("term", 2))
+def _formula_generator(rng, types, checks):
+    """``rnd_formula(depth, scope)``: random formulas over the variables in
+    scope, binding X, Y or Z to one of ``types`` and testing membership in
+    one of ``checks``."""
     names = ["X", "Y", "Z"]
-    types = ["nat", "fruit", "term"]
 
     def rnd_term(depth, scope):
         r = rng.random()
@@ -184,7 +184,7 @@ def test_fast_evaluator_agrees_with_reference(ctx):
             if k == 0:
                 return Eq(rnd_term(1, scope), rnd_term(1, scope))
             if k == 1:
-                return Atom(rng.choice(["nat", "fruit"]), (rnd_term(1, scope),))
+                return Atom(rng.choice(checks), (rnd_term(1, scope),))
             if k == 2:
                 return Atom("q", (rnd_term(1, scope),))
             if k == 3:
@@ -205,7 +205,69 @@ def test_fast_evaluator_agrees_with_reference(ctx):
         cls = Exists if r == 8 else Forall
         return cls(v, rng.choice(types), rnd_formula(depth - 1, scope + [v]))
 
+    return rnd_formula
+
+
+def test_fast_evaluator_agrees_with_reference(ctx):
+    rng = random.Random(11)
+    universe = list(ctx.types.enumerate_type("term", 2))
+    rnd_formula = _formula_generator(rng, ["nat", "fruit", "term"], ["nat", "fruit"])
     for _ in range(1500):
         f = rnd_formula(3, [])
         binding = {n: rng.choice(universe) for n in ast.free_names(f)}
         assert evaluate(ctx, f, binding) is evaluate_reference(ctx, f, binding)
+
+
+# deep has no term of depth 2, so at that bound its domain is empty
+EMPTY_AT_TWO = "nat ::= zero | s(nat).\npair ::= p(nat, nat).\ndeep ::= d(pair).\n"
+
+
+def test_empty_domain_decides_the_block():
+    # exists over an empty domain is false and forall is vacuously true,
+    # also when another binder of the same block occurs in the kernel
+    env, _ = parse_types(EMPTY_AT_TWO)
+    ctx = EvalContext(env, universe_depth=2)
+    assert env.enumerate_type("deep", 2) == ()
+    cases = [
+        ("forall X: deep . forall Y: nat . Y = zero", {}, TRUE),
+        ("forall Y: nat . forall X: deep . Y = zero", {}, TRUE),
+        ("forall X: deep . forall Y: nat . Y = W", {"W": zero}, TRUE),
+        ("forall Y: nat . Y = zero /\\ (forall X: deep . false)", {}, FALSE),
+        ("exists X: deep . exists Y: nat . Y = zero", {}, FALSE),
+        ("exists Y: nat . exists X: deep . Y = zero \\/ true", {}, FALSE),
+    ]
+    for text, binding, expected in cases:
+        f = parse_formula(text)
+        assert evaluate_reference(ctx, f, binding) is expected, text
+        assert evaluate(ctx, f, binding) is expected, text
+
+
+def test_partial_verdicts_hold_on_every_completion():
+    # the sweep counts whole regions from a verdict on a partial binding;
+    # a true or false verdict must be what every completion evaluates to
+    env, _ = parse_types(EMPTY_AT_TWO + "fruit ::= enum {banana, apple}.\n")
+    tlds, _ = parse_tlds("q(X: nat) <=> X = zero \\/ X = s(zero).")
+    ctx = EvalContext(env, {"q": (tlds[0], transform_tld(tlds[0]))},
+                      universe_depth=2, unfold_depth=3)
+    universe = env.enumerate_type("term", 2)
+    rng = random.Random(23)
+    rnd_formula = _formula_generator(rng, ["nat", "fruit", "deep"],
+                                     ["nat", "fruit", "deep"])
+    decided = 0
+    for _ in range(3000):
+        f = rnd_formula(3, ["X", "Y"])
+        free = list(ast.free_names(f))
+        if not free:
+            continue
+        hole = rng.choice(free)
+        binding = {n: rng.choice(universe) for n in free if n != hole}
+        side = rng.choice([TYPED, UNTYPED])
+        run = _Evaluator(ctx, side=side, partial=True).compile(f, frozenset(free))
+        verdict = run(binding, ctx.unfold_depth)
+        if verdict is UNKNOWN:
+            continue
+        decided += 1
+        for value in universe:
+            full = {**binding, hole: value}
+            assert evaluate_reference(ctx, f, full, side=side) is verdict, (f, full)
+    assert decided >= 500

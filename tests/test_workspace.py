@@ -126,6 +126,20 @@ def test_oracle_runner(maxprefix_ws):
         maxprefix_ws.env.enumerate_type("term", 2)) ** 3
 
 
+def test_oracle_vacuous_forall_over_an_empty_domain(tmp_path, capsys):
+    # deep has no term of depth 2, so the typed side is true for every X
+    path = write_workspace(
+        tmp_path,
+        types="nat ::= zero | s(nat).\npair ::= p(nat, nat).\ndeep ::= d(pair).\n",
+        spec="procedure vac(X).\ntype X : nat.\ndir (ground) : <0-1>.\n",
+        tld="vac(X: nat) <=> forall Y: deep . forall Z: nat . Z = X.\n")
+    rep = run_oracle(load_workspace(path).workspace, "vac", depth=2)
+    assert rep.ok and rep.inside_agree == rep.inside == 2, rep.describe()
+    assert main(["oracle", "equiv", "--manifest", str(path), "--pred", "vac",
+                 "--depth", "2"]) == 0
+    assert "violations: 0," in capsys.readouterr().out
+
+
 def test_skeleton_for_the_induction_parameter(maxprefix_ws):
     text = suggest_skeleton(maxprefix_ws, "max_prefix_gen", "L")
     assert "L = [] /\\ #hole" in text
