@@ -1,11 +1,11 @@
 """Directionality analysis over derived clauses.
 
 Clause bodies are interpreted abstractly over the seven-mode domain:
-unification propagates groundness and sharing, calls must match a declared
-directionality of their callee, type checks run as tests (ground argument
-required), and negation as failure requires fully ground arguments.  On top
-of the abstract step sit literal reordering, redundant-check elimination,
-and determinism analysis.
+unification propagates groundness, calls must match a declared directionality
+of their callee, type checks run as tests (ground argument required), and
+negation as failure requires fully ground arguments.  On top of the abstract
+step sit literal reordering, redundant-check elimination, and determinism
+analysis.
 """
 
 from __future__ import annotations
@@ -40,28 +40,16 @@ class Registry:
 
 @dataclass(frozen=True)
 class AbstractState:
-    modes: tuple  # of (name, Mode), kept sorted for cheap equality
-    typefacts: tuple  # of (name, tuple of type names)
-    share: frozenset  # of frozenset pairs of names
+    # (name, Mode) pairs in initial_state's order, which abstract_step keeps,
+    # so the states of one clause compare equal exactly when their modes do
+    modes: tuple
 
     @classmethod
-    def make(cls, modes: dict, typefacts: dict | None = None, share=frozenset()):
-        tf = typefacts or {}
-        return cls(tuple(sorted(modes.items(), key=lambda kv: kv[0])),
-                   tuple(sorted((k, tuple(v)) for k, v in tf.items())),
-                   frozenset(share))
+    def make(cls, modes: dict):
+        return cls(tuple(modes.items()))
 
     def mode_map(self) -> dict:
         return dict(self.modes)
-
-    def typefact_map(self) -> dict:
-        return {k: list(v) for k, v in self.typefacts}
-
-    def mode_of(self, name: str) -> Mode:
-        m = self.mode_map().get(name)
-        if m is None:
-            raise NotCallableError(f"variable {name} is not in scope")
-        return m
 
 
 def term_mode(modes: dict, t: Term) -> Mode:
@@ -81,13 +69,8 @@ def term_mode(modes: dict, t: Term) -> Mode:
     return NOVAR  # a compound is never a free variable
 
 
-def _drop_ground_share(share: set, modes: dict) -> set:
-    return {p for p in share
-            if all(modes.get(v) != GROUND for v in p)}
-
-
-def _unify_update(modes: dict, share: set, left: Term, right: Term):
-    """Mode and sharing effects of a unification (always callable)."""
+def _unify_update(modes: dict, left: Term, right: Term):
+    """Mode effects of a unification (always callable)."""
     if isinstance(left, Var) and isinstance(right, Var):
         x, y = left.name, right.name
         if modes[x] == GROUND or modes[y] == GROUND:
@@ -95,7 +78,6 @@ def _unify_update(modes: dict, share: set, left: Term, right: Term):
         else:
             joined = modes[x].join(modes[y])
             modes[x] = modes[y] = joined
-            share.add(frozenset((x, y)))
         return
     if isinstance(right, Var):
         left, right = right, left
@@ -112,17 +94,13 @@ def _unify_update(modes: dict, share: set, left: Term, right: Term):
                     modes[n] = modes[n].instantiation_closure()
             all_ground = all(modes[n] == GROUND for n in rnames)
             modes[x] = GROUND if all_ground else NOVAR
-            if modes[x] != GROUND:
-                for n in rnames:
-                    if modes[n] != GROUND:
-                        share.add(frozenset((x, n)))
         return
     # compound against compound: decompose when the shape agrees, otherwise
     # the literal can only fail and the state is unreachable on success
     if (isinstance(left, Struct) and isinstance(right, Struct)
             and left.functor == right.functor and left.arity == right.arity):
         for a, b in zip(left.args, right.args):
-            _unify_update(modes, share, a, b)
+            _unify_update(modes, a, b)
 
 
 def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality:
@@ -139,27 +117,18 @@ def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality:
 def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractState:
     """The post-state of one body literal, or NotCallableError."""
     modes = state.mode_map()
-    typefacts = state.typefact_map()
-    share = set(state.share)
-
-    def add_fact(name: str, tname: str):
-        facts = typefacts.setdefault(name, [])
-        if tname not in facts:
-            facts.append(tname)
-
     if isinstance(lit, Unify):
         for n in ast.literal_vars(lit):
             if n not in modes:
                 raise NotCallableError(f"variable {n} is not in scope")
-        _unify_update(modes, share, lit.left, lit.right)
+        _unify_update(modes, lit.left, lit.right)
     elif isinstance(lit, Call):
         spec = registry.spec_of(lit.predicate)
         arg_modes = [term_mode(modes, a) for a in lit.args]
         d = _pick_callee_dir(spec, arg_modes)
-        for arg, (m_in, m_out), ptype in zip(lit.args, d.modes, spec.param_types):
+        for arg, (_, m_out) in zip(lit.args, d.modes):
             if isinstance(arg, Var):
                 modes[arg.name] = m_out
-                add_fact(arg.name, ptype)
             elif m_out == GROUND:
                 for n in ast.term_vars(arg):
                     modes[n] = GROUND
@@ -168,8 +137,6 @@ def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractStat
             raise NotCallableError(
                 f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
                 "needs a ground argument")
-        if isinstance(lit.arg, Var):
-            add_fact(lit.arg.name, lit.type_name)
     elif isinstance(lit, NafNot):
         for n in ast.literal_vars(lit):
             if modes.get(n) != GROUND:
@@ -177,9 +144,7 @@ def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractStat
                     f"negation as failure needs ground arguments; {n} is not ground")
     else:
         raise TypeError(f"not a literal: {lit!r}")
-
-    share = _drop_ground_share(share, modes)
-    return AbstractState.make(modes, typefacts, share)
+    return AbstractState.make(modes)
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +161,13 @@ class ReorderFailure:
 
 def initial_state(clause: Clause, dir: Directionality) -> AbstractState:
     modes: dict = {}
-    params: list[str] = []
     for arg, (m_in, _) in zip(clause.head_args, dir.modes):
         if isinstance(arg, Var):
             modes[arg.name] = m_in
-            params.append(arg.name)
-        else:
-            params.append("")
     for lit in clause.body:
         for n in ast.literal_vars(lit):
             modes.setdefault(n, VAR)
-    share = set()
-    n = len(params)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i + 1, j + 1) in dir.nosh or not params[i] or not params[j]:
-                continue
-            if modes[params[i]] == GROUND or modes[params[j]] == GROUND:
-                continue  # ground terms never share variables
-            share.add(frozenset((params[i], params[j])))
-    return AbstractState.make(modes, {}, share)
+    return AbstractState.make(modes)
 
 
 def _outs_satisfied(state: AbstractState, clause: Clause, dir: Directionality) -> bool:
@@ -563,8 +515,8 @@ def analyze_procedure(prog: Program, spec: Spec, registry: Registry,
             continue
         ordered = Program(prog.predicate, prog.arity, tuple(ordered_clauses))
         elim = eliminate_checks(ordered, spec, registry, level)
-        # a type check changes only typefacts, never modes, so dropping the
-        # removed checks' entries leaves the eliminated clauses' pre-modes
+        # a type check never changes modes, so dropping the removed checks'
+        # entries leaves the eliminated clauses' pre-modes
         gone = {(rc.clause_index, rc.position) for rc in elim.removed}
         kept = [[m for pos, m in enumerate(clause_modes) if (ci, pos) not in gone]
                 for ci, clause_modes in enumerate(pre_modes)]

@@ -77,10 +77,6 @@ def atom(name: str) -> Struct:
     return Struct(name)
 
 
-def intlit(value: int) -> Struct:
-    return Struct(str(value))
-
-
 def cons(head: Term, tail: Term) -> Struct:
     return Struct(CONS, (head, tail))
 
@@ -488,6 +484,19 @@ def literal_vars(lit: Literal) -> tuple[str, ...]:
     if isinstance(lit, TypeCheck):
         return term_vars(lit.arg)
     return literal_vars(lit.literal)
+
+
+def map_literal_terms(lit: Literal, fn) -> Literal:
+    """The literal with ``fn`` applied to each of its terms, left to right."""
+    if isinstance(lit, Unify):
+        return Unify(fn(lit.left), fn(lit.right))
+    if isinstance(lit, Call):
+        return Call(lit.predicate, tuple(fn(a) for a in lit.args))
+    if isinstance(lit, TypeCheck):
+        return TypeCheck(lit.type_name, fn(lit.arg))
+    if isinstance(lit, NafNot):
+        return NafNot(map_literal_terms(lit.literal, fn))
+    raise TypeError(f"not a literal: {lit!r}")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
-                  NafNot, Not, Or, Program, Struct, Term, TypeCheck,
-                  TypedLogicDescription, Unify, Var)
+                  Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
 from .analysis import (Registry, SPLIT_SUGGESTION, SwitchInfo, abstract_step,
                        detect_switch, initial_state, _outs_satisfied)
 from .errors import MultipleOrdersError, NotCallableError
@@ -82,20 +81,9 @@ def flatten_arithmetic(clause: Clause) -> Clause:
             return Var(hit)
         return rebuilt
 
-    def flat_literal(lit, prelude: list):
-        if isinstance(lit, Unify):
-            return Unify(flat(lit.left, prelude), flat(lit.right, prelude))
-        if isinstance(lit, Call):
-            return Call(lit.predicate, tuple(flat(a, prelude) for a in lit.args))
-        if isinstance(lit, TypeCheck):
-            return TypeCheck(lit.type_name, flat(lit.arg, prelude))
-        if isinstance(lit, NafNot):
-            return NafNot(flat_literal(lit.literal, prelude))
-        raise TypeError(f"not a literal: {lit!r}")
-
     for lit in clause.body:
         prelude: list = []
-        lit2 = flat_literal(lit, prelude)
+        lit2 = ast.map_literal_terms(lit, lambda t: flat(t, prelude))
         out.extend(prelude)
         out.append(lit2)
     return replace(clause, body=tuple(out))

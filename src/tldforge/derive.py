@@ -124,17 +124,6 @@ def _dnf(f: Formula) -> list[list[Formula]]:
     return [[f]]
 
 
-def _rename_literal(lit, renaming: dict):
-    if isinstance(lit, Unify):
-        return Unify(ast.subst_term(lit.left, renaming),
-                     ast.subst_term(lit.right, renaming))
-    if isinstance(lit, Call):
-        return Call(lit.predicate, tuple(ast.subst_term(a, renaming) for a in lit.args))
-    if isinstance(lit, TypeCheck):
-        return TypeCheck(lit.type_name, ast.subst_term(lit.arg, renaming))
-    return NafNot(_rename_literal(lit.literal, renaming))
-
-
 def _to_literal(f: Formula, type_names: frozenset):
     if isinstance(f, Eq):
         return Unify(f.left, f.right)
@@ -161,6 +150,10 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
     used = set(ld.params) | set(ast.free_names(ld.definition))
     binders, matrix = _hoist(nnf, used)
     taken = set(ld.params) | set(ast.free_names(ld.definition))
+    # the last suffix given to each renamed binder; every smaller suffix is
+    # then in ``taken``, because each disjunct's names all join ``taken``
+    # and a binder is renamed at most once per disjunct
+    last_suffix: dict = {}
     disjuncts = []
     for conjuncts in _dnf(matrix):
         literals = []
@@ -184,12 +177,17 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
                 continue
             name = n
             if name in taken:
-                name = _fresh(n, taken | occurring)
+                k = last_suffix.get(n, 0) + 1
+                while f"{n}{k}" in taken or f"{n}{k}" in occurring:
+                    k += 1
+                last_suffix[n] = k
+                name = f"{n}{k}"
                 renaming[n] = Var(name)
             taken.add(name)
             exvars.append((name, t))
         if renaming:
-            literals = [_rename_literal(lit, renaming) for lit in literals]
+            literals = [ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
+                        for lit in literals]
         disjuncts.append(Disjunct(tuple(exvars), tuple(literals)))
     return NormalizedBody(tuple(disjuncts))
 

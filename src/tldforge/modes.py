@@ -79,7 +79,6 @@ NOGROUND = Mode(frozenset({V, N}))
 ANY = Mode(frozenset({G, V, N}))
 
 ALL_MODES = (GROUND, VAR, NGV, NOVAR, GV, NOGROUND, ANY)
-MODE_KEYWORDS = tuple(m.name for m in ALL_MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +87,6 @@ MODE_KEYWORDS = tuple(m.name for m in ALL_MODES)
 
 STAR = "*"
 INF = "inf"
-
-Bound = object  # int | "*" | "inf"
 
 
 def bound_key(b) -> tuple:
@@ -130,7 +127,7 @@ def format_bound(b) -> str:
 class Multiplicity:
     """Declared or computed bounds <Min-Max> on answer substitutions."""
 
-    min: object
+    min: object  # each bound is an int, STAR or INF
     max: object
 
     @property
@@ -152,10 +149,6 @@ class Multiplicity:
 
     def __str__(self) -> str:
         return f"<{format_bound(self.min)}-{format_bound(self.max)}>"
-
-
-ONE_ONE = Multiplicity(1, 1)
-ZERO_ONE = Multiplicity(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,10 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
                 if k <= 0:
                     return UNKNOWN
                 definition, params = _description(entry, side)
+                if len(params) != len(args):
+                    raise UnknownPredicateError(
+                        f"{g.predicate} called with {len(args)} args, "
+                        f"defined with {len(params)}")
                 return run(definition, dict(zip(params, args)), k - 1)
             builtin = BUILTIN_PREDICATES.get(g.predicate)
             if builtin is None:

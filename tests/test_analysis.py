@@ -54,8 +54,7 @@ def test_type_checks_are_tests_not_generators(registry):
     st = state_of(M="var")
     with pytest.raises(NotCallableError):
         abstract_step(st, TypeCheck("integer", Var("M")), registry)
-    ok = abstract_step(state_of(M="ground"), TypeCheck("integer", Var("M")), registry)
-    assert ("M", ("integer",)) in ok.typefacts
+    abstract_step(state_of(M="ground"), TypeCheck("integer", Var("M")), registry)
 
 
 def test_binding_a_variable_to_a_nonground_term(registry):
@@ -63,14 +62,12 @@ def test_binding_a_variable_to_a_nonground_term(registry):
     out = abstract_step(st, Unify(Var("X"), Struct("f", (Var("Y"),))), registry)
     modes = out.mode_map()
     assert modes["X"] == NOVAR
-    assert frozenset(("X", "Y")) in out.share
 
 
 def test_call_takes_declared_out_modes_and_typefacts(registry):
     st = state_of(H="ground", A="ground", A1="var")
     out = abstract_step(st, Call("plus", (Var("H"), Var("A"), Var("A1"))), registry)
     assert out.mode_map()["A1"] == GROUND
-    assert ("A1", ("integer",)) in out.typefacts
 
 
 def test_call_without_matching_directionality(registry):
@@ -93,21 +90,14 @@ def test_negation_needs_ground_arguments(registry):
     assert ok.mode_map()["X"] == GROUND
 
 
-def test_no_share_seed_excludes_declared_pairs(maxprefix_ws):
-    clause = Clause("p", (Var("X"), Var("Y"), Var("Z")), ())
-    d = Directionality(((VAR, VAR), (VAR, VAR), (VAR, VAR)), D01,
-                       frozenset({(1, 2)}))
-    st = initial_state(clause, d)
-    assert frozenset(("X", "Y")) not in st.share
-    assert frozenset(("Y", "Z")) in st.share
-    assert frozenset(("X", "Z")) in st.share
-
-
-def test_ground_parameters_never_share(maxprefix_ws):
-    clause = Clause("p", (Var("X"), Var("Y")), ())
-    d = Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)
-    st = initial_state(clause, d)
-    assert not st.share
+def test_initial_state_holds_the_in_modes():
+    clause = Clause("p", (Var("X"), Var("Y"), Var("Z")),
+                    (Call("q", (Var("X"), Var("W"))), Unify(Var("Z"), Var("W"))))
+    modes = ((GROUND, GROUND), (VAR, GROUND), (NOVAR, ANY))
+    st = initial_state(clause, Directionality(modes, D01))
+    assert st.mode_map() == {"X": GROUND, "Y": VAR, "Z": NOVAR, "W": VAR}
+    # no-share pairs are part of the .spec format; the modes do not read them
+    assert initial_state(clause, Directionality(modes, D01, frozenset({(1, 3)}))) == st
 
 
 # -- reordering --------------------------------------------------------------------

@@ -84,6 +84,16 @@ def test_shared_binder_splits_into_fresh_names_per_disjunct():
     assert len(all_names) == len(set(all_names)) == 2
 
 
+def test_shared_binder_names_are_pinned():
+    # Y is shared by four disjuncts; the parameter Y2 is skipped
+    nb = normalize(ld(["X", "Y2"], "exists Y: term . (q(X, Y) \\/ r(X, Y) \\/ s(Y, Y2)"
+                                  " \\/ (exists Z: term . t(Y, Z)) \\/ u(X))"), TYPES)
+    assert [d.exvars for d in nb.disjuncts] == [
+        (("Y", "term"),), (("Y1", "term"),), (("Y3", "term"),),
+        (("Y4", "term"), ("Z", "term")), ()]
+    assert nb.disjuncts[2].literals == (Call("s", (Var("Y3"), Var("Y2"))),)
+
+
 def test_negation_of_exists_is_not_derivable():
     with pytest.raises(NotDerivableError):
         normalize(ld(["X"], "~(exists Y: term . q(X, Y))"), TYPES)

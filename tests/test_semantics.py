@@ -78,6 +78,14 @@ def test_unknown_predicate_raises(ctx):
         evaluate(ctx, Atom("mystery", (zero, zero)), {})
 
 
+def test_wrong_arity_call_raises_in_both_evaluators(ctx):
+    call = Atom("q", (zero, zero))
+    for run in (evaluate, evaluate_reference):
+        with pytest.raises(UnknownPredicateError,
+                           match="q called with 2 args, defined with 1"):
+            run(ctx, call, {})
+
+
 def test_builtin_arithmetic_meanings(ctx):
     assert evaluate(ctx, Atom("plus", (Struct("1"), Struct("1"), Struct("2"))), {}) is TRUE
     assert evaluate(ctx, Atom("plus", (Struct("1"), Struct("1"), Struct("1"))), {}) is FALSE
