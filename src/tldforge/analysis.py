@@ -40,8 +40,9 @@ class Registry:
 
 @dataclass(frozen=True)
 class AbstractState:
-    # (name, Mode) pairs in initial_state's order, which abstract_step keeps,
-    # so the states of one clause compare equal exactly when their modes do
+    # (name, Mode) pairs sorted by name in initial_state, an order abstract_step
+    # keeps, so two states of one clause, whatever its body order, compare
+    # equal exactly when their modes do
     modes: tuple
 
     @classmethod
@@ -167,7 +168,7 @@ def initial_state(clause: Clause, dir: Directionality) -> AbstractState:
     for lit in clause.body:
         for n in ast.literal_vars(lit):
             modes.setdefault(n, VAR)
-    return AbstractState.make(modes)
+    return AbstractState(tuple(sorted(modes.items())))
 
 
 def _outs_satisfied(state: AbstractState, clause: Clause, dir: Directionality) -> bool:

@@ -90,14 +90,28 @@ def test_negation_needs_ground_arguments(registry):
     assert ok.mode_map()["X"] == GROUND
 
 
-def test_initial_state_holds_the_in_modes():
-    clause = Clause("p", (Var("X"), Var("Y"), Var("Z")),
-                    (Call("q", (Var("X"), Var("W"))), Unify(Var("Z"), Var("W"))))
-    modes = ((GROUND, GROUND), (VAR, GROUND), (NOVAR, ANY))
-    st = initial_state(clause, Directionality(modes, D01))
+SHARE_CLAUSE = Clause("p", (Var("X"), Var("Y"), Var("Z")),
+                      (Call("q", (Var("X"), Var("W"))), Unify(Var("Z"), Var("W"))))
+SHARE_MODES = ((GROUND, GROUND), (VAR, GROUND), (NOVAR, ANY))
+
+
+def test_no_share_seed_excludes_declared_pairs():
+    # the state holds modes alone, so there are no sharing pairs to seed:
+    # no-share pairs are part of the .spec format and leave the state unchanged
+    st = initial_state(SHARE_CLAUSE, Directionality(SHARE_MODES, D01))
+    d = Directionality(SHARE_MODES, D01, frozenset({(1, 3)}))
+    assert d.nosh == frozenset({(1, 3)})
+    assert initial_state(SHARE_CLAUSE, d) == st
+
+
+def test_ground_parameters_never_share(registry):
+    st = initial_state(SHARE_CLAUSE, Directionality(SHARE_MODES, D01))
     assert st.mode_map() == {"X": GROUND, "Y": VAR, "Z": NOVAR, "W": VAR}
-    # no-share pairs are part of the .spec format; the modes do not read them
-    assert initial_state(clause, Directionality(modes, D01, frozenset({(1, 3)}))) == st
+    # a ground term shares no variable, so binding its partner leaves it ground
+    out = abstract_step(st, Unify(Var("Y"), Struct("f", (Var("W"),))), registry)
+    out = abstract_step(out, Unify(Var("X"), Var("Z")), registry).mode_map()
+    assert out["X"] == out["Z"] == GROUND
+    assert out["Y"] == NOVAR
 
 
 # -- reordering --------------------------------------------------------------------
