@@ -469,21 +469,25 @@ class NafNot:
 Literal = Union[Unify, Call, TypeCheck, NafNot]
 
 
-def literal_vars(lit: Literal) -> tuple[str, ...]:
+def literal_terms(lit: Literal) -> tuple:
+    """The literal's terms, left to right."""
     if isinstance(lit, Unify):
-        out: dict[str, None] = {}
-        for name in term_vars(lit.left) + term_vars(lit.right):
-            out.setdefault(name)
-        return tuple(out)
+        return (lit.left, lit.right)
     if isinstance(lit, Call):
-        out = {}
-        for a in lit.args:
-            for name in term_vars(a):
-                out.setdefault(name)
-        return tuple(out)
+        return lit.args
     if isinstance(lit, TypeCheck):
-        return term_vars(lit.arg)
-    return literal_vars(lit.literal)
+        return (lit.arg,)
+    if isinstance(lit, NafNot):
+        return literal_terms(lit.literal)
+    raise TypeError(f"not a literal: {lit!r}")
+
+
+def literal_vars(lit: Literal) -> tuple[str, ...]:
+    out: dict[str, None] = {}
+    for t in literal_terms(lit):
+        for name in term_vars(t):
+            out.setdefault(name)
+    return tuple(out)
 
 
 def map_literal_terms(lit: Literal, fn) -> Literal:

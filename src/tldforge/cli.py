@@ -8,6 +8,7 @@ message`` on stderr; generated code goes to stdout.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -86,7 +87,18 @@ def _load(path: str):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): the rest of the output
+        # goes nowhere, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     loaded = _load(args.manifest)
     if args.command == "check":
         if loaded.ok:

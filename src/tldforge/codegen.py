@@ -53,10 +53,18 @@ def _fresh_arith_names(used: set):
             yield name
 
 
+def _has_arithmetic(t: Term) -> bool:
+    return isinstance(t, Struct) and (
+        (t.functor in ARITHMETIC_BUILTINS and t.arity == 2)
+        or any(_has_arithmetic(a) for a in t.args))
+
+
 def flatten_arithmetic(clause: Clause) -> Clause:
     """Replace nested arithmetic functors by fresh variables defined by
     builtin calls inserted before their first use; syntactically identical
-    subterms share one variable."""
+    subterms share one variable.  A clause without any comes back as is."""
+    if not any(_has_arithmetic(t) for lit in clause.body for t in ast.literal_terms(lit)):
+        return clause
     used = set()
     for t in clause.head_args:
         used.update(ast.term_vars(t))

@@ -22,6 +22,11 @@ RESERVED_TYPE_NAMES = ("term", "integer", "float", "atom")
 _TWO_CHAR_PLUS = ("::=", "<=>", ":-", "==", "=>", "->", "/\\", "\\/", "\\+")
 _SINGLE = "()[]{},|:.+-*<>=~!;"
 
+# deepest nesting of parentheses, negations, quantifiers, implications and
+# term arguments; every later stage recurses on the nesting, and this bound
+# keeps all of them within Python's default recursion limit
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -32,10 +37,11 @@ class Token:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, token: Token):
+    def __init__(self, message: str, token: Token, code: str = "syntax"):
         super().__init__(message)
         self.message = message
         self.token = token
+        self.code = code
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -161,6 +167,7 @@ class _Stream:
         self.tokens = tokens
         self.filename = filename
         self.i = 0
+        self.depth = 0  # open nesting levels, see MAX_NESTING
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -195,11 +202,20 @@ class _Stream:
             raise ParseError(f"expected {what}", t)
         return self.next()
 
+    def enter(self, token: Token):
+        """Open one nesting level at ``token``; the caller closes it with
+        ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token,
+                             "nesting-too-deep")
+
     def pos(self, token: Token | None = None) -> SourcePos:
         t = token or self.peek()
         return SourcePos(self.filename, t.line, t.col)
 
     def sync_to_dot(self):
+        self.depth = 0
         while self.peek().kind != "eof":
             t = self.next()
             if t.kind == "op" and t.text == ".":
@@ -207,7 +223,7 @@ class _Stream:
 
 
 def _diag_from(err: ParseError, filename: str) -> SourceDiagnostic:
-    return error("syntax", err.message,
+    return error(err.code, err.message,
                  SourcePos(filename, err.token.line, err.token.col))
 
 
@@ -221,19 +237,24 @@ def _parse_term(s: _Stream) -> Term:
 
 def _parse_add(s: _Stream) -> Term:
     left = _parse_mul(s)
+    start = s.depth
     while s.at_op("+") or s.at_op("-"):
-        op = s.next().text
+        t = s.next()
+        s.enter(t)  # a left operand nests one level deeper
         right = _parse_mul(s)
-        left = Struct(op, (left, right))
+        left = Struct(t.text, (left, right))
+    s.depth = start
     return left
 
 
 def _parse_mul(s: _Stream) -> Term:
     left = _parse_prim_term(s)
+    start = s.depth
     while s.at_op("*"):
-        s.next()
+        s.enter(s.next())
         right = _parse_prim_term(s)
         left = Struct("*", (left, right))
+    s.depth = start
     return left
 
 
@@ -247,15 +268,19 @@ def _parse_prim_term(s: _Stream) -> Term:
         return Struct(t.text)
     if t.kind == "ident":
         s.next()
-        if s.accept("("):
+        if s.at_op("("):
+            s.enter(s.next())
             args = [_parse_term(s)]
             while s.accept(","):
                 args.append(_parse_term(s))
             s.expect(")")
+            s.depth -= 1
             return Struct(t.text, tuple(args))
         return Struct(t.text)
-    if s.accept("["):
+    if s.at_op("["):
+        s.enter(s.next())
         if s.accept("]"):
+            s.depth -= 1
             return ast.NIL
         items = [_parse_term(s)]
         while s.accept(","):
@@ -264,10 +289,13 @@ def _parse_prim_term(s: _Stream) -> Term:
         if s.accept("|"):
             tail = _parse_term(s)
         s.expect("]")
+        s.depth -= 1
         return ast.listterm(items, tail)
-    if s.accept("("):
+    if s.at_op("("):
+        s.enter(s.next())
         inner = _parse_term(s)
         s.expect(")")
+        s.depth -= 1
         return inner
     raise ParseError("expected a term", t)
 
@@ -289,7 +317,9 @@ def _parse_implies(s: _Stream) -> Formula:
     left = _parse_or(s)
     if s.at_op("=>"):
         t = s.next()
+        s.enter(t)
         right = _parse_implies(s)
+        s.depth -= 1
         return Implies(left, right, pos=s.pos(t))
     return left
 
@@ -317,14 +347,19 @@ def _parse_and(s: _Stream) -> Formula:
 def _parse_unary(s: _Stream) -> Formula:
     t = s.peek()
     if s.accept("~"):
-        return Not(_parse_unary(s), pos=s.pos(t))
+        s.enter(t)
+        body = _parse_unary(s)
+        s.depth -= 1
+        return Not(body, pos=s.pos(t))
     if t.kind == "ident" and t.text in ("exists", "forall"):
         s.next()
+        s.enter(t)
         var = s.expect_kind("var", "a variable").text
         s.expect(":")
         tname = s.expect_kind("ident", "a type name").text
         s.expect(".")
         body = _parse_formula(s)
+        s.depth -= 1
         cls = Exists if t.text == "exists" else Forall
         return cls(var, tname, body, pos=s.pos(t))
     return _parse_primary(s)
@@ -341,14 +376,17 @@ def _parse_primary(s: _Stream) -> Formula:
     if s.at_op("("):
         # either a parenthesized formula or a parenthesized term opening an
         # equation; try the formula reading first and fall back
-        mark = s.i
+        mark = s.i, s.depth
         try:
-            s.next()
+            s.enter(s.next())
             inner = _parse_formula(s)
             s.expect(")")
+            s.depth -= 1
             return inner
-        except ParseError:
-            s.i = mark
+        except ParseError as e:
+            if e.code == "nesting-too-deep":
+                raise  # the term reading would nest as deep
+            s.i, s.depth = mark
     term = _parse_term(s)
     if s.at_op("="):
         s.next()

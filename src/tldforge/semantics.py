@@ -9,9 +9,13 @@ bound, so a true/false verdict is a fact about the bounded universe.
 
 The evaluator compiles each formula once into closures and solves
 determining equations inside exists blocks; the equivalence checker sweeps
-free variables with partial evaluation and bulk counting.  These are pure
-speedups: results are identical to brute-force enumeration (see
-evaluate_reference, which the tests compare against).
+free variables with partial evaluation and bulk counting.  A type guard of
+the untyped formula -- a mandatory membership conjunct t(X) on a swept
+variable -- is false on every value outside t, so the sweep enumerates only
+the values in t or in X's declared type and counts the others in bulk as
+outside bindings with the untyped formula false.  These are pure speedups:
+results are identical to brute-force enumeration (see evaluate_reference,
+which the tests compare against).
 """
 
 from __future__ import annotations
@@ -186,6 +190,17 @@ def _mandatory_conjuncts(kernel: Formula, forbidden: frozenset = frozenset()):
             yield from _mandatory_conjuncts(c, forbidden)
         else:
             yield (c, forbidden)
+
+
+def _guard_type(c: Formula, forbidden: frozenset, name: str, types: TypeEnv):
+    """The type t when the mandatory conjunct c is a membership atom t(name)
+    on the outer variable ``name``, else None.  Such a guard is false on
+    every value of ``name`` outside t, and so is the kernel."""
+    if (isinstance(c, Atom) and len(c.args) == 1 and isinstance(c.args[0], Var)
+            and c.args[0].name == name and name not in forbidden
+            and c.predicate in types):
+        return c.predicate
+    return None
 
 
 def _match(pattern: Term, value: Term, out: dict) -> bool:
@@ -461,11 +476,10 @@ class _Evaluator:
         """A membership conjunct on the variable restricts its enumeration;
         values outside the check would falsify the kernel anyway."""
         for c, forbidden in mandatory:
-            if (isinstance(c, Atom) and len(c.args) == 1
-                    and isinstance(c.args[0], Var) and c.args[0].name == name
-                    and name not in forbidden and c.predicate in self.ctx.types):
+            guard = _guard_type(c, forbidden, name, self.ctx.types)
+            if guard is not None:
                 allowed = self.universe_set(tname)
-                return tuple(v for v in self.universe(c.predicate) if v in allowed)
+                return tuple(v for v in self.universe(guard) if v in allowed)
         return self.universe(tname)
 
     def _solver(self, c: Formula, forbidden: frozenset, types: dict):
@@ -650,6 +664,9 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     variable falls outside its declared type the untyped formula must be
     false; inside the types both formulas must evaluate alike.  ``unknown``
     outcomes are reported as inconclusive, not as violations.
+
+    A variable's values that fail a type guard of the untyped formula and
+    lie outside its declared type are counted in bulk, never evaluated.
     """
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
@@ -658,16 +675,29 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     n = len(names)
     scope = frozenset(names)
     run_t = _Evaluator(ctx, side=TYPED, partial=True).compile(typed_f, scope)
-    run_u = _Evaluator(ctx, side=UNTYPED, partial=True).compile(untyped_f, scope)
+    ev_u = _Evaluator(ctx, side=UNTYPED, partial=True)
+    run_u = ev_u.compile(untyped_f, scope)
     budget = ctx.unfold_depth
     universe = list(ctx.types.enumerate_type(UNIVERSAL_TYPE, ctx.universe_depth))
-    in_lists = []
+    mandatory = list(_mandatory_conjuncts(untyped_f))
+    in_lists = []  # each variable's in-type values, in universe order
     in_sets = []
-    for _, tname in freevars:
-        members = set(ctx.types.enumerate_type(tname, ctx.universe_depth))
-        ordered = [v for v in universe if v in members]
+    kept_lists = []  # the values the sweep enumerates: in a guard's type or in-type
+    for name, tname in freevars:
+        members = ev_u.universe_set(tname)
+        guards = [ev_u.universe_set(t) for t in
+                  (_guard_type(c, forbidden, name, ctx.types) for c, forbidden in mandatory)
+                  if t is not None]
+        ordered, kept = [], []
+        for v in universe:
+            if v in members:
+                ordered.append(v)
+                kept.append(v)
+            elif all(v in g for g in guards):
+                kept.append(v)
         in_lists.append(ordered)
         in_sets.append(members)
+        kept_lists.append(kept)
     U = len(universe)
     report = EquivalenceReport(depth=ctx.universe_depth)
 
@@ -764,10 +794,16 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
                     for full in in_completions(i, binding):
                         leaf(full, True)
             return
-        for value in universe:
+        # a value failing a guard makes the untyped side false on every
+        # completion (Kleene absorption): no violation, nothing inconclusive
+        guarded_out = (U - len(kept_lists[i])) * U ** (n - i - 1)
+        report.total += guarded_out
+        report.outside += guarded_out
+        report.outside_false += guarded_out
+        for value in kept_lists[i]:
             binding[names[i]] = value
             sweep(i + 1, binding, all_in and value in in_sets[i])
-        del binding[names[i]]
+        binding.pop(names[i], None)
 
     sweep(0, {}, True)
     return report

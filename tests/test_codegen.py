@@ -40,8 +40,14 @@ def test_flattening_introduces_one_variable_per_distinct_subterm():
 
 
 def test_flattening_leaves_plain_clauses_alone():
-    clause = Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),))
-    assert flatten_arithmetic(clause) == clause
+    # a one-argument minus is no arithmetic functor
+    negated = Struct("-", (Var("X"),))
+    clause = Clause("p", (Var("X"),), (
+        Unify(Var("X"), Struct("a")),
+        TypeCheck("nat", negated),
+        NafNot(Call("q", (Struct("f", (Var("X"), negated)),))),
+    ))
+    assert flatten_arithmetic(clause) is clause
 
 
 def test_nested_arithmetic_flattens_in_dependency_order():

@@ -1,14 +1,17 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tldforge import ast
 from tldforge.ast import (And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or,
                           Struct, Var)
 from tldforge.modes import GROUND, INF, Multiplicity, STAR, VAR
-from tldforge.parser import (parse_formula, parse_spec, parse_specs, parse_term,
-                             parse_tld, parse_tlds, parse_type_defs, parse_types)
+from tldforge.parser import (MAX_NESTING, parse_formula, parse_spec, parse_specs,
+                             parse_term, parse_tld, parse_tlds, parse_type_defs,
+                             parse_types)
 from tldforge.printer import (format_formula, format_spec, format_term,
                               format_tld, format_typedef)
 from tldforge.typesys import Alias, Case, Cases
+from util import NESTINGS
 
 
 # -- .types ------------------------------------------------------------------
@@ -220,6 +223,23 @@ def test_diagnostics_carry_positions_within_input():
             assert d.pos is not None
             assert 1 <= d.pos.line <= len(lines) + 1
             assert d.pos.col >= 1
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_past_the_limit_is_a_positioned_diagnostic(kind):
+    nest, opener = NESTINGS[kind]
+    head = "p(X: nat) <=> "
+    tlds, diags = parse_tlds(f"{head}{nest(MAX_NESTING)}.\n", "deep.tld")
+    assert not diags and len(tlds) == 1
+    body = nest(MAX_NESTING + 1)
+    tlds, diags = parse_tlds(f"{head}{body}.\n", "deep.tld")
+    assert not tlds
+    d = diags[0]
+    assert (d.code, d.pos.file, d.pos.line) == ("nesting-too-deep", "deep.tld", 1)
+    # the diagnostic points at the token opening the level past the limit
+    offset = d.pos.col - 1 - len(head)
+    assert body[offset:].startswith(opener)
+    assert body[:offset].count(opener) == MAX_NESTING
 
 
 # -- round trips --------------------------------------------------------------

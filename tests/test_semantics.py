@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -9,7 +11,7 @@ from tldforge.parser import parse_formula, parse_tlds, parse_types
 from tldforge.semantics import (EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
                                 _Evaluator, check_agreement, check_equivalence,
                                 evaluate, evaluate_reference)
-from tldforge.transform import transform_formula, transform_tld
+from tldforge.transform import simplify_checks, transform_formula, transform_tld
 
 zero = Struct("zero")
 
@@ -131,6 +133,105 @@ def test_equivalence_counts_cover_the_full_space(ctx):
     assert rep.total == u * u
     assert rep.inside == len(ctx.types.enumerate_type("nat", 2)) ** 2
     assert rep.inside + rep.outside == rep.total
+
+
+# -- the pruned sweep against brute-force enumeration ---------------------------
+
+COUNTS = ("total", "outside", "outside_false", "inside", "inside_agree",
+          "violations", "inconclusive")
+
+
+def _brute_force_counts(ctx, typed, untyped, freevars) -> dict:
+    """Every binding of the universe evaluated by evaluate_reference and
+    classified as check_equivalence classifies a single binding."""
+    universe = ctx.types.enumerate_type("term", ctx.universe_depth)
+    members = [set(ctx.types.enumerate_type(t, ctx.universe_depth)) for _, t in freevars]
+    counts = dict.fromkeys(COUNTS, 0)
+    for combo in itertools.product(universe, repeat=len(freevars)):
+        binding = {n: v for (n, _), v in zip(freevars, combo)}
+        ru = evaluate_reference(ctx, untyped, binding, side=UNTYPED)
+        counts["total"] += 1
+        if all(v in m for v, m in zip(combo, members)):
+            counts["inside"] += 1
+            rt = evaluate_reference(ctx, typed, binding, side=TYPED)
+            kind = ("inconclusive" if UNKNOWN in (ru, rt)
+                    else "inside_agree" if ru is rt else "violations")
+        else:
+            counts["outside"] += 1
+            kind = {FALSE: "outside_false", TRUE: "violations"}.get(ru, "inconclusive")
+        counts[kind] += 1
+    return counts
+
+
+def _check_against_brute_force(ctx, typed, untyped, freevars):
+    rep = check_equivalence(ctx, typed, untyped, freevars)
+    assert {k: getattr(rep, k) for k in COUNTS} == \
+        _brute_force_counts(ctx, typed, untyped, freevars)
+    first = rep.first_violation
+    if first is None:
+        assert rep.violations == 0
+        return rep
+    inside = all(ctx.types.is_member(t, first[n]) for n, t in freevars)
+    ru = evaluate_reference(ctx, untyped, first, side=UNTYPED)
+    if rep.first_violation_kind == "outside-true":
+        assert not inside and ru is TRUE
+    else:
+        assert rep.first_violation_kind == "inside-disagree" and inside
+        rt = evaluate_reference(ctx, typed, first, side=TYPED)
+        assert UNKNOWN not in (ru, rt) and ru is not rt
+    return rep
+
+
+def test_sweep_counts_match_brute_force_on_every_row():
+    from fixture_formulas import fixture_cases, fixture_context
+    ctx = fixture_context(universe_depth=2)
+    for name, typed, freevars in fixture_cases():
+        untyped = simplify_checks(transform_formula(dict(freevars), typed))
+        _check_against_brute_force(ctx, typed, untyped, freevars)
+    typed = parse_formula("~(X = zero)")
+    broken = Not(transform_formula({"X": "nat"}, parse_formula("X = zero")))
+    rep = _check_against_brute_force(ctx, typed, broken, (("X", "nat"),))
+    assert rep.violations >= 1
+
+
+def test_sweep_prunes_only_through_guards():
+    env, _ = parse_types("nat ::= zero | s(nat).\nsmall ::= zero.\n"
+                         "fruit ::= enum {banana, apple}.")
+    ctx = EvalContext(env, universe_depth=2)
+    cases = [
+        # a guard under an existential conjunct whose binder is another name
+        ("exists Y: nat . X = s(Y)", "exists Y: term . nat(X) /\\ nat(Y) /\\ X = s(Y)",
+         (("X", "nat"),), False),
+        # a guard narrower than the declared type: in-type values outside
+        # the guard are still evaluated
+        ("X = zero", "small(X) /\\ X = zero", (("X", "nat"),), False),
+        ("~(X = zero)", "small(X) /\\ ~(X = zero)", (("X", "nat"),), True),
+        # a guard wider than the declared type: values in the guard's type
+        # but outside the declared one are evaluated, and violate
+        ("X = zero", "nat(X)", (("X", "small"),), True),
+        # a membership atom inside a disjunction guards nothing
+        ("X = zero", "(nat(X) /\\ X = zero) \\/ X = banana", (("X", "nat"),), True),
+        # a membership atom on a binder that captures the swept name
+        ("X = zero", "(exists X: term . nat(X)) /\\ ~(X = s(zero))",
+         (("X", "nat"),), True),
+        # a guard on the second variable only, and on both
+        ("~(X = Y)", "nat(Y) /\\ ~(X = Y)", (("X", "nat"), ("Y", "nat")), True),
+        ("X = Y", "fruit(Y) /\\ nat(X) /\\ X = Y", (("X", "nat"), ("Y", "fruit")), False),
+    ]
+    for typed, untyped, freevars, violates in cases:
+        rep = _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
+                                         freevars)
+        assert (rep.violations > 0) is violates, (untyped, rep.describe())
+
+
+def test_maxprefix_depth_three_counts_are_pinned(maxprefix_ws):
+    from tldforge.workspace import run_oracle
+    rep = run_oracle(maxprefix_ws, "max_prefix_gen", depth=3)
+    assert asdict(rep) == {
+        "depth": 3, "total": 5545233000, "outside": 5545232225,
+        "outside_false": 5545232225, "inside": 775, "inside_agree": 775,
+        "violations": 0, "inconclusive": 0, "first_violation": None,
+        "first_violation_kind": None}
 
 
 def test_verdicts_are_monotone_in_depth(ctx):

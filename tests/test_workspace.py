@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from tldforge.cli import main
-from tldforge.parser import parse_tlds
+from tldforge.parser import MAX_NESTING, parse_tlds
 from tldforge.workspace import (load_workspace, run_oracle, run_pipeline,
                                 suggest_skeleton)
+from util import NESTINGS
 
 
 def write_workspace(tmp_path, types="", spec="", tld="", manifest=None):
@@ -322,3 +323,33 @@ def test_cli_entry_point_runs_as_module(maxprefix_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_cli_nesting_at_the_limit_runs_and_past_it_is_diagnosed(kind, tmp_path, capsys):
+    nest, _ = NESTINGS[kind]
+    spec = "procedure p(X).\ntype X : nat.\ndir (ground) : <0-1>.\n"
+    commands = (["check"], ["transform"], ["derive"], ["analyze"], ["gen", "prolog"],
+                ["gen", "mercury"], ["oracle", "equiv", "--pred", "p"])
+    path = write_workspace(tmp_path, types="nat ::= zero | s(nat).\n", spec=spec,
+                           tld=f"p(X: nat) <=> {nest(MAX_NESTING)}.\n")
+    for command in commands:
+        assert main([*command, "--manifest", str(path)]) == 0, command
+    capsys.readouterr()
+    path = write_workspace(tmp_path, types="nat ::= zero | s(nat).\n", spec=spec,
+                           tld=f"p(X: nat) <=> {nest(MAX_NESTING + 1)}.\n")
+    for command in commands:
+        assert main([*command, "--manifest", str(path)]) == 1, command
+        err = capsys.readouterr().err
+        assert re.search(r"w\.tld:1:\d+: error\[nesting-too-deep\]", err), err
+
+
+def test_cli_closed_pipe_exits_one_quietly(maxprefix_dir):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tldforge.cli", "gen", "prolog",
+         "--manifest", str(maxprefix_dir / "manifest.txt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the interpreter has started, let alone written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

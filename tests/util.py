@@ -87,3 +87,17 @@ def _read_goal(s):
 def tokens_of(text: str):
     """Whitespace-insensitive token stream for golden comparisons."""
     return [t.text for t in tokenize(text, "<golden>") if t.kind != "eof"]
+
+
+# a description body of p(X: nat) nested k levels deep by one construct,
+# with the text of the token that opens each level
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "X = zero" + ")" * k, "("),
+    "arguments": (lambda k: "X = " + "s(" * k + "zero" + ")" * k, "("),
+    "lists": (lambda k: "X = zero /\\ Y = " + "[" * k + "1" + "]" * k, "["),
+    "sums": (lambda k: "X = zero /\\ Y = 1" + " + 1" * k, "+"),
+    "negations": (lambda k: "~" * k + "X = zero", "~"),
+    "implications": (lambda k: "X = zero" + " => X = zero" * k, "=>"),
+    "quantifiers": (lambda k: "".join(f"exists Y{i}: term . " for i in range(k))
+                    + "X = zero", "exists"),
+}
