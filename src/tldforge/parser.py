@@ -3,7 +3,7 @@
 The concrete syntax is line-oriented with `.`-terminated declarations and `#`
 line comments.  Connectives are ASCII: /\\ \\/ ~ => <=> and `exists V: T .` /
 `forall V: T .`.  Recovery is statement-level: a syntax error skips to the
-next terminating dot.
+next terminating dot, passing over the dots of quantifier headers.
 """
 
 from __future__ import annotations
@@ -215,11 +215,20 @@ class _Stream:
         return SourcePos(self.filename, t.line, t.col)
 
     def sync_to_dot(self):
+        """Skip past the next `.` that ends a declaration; the `.` closing a
+        quantifier header `exists V: T .` does not."""
         self.depth = 0
         while self.peek().kind != "eof":
             t = self.next()
-            if t.kind == "op" and t.text == ".":
+            if t.kind == "op" and t.text == "." and not self._closes_quantifier_header():
                 return
+
+    def _closes_quantifier_header(self) -> bool:
+        header = self.tokens[max(self.i - 5, 0):self.i - 1]
+        return (len(header) == 4 and header[0].kind == "ident"
+                and header[0].text in ("exists", "forall") and header[1].kind == "var"
+                and header[2].kind == "op" and header[2].text == ":"
+                and header[3].kind == "ident")
 
 
 def _diag_from(err: ParseError, filename: str) -> SourceDiagnostic:

@@ -9,13 +9,21 @@ bound, so a true/false verdict is a fact about the bounded universe.
 
 The evaluator compiles each formula once into closures and solves
 determining equations inside exists blocks; the equivalence checker sweeps
-free variables with partial evaluation and bulk counting.  A type guard of
-the untyped formula -- a mandatory membership conjunct t(X) on a swept
-variable -- is false on every value outside t, so the sweep enumerates only
-the values in t or in X's declared type and counts the others in bulk as
-outside bindings with the untyped formula false.  These are pure speedups:
-results are identical to brute-force enumeration (see evaluate_reference,
-which the tests compare against).
+free variables with partial evaluation and bulk counting.  A type guard --
+a mandatory membership conjunct t(X), or one mandatory in every disjunct of
+a mandatory disjunction -- is false on every value of X outside t.  So the
+sweep enumerates only the values in t or in X's declared type and counts
+the others in bulk as outside bindings with the untyped formula false; an
+exists block enumerates only its binder's guard type, and a forall block
+``forall Y . g(Y) => K`` only the values in g.
+
+The universe of ``term`` is counted.  It is built only for an enumeration
+that really ranges over all of it: a swept variable without a guard, or an
+unguarded binder at ``term`` that a search reaches.  A binder's domain is
+built on first use, an empty domain is told by inhabitation, and every
+membership test is the type system's bounded membership.  These are pure speedups: results are
+identical to brute-force enumeration (see evaluate_reference, which the
+tests compare against).
 """
 
 from __future__ import annotations
@@ -192,15 +200,23 @@ def _mandatory_conjuncts(kernel: Formula, forbidden: frozenset = frozenset()):
             yield (c, forbidden)
 
 
-def _guard_type(c: Formula, forbidden: frozenset, name: str, types: TypeEnv):
-    """The type t when the mandatory conjunct c is a membership atom t(name)
-    on the outer variable ``name``, else None.  Such a guard is false on
-    every value of ``name`` outside t, and so is the kernel."""
-    if (isinstance(c, Atom) and len(c.args) == 1 and isinstance(c.args[0], Var)
-            and c.args[0].name == name and name not in forbidden
-            and c.predicate in types):
-        return c.predicate
-    return None
+def _guard_types(mandatory, name: str, types: TypeEnv) -> list:
+    """The types t of the guards t(name) among the mandatory conjuncts, on
+    the outer variable ``name``: a membership atom, or one that guards every
+    disjunct of a disjunction.  Each guard is false on every value of
+    ``name`` outside t, and so is the kernel."""
+    out = []
+    for c, forbidden in mandatory:
+        if name in forbidden:
+            continue
+        if (isinstance(c, Atom) and len(c.args) == 1 and isinstance(c.args[0], Var)
+                and c.args[0].name == name and c.predicate in types):
+            out.append(c.predicate)
+        elif isinstance(c, Or):
+            per_disjunct = [_guard_types(_mandatory_conjuncts(d, forbidden), name, types)
+                            for d in c.items]
+            out += [t for t in per_disjunct[0] if all(t in g for g in per_disjunct[1:])]
+    return out
 
 
 def _match(pattern: Term, value: Term, out: dict) -> bool:
@@ -252,16 +268,12 @@ class _Evaluator:
         self.side = side
         self.partial = partial
         self._definitions: dict = {}  # predicate name -> (params, run, memo)
-        self._sets: dict = {}
 
     def universe(self, type_name: str) -> tuple:
         return self.ctx.types.enumerate_type(type_name, self.ctx.universe_depth)
 
-    def universe_set(self, type_name: str) -> frozenset:
-        hit = self._sets.get(type_name)
-        if hit is None:
-            hit = self._sets[type_name] = frozenset(self.universe(type_name))
-        return hit
+    def in_universe(self, type_name: str, value: Term) -> bool:
+        return self.ctx.types.bounded_member(type_name, value, self.ctx.universe_depth)
 
     # -- formulas -------------------------------------------------------------
 
@@ -403,7 +415,8 @@ class _Evaluator:
             block += ((name, kernel.type_name),)
             kernel = body
         stop = TRUE if cls is Exists else FALSE
-        if any(not self.universe(t) for _, t in block):
+        types, depth = self.ctx.types, self.ctx.universe_depth
+        if any(not types.inhabited(t, depth) for _, t in block):
             verdict = truth_not(stop)  # exists over an empty domain, or vacuous forall
             return lambda binding, budget: verdict
         if isinstance(kernel, Or if cls is Exists else And):
@@ -411,10 +424,13 @@ class _Evaluator:
         return self._search(kernel, cls, block, scope)
 
     def _search(self, kernel: Formula, cls, block: tuple, scope: frozenset):
-        """Enumerate the block's binders that occur in the kernel.  An exists
-        block first binds values that a mandatory equation forces, narrows a
-        domain by a mandatory membership check, and in partial mode refutes
-        through a mandatory conjunct it can decide."""
+        """Enumerate the block's binders that occur in the kernel, each over
+        a domain built when the search first reaches it.  An exists block
+        first binds values that a mandatory equation forces, narrows a domain
+        by a guard of the kernel, and in partial mode refutes through a
+        mandatory conjunct it can decide.  A forall block over ``A => K``
+        narrows a domain by a guard of A: outside it the implication is true,
+        the neutral element of forall."""
         names = {n for n, _ in block}
         scope = scope | names
         run_kernel = self.compile(kernel, scope)
@@ -435,12 +451,20 @@ class _Evaluator:
                 cvars = frozenset(ast.free_names(c))
                 if self.partial and not cvars & forbidden:
                     refuters.append((self.compile(c, scope | forbidden), cvars))
-            domains = {n: self._narrowed_domain(n, types[n], mandatory) for n in live}
+            guarding = mandatory
         else:
             stop = FALSE
-            domains = {n: self.universe(types[n]) for n in live}
+            guarding = list(_mandatory_conjuncts(kernel.left)) \
+                if isinstance(kernel, Implies) else []
         other = truth_not(stop)
         partial = self.partial
+        domains: dict = {}
+
+        def domain(name):
+            hit = domains.get(name)
+            if hit is None:
+                hit = domains[name] = self._narrowed_domain(name, types[name], guarding)
+            return hit
 
         def search(live, binding, budget):
             if not live:
@@ -463,7 +487,7 @@ class _Evaluator:
                 return UNKNOWN
             name, rest = live[0], live[1:]
             result = other
-            for value in domains[name]:
+            for value in domain(name):
                 v = search(rest, {**binding, name: value}, budget)
                 if v is stop:
                     return stop
@@ -473,14 +497,12 @@ class _Evaluator:
         return lambda binding, budget: search(live, binding, budget)
 
     def _narrowed_domain(self, name: str, tname: str, mandatory: list) -> tuple:
-        """A membership conjunct on the variable restricts its enumeration;
-        values outside the check would falsify the kernel anyway."""
-        for c, forbidden in mandatory:
-            guard = _guard_type(c, forbidden, name, self.ctx.types)
-            if guard is not None:
-                allowed = self.universe_set(tname)
-                return tuple(v for v in self.universe(guard) if v in allowed)
-        return self.universe(tname)
+        """A guard on the variable restricts its enumeration to the guard's
+        type; values outside it would falsify the guarding formula anyway."""
+        guards = _guard_types(mandatory, name, self.ctx.types)
+        if not guards:
+            return self.universe(tname)
+        return tuple(v for v in self.universe(guards[0]) if self.in_universe(tname, v))
 
     def _solver(self, c: Formula, forbidden: frozenset, types: dict):
         """``solve(binding, live)`` for a mandatory conjunct that may force
@@ -512,7 +534,7 @@ class _Evaluator:
                 if solved is _NO_SOLUTION:
                     return FALSE
                 value = Struct(str(solved))
-                if value not in self.universe_set(types[target.name]):
+                if not self.in_universe(types[target.name], value):
                     return FALSE  # the only satisfying value is out of reach
                 return {target.name: value}
             return solve_builtin
@@ -538,7 +560,7 @@ class _Evaluator:
             forced = {k: v for k, v in sol.items() if k in live}
             for k, v in forced.items():
                 # a witness must come from the enumerated domain itself
-                if v not in self.universe_set(types[k]):
+                if not self.in_universe(types[k], v):
                     return FALSE
             return forced or None
         return solve_eq
@@ -666,7 +688,10 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     outcomes are reported as inconclusive, not as violations.
 
     A variable's values that fail a type guard of the untyped formula and
-    lie outside its declared type are counted in bulk, never evaluated.
+    lie outside its declared type are counted in bulk, never evaluated.  The
+    universe's size is counted; a guarded variable's values are drawn from
+    its declared type and its guard's type, and only a variable without a
+    guard enumerates the whole universe.
     """
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
@@ -675,30 +700,33 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     n = len(names)
     scope = frozenset(names)
     run_t = _Evaluator(ctx, side=TYPED, partial=True).compile(typed_f, scope)
-    ev_u = _Evaluator(ctx, side=UNTYPED, partial=True)
-    run_u = ev_u.compile(untyped_f, scope)
+    run_u = _Evaluator(ctx, side=UNTYPED, partial=True).compile(untyped_f, scope)
     budget = ctx.unfold_depth
-    universe = list(ctx.types.enumerate_type(UNIVERSAL_TYPE, ctx.universe_depth))
+    types, depth = ctx.types, ctx.universe_depth
     mandatory = list(_mandatory_conjuncts(untyped_f))
+
+    def in_universe_order(values) -> list:
+        return sorted((v for v in values if types.bounded_member(UNIVERSAL_TYPE, v, depth)),
+                      key=types.universe_key)
+
     in_lists = []  # each variable's in-type values, in universe order
     in_sets = []
     kept_lists = []  # the values the sweep enumerates: in a guard's type or in-type
     for name, tname in freevars:
-        members = ev_u.universe_set(tname)
-        guards = [ev_u.universe_set(t) for t in
-                  (_guard_type(c, forbidden, name, ctx.types) for c, forbidden in mandatory)
-                  if t is not None]
-        ordered, kept = [], []
-        for v in universe:
-            if v in members:
-                ordered.append(v)
-                kept.append(v)
-            elif all(v in g for g in guards):
-                kept.append(v)
+        ordered = in_universe_order(types.enumerate_type(tname, depth))
+        members = set(ordered)
+        guards = _guard_types(mandatory, name, types)
+        if guards:
+            kept = in_universe_order(
+                [v for v in types.enumerate_type(guards[0], depth)
+                 if v not in members
+                 and all(types.bounded_member(g, v, depth) for g in guards[1:])] + ordered)
+        else:
+            kept = list(types.enumerate_type(UNIVERSAL_TYPE, depth))
         in_lists.append(ordered)
         in_sets.append(members)
         kept_lists.append(kept)
-    U = len(universe)
+    U = types.count_terms(depth)
     report = EquivalenceReport(depth=ctx.universe_depth)
 
     def record_violation(binding: dict, kind: str):
@@ -729,18 +757,15 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
                 report.inconclusive += 1
 
     def out_completion(i: int, binding: dict, all_in: bool) -> dict:
+        """The first completion in universe order with a value outside its
+        type; the universe is built only as far as that value."""
         out = dict(binding)
-        forced = False
+        forced = not all_in
         for j in range(i, n):
-            if not all_in or forced or len(in_sets[j]) == U:
-                out[names[j]] = universe[0]
-            else:
-                extra = next((v for v in universe if v not in in_sets[j]), None)
-                if extra is None:
-                    out[names[j]] = universe[0]
-                else:
-                    out[names[j]] = extra
-                    forced = True
+            extra = None if forced else \
+                next((v for v in types.iter_terms(depth) if v not in in_sets[j]), None)
+            out[names[j]] = next(types.iter_terms(depth)) if extra is None else extra
+            forced = forced or extra is not None
         return out
 
     def in_completions(i: int, binding: dict):

@@ -5,12 +5,21 @@ in itself), an alias for another type, or one of the built-in primitives.
 Types may not be mutually recursive.  Membership is decided by definition
 unfolding; bounded enumeration provides the brute-force oracle used by the
 semantics tests.
+
+The bounded universe of ``term`` grows exponentially with the depth bound,
+so the oracle mostly works without building it: ``count_terms`` counts it
+by recurrence over the signature, ``bounded_member`` decides membership in
+any type's enumeration, ``universe_key`` sorts values into universe order
+and ``inhabited`` tells an empty enumeration from a non-empty one.  Only
+``enumerate_type("term", d)`` builds the universe, and ``iter_terms``
+yields it lazily, one layer at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import ast
@@ -80,6 +89,7 @@ class TypeEnv:
         self._defs = defs
         self._member_cache: dict = {}
         self._enum_cache: dict = {}
+        self._bounded_cache: dict = {}
 
     @property
     def defs(self) -> Mapping[str, TypeDef]:
@@ -156,12 +166,29 @@ class TypeEnv:
 
     def signature(self) -> tuple[tuple[str, int], ...]:
         """All declared constructors (functor, arity), deterministically ordered."""
-        sig = set()
-        for d in self._defs.values():
-            if isinstance(d.body, Cases):
-                for case in d.body.cases:
-                    sig.add((case.functor, case.arity))
+        return self._signature
+
+    # computed on first use: most environments never enumerate or count terms
+
+    @cached_property
+    def _signature(self) -> tuple:
+        sig = {(case.functor, case.arity) for d in self._defs.values()
+               if isinstance(d.body, Cases) for case in d.body.cases}
         return tuple(sorted(sig, key=lambda fa: (fa[1], fa[0])))
+
+    @cached_property
+    def _sig_index(self) -> dict:
+        return {fa: i for i, fa in enumerate(self._signature)}
+
+    @cached_property
+    def _constants(self) -> tuple:
+        """The universe's leaves in universe order."""
+        return tuple(dict.fromkeys(
+            [Struct(f) for f, n in self._signature if n == 0] + list(INTEGER_SAMPLE)))
+
+    @cached_property
+    def _const_index(self) -> dict:
+        return {c: i for i, c in enumerate(self._constants)}
 
     def enumerate_type(self, type_name: str, depth: int) -> tuple:
         """Exactly the members of the type with term depth <= depth.
@@ -194,8 +221,8 @@ class TypeEnv:
             if kind == "float":
                 return list(FLOAT_SAMPLE)
             if kind == "atom":
-                return [Struct(f) for f, n in self.signature() if n == 0]
-            return self._enumerate_terms(depth)
+                return [Struct(f) for f, n in self._signature if n == 0]
+            return list(self.iter_terms(depth))
         out = []
         seen = set()
         for case in d.body.cases:
@@ -213,16 +240,17 @@ class TypeEnv:
                     out.append(t)
         return out
 
-    def _enumerate_terms(self, depth: int) -> list:
-        sig = self.signature()
-        consts = [Struct(f) for f, n in sig if n == 0] + list(INTEGER_SAMPLE)
-        consts = list(dict.fromkeys(consts))
-        layers = [list(consts)]
-        universe = list(consts)
+    def iter_terms(self, depth: int):
+        """The members of ``term`` up to ``depth`` in universe order: the
+        constants, then one layer per depth, each built only when reached."""
+        if depth <= 0:
+            return
+        universe = list(self._constants)
+        yield from universe
         seen = set(universe)
         for _ in range(depth - 1):
             new: list = []
-            for f, n in sig:
+            for f, n in self._signature:
                 if n == 0:
                     continue
                 for args in itertools.product(universe, repeat=n):
@@ -230,9 +258,69 @@ class TypeEnv:
                     if t not in seen:
                         seen.add(t)
                         new.append(t)
-            layers.append(new)
+                        yield t
             universe = universe + new
-        return universe
+
+    # -- the bounded universe without building it -----------------------------
+
+    def count_terms(self, depth: int) -> int:
+        """``len(enumerate_type("term", depth))``: the constants, plus per
+        layer every constructor applied to the layer below."""
+        arities = [n for _, n in self._signature if n]
+        size = 0
+        for _ in range(depth):
+            size = len(self._constants) + sum(size ** n for n in arities)
+        return size
+
+    def bounded_member(self, type_name: str, t: Term, depth: int) -> bool:
+        """``t in enumerate_type(type_name, depth)``, without enumerating."""
+        key = (type_name, t, depth)
+        hit = self._bounded_cache.get(key)
+        if hit is None:
+            hit = self._bounded_cache[key] = self._bounded(type_name, t, depth)
+        return hit
+
+    def _bounded(self, type_name: str, t: Term, depth: int) -> bool:
+        body = self.lookup(type_name).body
+        if depth <= 0 or not isinstance(t, Struct):
+            return False
+        if isinstance(body, Alias):
+            return self.bounded_member(body.target, t, depth)
+        if isinstance(body, Builtin):
+            if body.kind == "integer":
+                return t in INTEGER_SAMPLE
+            if body.kind == "float":
+                return t in FLOAT_SAMPLE
+            if body.kind == "atom":
+                return not t.args and (t.functor, 0) in self._sig_index
+            if not t.args:  # term: a constant or a constructor over smaller terms
+                return t in self._const_index
+            return ((t.functor, t.arity) in self._sig_index
+                    and all(self.bounded_member(type_name, a, depth - 1) for a in t.args))
+        return any(t.functor == case.functor and t.arity == case.arity
+                   and all(self.bounded_member(ct, arg, depth - 1)
+                           for ct, arg in zip(case.components, t.args))
+                   for case in body.cases)
+
+    def universe_key(self, t: Struct) -> tuple:
+        """Sort key of a member of the term universe that reproduces the
+        universe's order: (height, signature index, argument keys)."""
+        if not t.args:
+            return (1, self._const_index[t], ())
+        args = tuple(self.universe_key(a) for a in t.args)
+        return (1 + max(a[0] for a in args), self._sig_index[(t.functor, t.arity)], args)
+
+    def inhabited(self, type_name: str, depth: int) -> bool:
+        """Whether ``enumerate_type(type_name, depth)`` is non-empty."""
+        body = self.lookup(type_name).body
+        if depth <= 0:
+            return False
+        if isinstance(body, Alias):
+            return self.inhabited(body.target, depth)
+        if isinstance(body, Builtin):
+            return body.kind != "atom" or any(n == 0 for _, n in self._signature)
+        return any(all(self.inhabited(ct, depth - 1) for ct in case.components)
+                   for case in body.cases)
 
     # -- structural forms ---------------------------------------------------
 

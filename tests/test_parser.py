@@ -242,6 +242,21 @@ def test_nesting_past_the_limit_is_a_positioned_diagnostic(kind):
     assert body[:offset].count(opener) == MAX_NESTING
 
 
+@pytest.mark.parametrize("body", [
+    "X = zero /\\ (exists Y: nat . Y = X /\\ ) /\\ X = X",
+    NESTINGS["quantifiers"][0](MAX_NESTING + 1),
+], ids=["quantifier-body", "nesting-too-deep"])
+def test_recovery_resumes_after_the_description_not_a_quantifier(body):
+    # a quantifier header's dot does not end the description, so the rest
+    # of the broken description is not reported as a second error
+    tlds, diags = parse_tlds(f"p(X: nat) <=> {body}.\nq(X: nat) <=> X = zero.\n")
+    assert len(diags) == 1 and diags[0].pos.line == 1
+    assert [t.predicate for t in tlds] == ["q"]
+    tlds, diags = parse_tlds("p(X: nat) <=> X = zero /\\ (exists Y: nat . Y = X /\\ ) "
+                             "/\\ X = X.")
+    assert [(d.code, d.message, d.pos.col) for d in diags] == [("syntax", "expected ')'", 35)]
+
+
 # -- round trips --------------------------------------------------------------
 
 def test_fixture_corpus_round_trip(maxprefix_dir):

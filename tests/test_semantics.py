@@ -211,6 +211,18 @@ def test_sweep_prunes_only_through_guards():
         ("X = zero", "nat(X)", (("X", "small"),), True),
         # a membership atom inside a disjunction guards nothing
         ("X = zero", "(nat(X) /\\ X = zero) \\/ X = banana", (("X", "nat"),), True),
+        # ... unless it guards every disjunct, also under an existential
+        ("X = zero \\/ X = s(zero)",
+         "(X = zero /\\ nat(X)) \\/ (exists Y: term . nat(X) /\\ X = s(Y) /\\ Y = zero)",
+         (("X", "small"),), True),
+        ("X = zero \\/ ~(X = banana)",
+         "(X = zero /\\ nat(X)) \\/ (fruit(X) /\\ ~(X = banana))",
+         (("X", "nat"),), True),
+        ("X = zero \\/ X = s(zero)", "(nat(X) /\\ X = zero) \\/ X = s(zero)",
+         (("X", "nat"),), False),
+        ("X = zero \\/ X = s(zero)",
+         "(nat(X) /\\ X = zero) \\/ X = banana \\/ (nat(X) /\\ X = s(zero))",
+         (("X", "nat"),), True),
         # a membership atom on a binder that captures the swept name
         ("X = zero", "(exists X: term . nat(X)) /\\ ~(X = s(zero))",
          (("X", "nat"),), True),
@@ -232,6 +244,16 @@ def test_maxprefix_depth_three_counts_are_pinned(maxprefix_ws):
         "outside_false": 5545232225, "inside": 775, "inside_agree": 775,
         "violations": 0, "inconclusive": 0, "first_violation": None,
         "first_violation_kind": None}
+
+
+def test_maxprefix_depth_four_counts_are_pinned(maxprefix_ws):
+    # the guards keep 156 integer lists of the 3.1M-term universe, which
+    # is counted and never built
+    from tldforge.workspace import run_oracle
+    rep = run_oracle(maxprefix_ws, "max_prefix_gen", depth=4)
+    assert (rep.total, rep.inside, rep.inside_agree) == (30749785695750733416, 3900, 3900)
+    assert rep.outside == rep.outside_false == rep.total - rep.inside
+    assert (rep.violations, rep.inconclusive, rep.first_violation) == (0, 0, None)
 
 
 def test_verdicts_are_monotone_in_depth(ctx):
@@ -325,6 +347,44 @@ def test_fast_evaluator_agrees_with_reference(ctx):
         f = rnd_formula(3, [])
         binding = {n: rng.choice(universe) for n in ast.free_names(f)}
         assert evaluate(ctx, f, binding) is evaluate_reference(ctx, f, binding)
+
+
+def test_guarded_forall_agrees_with_reference(ctx):
+    # forall Y . g(Y) => K enumerates only the values in g: outside them the
+    # implication is true, the neutral element of forall
+    rng = random.Random(5)
+    universe = ctx.types.enumerate_type("term", 2)
+    # inner quantifiers range over small types, since the reference
+    # enumerates them at each of the forall's 99 values
+    rnd_formula = _formula_generator(rng, ["nat", "fruit"], ["nat", "fruit"])
+    y = Var("Y")
+    decided = 0
+    for _ in range(150):
+        g, a = Atom(rng.choice(["nat", "fruit"]), (y,)), rnd_formula(1, ["X", "Y"])
+        antecedent = rng.choice([
+            g, And((a, g)), Or((And((g, a)), g)),
+            Exists("Z", "nat", And((g, Eq(Var("Z"), y), a)))])
+        guarded = Forall("Y", rng.choice(["term", "nat"]),
+                         Implies(antecedent, rnd_formula(2, ["X", "Y"])))
+        # X is left unbound below; the verdict is decided when the forall is
+        f = rng.choice([guarded, And((guarded, rnd_formula(1, ["X"]))),
+                        Or((guarded, rnd_formula(1, ["X"])))])
+        free = list(ast.free_names(f))
+        binding = {n: rng.choice(universe) for n in free}
+        assert evaluate(ctx, f, binding) is evaluate_reference(ctx, f, binding), f
+        if "X" not in free:
+            continue
+        partial = {n: v for n, v in binding.items() if n != "X"}
+        side = rng.choice([TYPED, UNTYPED])
+        verdict = _Evaluator(ctx, side=side, partial=True).compile(
+            f, frozenset(free))(partial, ctx.unfold_depth)
+        if verdict is UNKNOWN:
+            continue
+        decided += 1
+        for value in rng.sample(universe, 20):
+            assert evaluate_reference(ctx, f, {**partial, "X": value}, side=side) \
+                is verdict, (f, partial, value)
+    assert decided >= 20
 
 
 # deep has no term of depth 2, so at that bound its domain is empty

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tldforge import ast
@@ -6,7 +8,8 @@ from tldforge.errors import (NonGroundTermError, NotStructuralError,
                              UnknownTypeError)
 from tldforge.parser import parse_types
 from tldforge.semantics import EvalContext, TRUE, evaluate
-from tldforge.typesys import TypeEnv, check_env
+from tldforge.typesys import (FLOAT_SAMPLE, Alias, Case, Cases, TypeDef, TypeEnv,
+                              check_env)
 
 zero = Struct("zero")
 
@@ -138,6 +141,64 @@ def test_enumeration_is_deterministic(example_env):
         "nat_set == nat_list.\n")
     for tname in ("nat", "nat_list", "term"):
         assert fresh.enumerate_type(tname, 3) == example_env.enumerate_type(tname, 3)
+
+
+# -- the counted universe against the enumerated one ----------------------------
+
+def _random_env(rng: random.Random) -> TypeEnv:
+    """Constructor types over a few constants and unary functors, with
+    components at integer, float, atom, term, list and earlier types; a
+    list-shaped type, a duplicate case, an empty type and an alias."""
+    consts = rng.sample(["a", "b", "c", "0"], rng.randint(1, 3))
+    unary = rng.sample(["f", "g"], rng.randint(1, 2))
+    names: list = []
+    defs = []
+    for i in range(3):
+        name = f"t{i}"
+        pool = ["integer", "float", "atom", "term", "list", name] + names
+        cases = [Case(rng.choice(consts))]
+        cases += [Case(rng.choice(unary), (rng.choice(pool),))
+                  for _ in range(rng.randint(1, 3))]
+        defs.append(TypeDef(name, Cases(cases)))
+        names.append(name)
+    defs += [
+        TypeDef("ilist", Cases((Case("[]"), Case("[|]", ("integer", "ilist"))))),
+        TypeDef("dup", Cases((Case(unary[0], ("integer",)),
+                              Case(unary[0], (rng.choice(names),)),
+                              Case(consts[0])))),
+        TypeDef("empty", Cases((Case(unary[-1], ("empty",)),))),
+        TypeDef("al", Alias(rng.choice(names + ["integer", "ilist"]))),
+    ]
+    return TypeEnv(defs)
+
+
+def _terms_off_the_universe(env: TypeEnv) -> list:
+    """Float leaves, an integer outside the sample and an undeclared
+    functor, alone and under each declared constructor."""
+    leaves = [*FLOAT_SAMPLE, Struct("7"), Struct("mk", (Struct("0"),))]
+    return leaves + [Struct(f, (x,) * n) for f, n in env.signature() if n for x in leaves]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_counted_universe_matches_the_enumerated_one(seed):
+    env = _random_env(random.Random(seed))
+    assert check_env(env)  # the empty type warns
+    for depth in (1, 2, 3):
+        universe = env.enumerate_type("term", depth)
+        assert env.count_terms(depth) == len(universe)
+        shuffled = list(universe)
+        random.Random(seed).shuffle(shuffled)
+        assert sorted(shuffled, key=env.universe_key) == list(universe)
+        probes = list(universe) + _terms_off_the_universe(env)
+        for tname in env.defs:
+            members = set(env.enumerate_type(tname, depth))
+            assert env.inhabited(tname, depth) is bool(members), (tname, depth)
+            assert all(env.bounded_member(tname, v, depth) for v in members)
+            for v in probes:
+                assert env.bounded_member(tname, v, depth) is (v in members), \
+                    (seed, tname, depth, v)
+        assert not env.inhabited("empty", depth)
+        assert not any(env.bounded_member("term", v, depth) for v in FLOAT_SAMPLE)
 
 
 # -- structural forms ------------------------------------------------------------
