@@ -8,8 +8,8 @@ from .ast import (And, Atom, Call, Clause, Eq, Exists, FALSE, FalseF, Forall,
 from .analysis import (AbstractState, Registry, ReorderFailure, abstract_step,
                        analyze_determinism, analyze_procedure, eliminate_checks,
                        reorder)
-from .codegen import (EmitOptions, emit_mercury, emit_prolog,
-                      flatten_arithmetic, mult_to_mercury_determinism)
+from .codegen import (emit_mercury, emit_prolog, flatten_arithmetic,
+                      mult_to_mercury_determinism)
 from .derive import NormalizedBody, derive_clauses, normalize
 from .modes import (Directionality, Mode, Multiplicity, Spec,
                     check_directionality)
@@ -32,7 +32,7 @@ __all__ = [
     "TypedLogicDescription", "Unify", "Var", "free_variables", "substitute",
     "AbstractState", "Registry", "ReorderFailure", "abstract_step",
     "analyze_determinism", "analyze_procedure", "eliminate_checks", "reorder",
-    "EmitOptions", "emit_mercury", "emit_prolog", "flatten_arithmetic",
+    "emit_mercury", "emit_prolog", "flatten_arithmetic",
     "mult_to_mercury_determinism", "NormalizedBody", "derive_clauses",
     "normalize", "Directionality", "Mode", "Multiplicity", "Spec",
     "check_directionality", "parse_formula", "parse_spec", "parse_specs",

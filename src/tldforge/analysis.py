@@ -419,11 +419,11 @@ def _equal_to_trusted(clause: Clause, trusted: dict, env: TypeEnv,
 
 
 def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
-                        pre_modes: list | None = None) -> DeterminismResult:
+                        pre_modes: list) -> DeterminismResult:
     """Computed answer-count bounds for a reordered, eliminated program.
 
     ``pre_modes`` holds, per clause, the modes before each body literal, as
-    recorded by ``reorder``; without it the clauses are walked again.
+    recorded by ``reorder``.
     """
     spec = registry.spec_of(prog.predicate)
     env = registry.env
@@ -431,17 +431,9 @@ def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
     trusted = trusted_params(spec)
     clause_mults = []
     for ci, clause in enumerate(prog.clauses):
-        if pre_modes is not None:
-            clause_modes = pre_modes[ci]
-        else:
-            state = initial_state(clause, dir)
-            clause_modes = [state.modes]
-            for lit in clause.body:
-                state = abstract_step(state, lit, registry)
-                clause_modes.append(state.modes)
         mult = Multiplicity(1, 1)
         for pos, lit in enumerate(clause.body):
-            modes = dict(clause_modes[pos])
+            modes = dict(pre_modes[ci][pos])
             if switch is not None and pos == switch.positions[ci]:
                 lm = Multiplicity(1, 1)  # a complete exclusive switch selects one branch
             elif isinstance(lit, Unify):

@@ -364,6 +364,17 @@ def rename_free(f: Formula, old: str, new: str) -> Formula:
     return _substitute(f, {old: Var(new)})
 
 
+def fresh_name(base: str, used: set) -> str:
+    """The first of ``base``, ``base1``, ``base2``... not in ``used``, which
+    it joins."""
+    name, k = base, 0
+    while name in used:
+        k += 1
+        name = f"{base}{k}"
+    used.add(name)
+    return name
+
+
 def _substitute(f: Formula, binding: dict) -> Formula:
     if not binding:
         return f

@@ -16,7 +16,7 @@ from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
                   Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
 from .analysis import (Registry, SPLIT_SUGGESTION, SwitchInfo, abstract_step,
-                       detect_switch, initial_state, _outs_satisfied)
+                       initial_state, _outs_satisfied)
 from .errors import MultipleOrdersError, NotCallableError
 from .modes import GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
 from .printer import format_literal, format_term
@@ -25,18 +25,6 @@ ARITHMETIC_BUILTINS = {"+": "plus", "-": "minus", "*": "times"}
 
 # constants the Mercury backend rewrites into goals producing a fresh variable
 MERCURY_CONSTANT_GOALS = {"-infinite": "min_int"}
-
-
-@dataclass(frozen=True)
-class EmitOptions:
-    target: str = "prolog"  # prolog | mercury
-    cut_introduction: bool = False
-    comment_header: bool = False
-    split_directionalities: bool = False
-
-    def __post_init__(self):
-        if self.cut_introduction and self.target != "prolog":
-            raise ValueError("cut introduction is a Prolog-only option")
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +173,8 @@ def _prolog_clause(clause: Clause, name: str, cut_after: int | None) -> str:
     return f"{head} :-\n    {body}."
 
 
-def check_order_compatibility(prog: Program, spec: Spec, registry: Registry,
-                              emitted_dir_index: int,
-                              dir_programs: list | None = None) -> list[int]:
+def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list,
+                              emitted_dir_index: int) -> list[int]:
     """Indices of declared directionalities that cannot execute the emitted
     literal order.
 
@@ -195,9 +182,10 @@ def check_order_compatibility(prog: Program, spec: Spec, registry: Registry,
     identical to the emitted program is executable under its directionality
     and is not walked again.
     """
+    prog = dir_programs[emitted_dir_index]
     bad = []
     for k, d in enumerate(spec.directionalities):
-        if k == emitted_dir_index or (dir_programs and dir_programs[k] == prog):
+        if dir_programs[k] == prog:
             continue
         for clause in prog.clauses:
             state = initial_state(clause, d)
@@ -213,25 +201,22 @@ def check_order_compatibility(prog: Program, spec: Spec, registry: Registry,
     return bad
 
 
-def emit_prolog(prog: Program, spec: Spec, opts: EmitOptions,
-                registry: Registry | None = None,
-                dir_programs: list | None = None,
-                dir_index: int = 0) -> str:
-    """Clause text for one directionality's ordering (the first by default).
+def emit_prolog(spec: Spec, analysis: list, registry: Registry,
+                dir_index: int = 0, cuts: bool = False,
+                split: bool = False) -> str:
+    """Clause text for one directionality's analysed program (the first by
+    default), read from ``analysis``, the per-directionality results of
+    ``analyze_procedure``, none of them failed.
 
-    With multiple inconsistent directionalities and no split, this raises
-    MultipleOrdersError; with split emission, later directionalities become
-    suffixed procedures.
+    With ``cuts``, a cut follows the discriminating literal of the switch
+    the determinism analysis verified.  With multiple inconsistent
+    directionalities and no ``split``, this raises MultipleOrdersError; with
+    ``split``, later directionalities become suffixed procedures.
     """
-    chunks: list[str] = []
-    if opts.comment_header and spec.relation:
-        for line in spec.relation.splitlines():
-            chunks.append(f"% {line}")
-        chunks.append("")
-    if registry is not None and len(spec.directionalities) > 1 \
-            and not opts.split_directionalities:
-        bad = check_order_compatibility(prog, spec, registry, dir_index,
-                                        dir_programs)
+    dir_programs = [r.eliminated for r in analysis]
+    prog = dir_programs[dir_index]
+    if len(spec.directionalities) > 1 and not split:
+        bad = check_order_compatibility(spec, registry, dir_programs, dir_index)
         if bad:
             which = ", ".join(
                 f"{d} at {d.pos}" if d.pos else str(d)
@@ -239,10 +224,7 @@ def emit_prolog(prog: Program, spec: Spec, opts: EmitOptions,
             raise MultipleOrdersError(
                 f"{spec.name}: the emitted literal order does not satisfy "
                 f"directionality {which}; {SPLIT_SUGGESTION}")
-    switch = None
-    if opts.cut_introduction and registry is not None and spec.directionalities:
-        switch = detect_switch(prog, spec.directionalities[dir_index], spec,
-                               registry.env)
+    chunks: list[str] = []
 
     def emit_one(p: Program, name: str, sw: SwitchInfo | None):
         if not p.clauses:
@@ -256,12 +238,12 @@ def emit_prolog(prog: Program, spec: Spec, opts: EmitOptions,
             chunks.append(_prolog_clause(clause, name, cut_at))
             chunks.append("")
 
-    emit_one(prog, prog.predicate, switch)
-    if opts.split_directionalities and dir_programs:
+    emit_one(prog, prog.predicate,
+             analysis[dir_index].determinism.switch if cuts else None)
+    if split:
         for k, p in enumerate(dir_programs):
-            if k == dir_index or p is None:
-                continue
-            emit_one(p, f"{prog.predicate}__d{k + 1}", None)
+            if k != dir_index:
+                emit_one(p, f"{prog.predicate}__d{k + 1}", None)
     while chunks and chunks[-1] == "":
         chunks.pop()
     return "\n".join(chunks) + "\n"
@@ -336,14 +318,7 @@ def _rewrite_constants(goals: list, used: set) -> list:
             if not any(_contains_constant(t, const) for t in terms):
                 continue
             if const not in fresh_for:
-                base = "X"
-                name = base
-                k = 0
-                while name in used:
-                    k += 1
-                    name = f"{base}{k}"
-                used.add(name)
-                fresh_for[const] = Var(name)
+                fresh_for[const] = Var(ast.fresh_name("X", used))
                 out.append(Atom(goal_pred, (fresh_for[const],)))
             v = fresh_for[const]
             if isinstance(g, Eq):

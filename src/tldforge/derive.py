@@ -73,25 +73,12 @@ def _nnf(f: Formula, positive: bool) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _fresh(base: str, used: set) -> str:
-    if base not in used:
-        return base
-    k = 1
-    while f"{base}{k}" in used:
-        k += 1
-    return f"{base}{k}"
-
-
 def _hoist(f: Formula, used: set) -> tuple[list, Formula]:
     """Pull existentials to the front, renaming on collision so that no
     binder name repeats anywhere in the matrix."""
     if isinstance(f, Exists):
-        name = f.var
-        body = f.body
-        if name in used:
-            name = _fresh(f.var, used)
-            body = ast.rename_free(body, f.var, name)
-        used.add(name)
+        name = ast.fresh_name(f.var, used)
+        body = f.body if name == f.var else ast.rename_free(f.body, f.var, name)
         inner, matrix = _hoist(body, used)
         return [(name, f.type_name)] + inner, matrix
     if isinstance(f, (And, Or)):

@@ -216,7 +216,8 @@ class _Stream:
 
     def sync_to_dot(self):
         """Skip past the next `.` that ends a declaration; the `.` closing a
-        quantifier header `exists V: T .` does not."""
+        quantifier header `exists V: T .` does not, even when the header
+        lacks its type name or its `:`."""
         self.depth = 0
         while self.peek().kind != "eof":
             t = self.next()
@@ -224,11 +225,13 @@ class _Stream:
                 return
 
     def _closes_quantifier_header(self) -> bool:
-        header = self.tokens[max(self.i - 5, 0):self.i - 1]
-        return (len(header) == 4 and header[0].kind == "ident"
-                and header[0].text in ("exists", "forall") and header[1].kind == "var"
-                and header[2].kind == "op" and header[2].text == ":"
-                and header[3].kind == "ident")
+        before = self.tokens[max(self.i - 5, 0):self.i - 1]
+        for k in range(len(before) - 1):
+            if (before[k].kind == "ident" and before[k].text in ("exists", "forall")
+                    and before[k + 1].kind == "var"):
+                rest = [t.text if t.kind == "op" else t.kind for t in before[k + 2:]]
+                return rest in ([":", "ident"], [":"], ["ident"])
+        return False
 
 
 def _diag_from(err: ParseError, filename: str) -> SourceDiagnostic:

@@ -348,17 +348,8 @@ def _component_names(env: TypeEnv, case: Case, avoid: set) -> list[str]:
             except UnknownTypeError:
                 resolved = ct
             base.append(resolved[0].upper() if resolved else "X")
-    names: list[str] = []
     used = set(avoid)
-    for b in base:
-        cand = b
-        k = 0
-        while cand in used or cand in names:
-            k += 1
-            cand = f"{b}{k}"
-        names.append(cand)
-        used.add(cand)
-    return names
+    return [ast.fresh_name(b, used) for b in base]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import typesys
 from .analysis import Registry, analyze_procedure
 from .ast import Atom, Exists, Forall, Var, subformulas
-from .codegen import (EmitOptions, emit_mercury, emit_prolog, flatten_program)
+from .codegen import emit_mercury, emit_prolog, flatten_program
 from .derive import derive_clauses, normalize, normalized_formula
 from .diagnostics import SourceDiagnostic, SourcePos, error, has_errors, warning
 from .errors import WorkspaceError
@@ -32,12 +32,21 @@ STAGE_NAMES = ("tld", "untyped", "simplified", "normalized", "derived",
                "ordered", "eliminated")
 
 
-def builtin_specs() -> list[Spec]:
-    text = (importlib.resources.files("tldforge") / "data" / "builtins.spec").read_text()
-    specs, diags = parse_specs(text, "<builtins>")
-    if has_errors(diags):
-        raise WorkspaceError("builtin callee registry failed to parse")
-    return specs
+# a module global rather than functools.cache: perfbench/tracing.py reads the
+# __wrapped__ attribute of a cached function as a wrapper left installed
+_builtin_specs: tuple | None = None
+
+
+def builtin_specs() -> tuple[Spec, ...]:
+    """The built-in callee preamble, parsed once per process."""
+    global _builtin_specs
+    if _builtin_specs is None:
+        text = (importlib.resources.files("tldforge") / "data" / "builtins.spec").read_text()
+        specs, diags = parse_specs(text, "<builtins>")
+        if has_errors(diags):
+            raise WorkspaceError("builtin callee registry failed to parse")
+        _builtin_specs = tuple(specs)
+    return _builtin_specs
 
 
 @dataclass(frozen=True)
@@ -332,10 +341,7 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
         return result
 
     if target == "prolog":
-        opts = EmitOptions("prolog", cut_introduction=cuts,
-                           split_directionalities=split)
-        result.code = emit_prolog(chosen.eliminated, spec, opts, registry,
-                                  [r.eliminated for r in analysis], dir_index)
+        result.code = emit_prolog(spec, analysis, registry, dir_index, cuts, split)
     elif target == "mercury":
         text, warnings = emit_mercury(tld, spec, analysis)
         result.code = text

@@ -250,6 +250,17 @@ def test_elimination_safety_on_the_fixtures(maxprefix_ws, registry):
 
 # -- determinism --------------------------------------------------------------------
 
+def determinism(prog, d, reg):
+    """analyze_determinism on the pre-modes reorder records; each program
+    here is already in an executable order, which reorder keeps."""
+    pre_modes = []
+    for clause in prog.clauses:
+        clause_modes = []
+        assert reorder(clause, d, reg, clause_modes) == clause
+        pre_modes.append(clause_modes)
+    return analyze_determinism(prog, d, reg, pre_modes)
+
+
 def test_fixture_multiplicities(maxprefix_ws, registry):
     spec = maxprefix_ws.specs["max_prefix_gen"]
     results = analyze_procedure(derived_program(maxprefix_ws, "max_prefix_gen"),
@@ -266,7 +277,7 @@ def test_single_possibly_failing_unification():
         Directionality(((GROUND, GROUND),), D01),))
     reg = Registry(env, {"p": spec})
     clause = Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),))
-    det = analyze_determinism(Program("p", 1, (clause,)), spec.directionalities[0], reg)
+    det = determinism(Program("p", 1, (clause,)), spec.directionalities[0], reg)
     assert det.computed == D01
     assert det.switch is None  # one case does not cover the type
 
@@ -281,7 +292,7 @@ def test_switch_detection_requires_coverage_and_distinct_cases():
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("b")),))))
     d = spec.directionalities[0]
     assert detect_switch(covering, d, spec, env) is not None
-    assert analyze_determinism(covering, d, reg).computed == D11
+    assert determinism(covering, d, reg).computed == D11
     duplicated = Program("p", 1, (
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),)),
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),))))
@@ -292,7 +303,7 @@ def test_zero_clause_program_is_failure(registry):
     spec = maxspec = Spec("p", ("X",), ("integer",), directionalities=(
         Directionality(((GROUND, GROUND),), D01),))
     reg = Registry(registry.env, {"p": spec})
-    det = analyze_determinism(Program("p", 1, ()), spec.directionalities[0], reg)
+    det = determinism(Program("p", 1, ()), spec.directionalities[0], reg)
     assert det.computed == Multiplicity(0, 0)
 
 
@@ -305,7 +316,7 @@ def test_clause_sum_without_switch():
         Clause("p", (Var("X"), Var("Y")), (Unify(Var("X"), Struct("a")),)),
         Clause("p", (Var("X"), Var("Y")), (Unify(Var("X"), Struct("b")),)),
         Clause("p", (Var("X"), Var("Y")), (Unify(Var("Y"), Struct("c")),))))
-    det = analyze_determinism(prog, spec.directionalities[0], reg)
+    det = determinism(prog, spec.directionalities[0], reg)
     assert det.computed == Multiplicity(2, 3)
     assert det.ok
 
@@ -318,7 +329,7 @@ def test_declared_bounds_violation_reported():
     prog = Program("p", 1, (
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),)),
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("b")),))))
-    det = analyze_determinism(prog, spec.directionalities[0], reg)
+    det = determinism(prog, spec.directionalities[0], reg)
     assert det.computed == Multiplicity(2, 2)
     assert not det.ok
 

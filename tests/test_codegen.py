@@ -5,7 +5,7 @@ import pytest
 from tldforge.analysis import Registry, analyze_procedure
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
-from tldforge.codegen import (EmitOptions, MERCURY_MODE_TO_DIRECTION,
+from tldforge.codegen import (MERCURY_MODE_TO_DIRECTION,
                               determinism_class, emit_mercury, emit_prolog,
                               flatten_arithmetic, mercury_determinism_to_multiplicity,
                               mode_to_mercury, mult_to_mercury_determinism)
@@ -174,8 +174,9 @@ def test_zero_clause_program_emits_a_comment():
     spec = Spec("p", ("X",), ("letter",), directionalities=(
         Directionality(((GROUND, GROUND),), Multiplicity(0, 0)),))
     specs["p"] = spec
-    text = emit_prolog(Program("p", 1, ()), spec, EmitOptions("prolog"),
-                       Registry(env, specs))
+    registry = Registry(env, specs)
+    analysis = analyze_procedure(Program("p", 1, ()), spec, registry)
+    text = emit_prolog(spec, analysis, registry)
     assert text.startswith("%")
     assert "unsatisfiable" in text
 
@@ -190,8 +191,9 @@ def test_cut_introduction_on_a_complete_switch():
                (Unify(Var("X"), Struct("a")), Unify(Var("Y"), Struct("a")))),
         Clause("p", (Var("X"), Var("Y")),
                (Unify(Var("X"), Struct("b")), Unify(Var("Y"), Struct("b"))))))
-    with_cuts = emit_prolog(prog, spec, EmitOptions("prolog", cut_introduction=True),
-                            Registry(env, specs))
+    registry = Registry(env, specs)
+    with_cuts = emit_prolog(spec, analyze_procedure(prog, spec, registry), registry,
+                            cuts=True)
     assert "X = a,\n    !,\n    Y = a." in with_cuts
     assert with_cuts.count("!") == 1  # never after the last clause
 
@@ -204,14 +206,10 @@ def test_cut_never_fires_without_a_verified_switch():
     prog = Program("p", 1, (
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),)),
         Clause("p", (Var("X"),), (Unify(Var("X"), Struct("a")),))))
-    text = emit_prolog(prog, spec, EmitOptions("prolog", cut_introduction=True),
-                       Registry(env, specs))
+    registry = Registry(env, specs)
+    text = emit_prolog(spec, analyze_procedure(prog, spec, registry), registry,
+                       cuts=True)
     assert "!" not in text
-
-
-def test_cut_option_is_prolog_only():
-    with pytest.raises(ValueError):
-        EmitOptions("mercury", cut_introduction=True)
 
 
 def incompatible_setup():
@@ -237,17 +235,14 @@ def test_incompatible_orders_raise_with_the_split_suggestion():
     analysis = analyze_procedure(prog, p, registry)
     assert all(r.ok for r in analysis)
     with pytest.raises(MultipleOrdersError) as exc:
-        emit_prolog(analysis[0].eliminated, p, EmitOptions("prolog"), registry,
-                    [r.eliminated for r in analysis])
+        emit_prolog(p, analysis, registry)
     assert "separate versions" in str(exc.value)
 
 
 def test_split_emission_suffixes_later_directionalities():
     prog, p, registry = incompatible_setup()
     analysis = analyze_procedure(prog, p, registry)
-    text = emit_prolog(analysis[0].eliminated, p,
-                       EmitOptions("prolog", split_directionalities=True),
-                       registry, [r.eliminated for r in analysis])
+    text = emit_prolog(p, analysis, registry, split=True)
     assert "p(X, Y) :-" in text
     assert "p__d2(X, Y) :-" in text
 
@@ -256,18 +251,6 @@ def test_compatible_orders_do_not_raise(maxprefix_ws):
     from tldforge.workspace import run_pipeline
     result = run_pipeline(maxprefix_ws, "max_prefix_gen", target="prolog")
     assert result.ok
-
-
-def test_comment_header_carries_relation_text(maxprefix_ws):
-    from tldforge.codegen import EmitOptions, emit_prolog
-    spec = maxprefix_ws.specs["max_prefix"]
-    from tldforge.workspace import run_pipeline
-    r = run_pipeline(maxprefix_ws, "max_prefix")
-    text = emit_prolog(r.analysis[0].eliminated, spec,
-                       EmitOptions("prolog", comment_header=True),
-                       maxprefix_ws.registry,
-                       [x.eliminated for x in r.analysis])
-    assert text.splitlines()[0].startswith("% ")
 
 
 def test_emitted_prolog_reparses(maxprefix_ws):

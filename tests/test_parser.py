@@ -242,19 +242,23 @@ def test_nesting_past_the_limit_is_a_positioned_diagnostic(kind):
     assert body[:offset].count(opener) == MAX_NESTING
 
 
-@pytest.mark.parametrize("body", [
-    "X = zero /\\ (exists Y: nat . Y = X /\\ ) /\\ X = X",
-    NESTINGS["quantifiers"][0](MAX_NESTING + 1),
-], ids=["quantifier-body", "nesting-too-deep"])
-def test_recovery_resumes_after_the_description_not_a_quantifier(body):
-    # a quantifier header's dot does not end the description, so the rest
-    # of the broken description is not reported as a second error
+@pytest.mark.parametrize("body, code, message, col", [
+    ("X = zero /\\ (exists Y: nat . Y = X /\\ ) /\\ X = X", "syntax", "expected ')'", 35),
+    (NESTINGS["quantifiers"][0](MAX_NESTING + 1), "nesting-too-deep",
+     f"nesting deeper than {MAX_NESTING} levels", None),  # column pinned above
+    ("exists Y: . X = zero", "syntax", "expected a type name", 25),
+    ("exists Y nat . X = zero", "syntax", "expected ':'", 24),
+], ids=["quantifier-body", "nesting-too-deep", "header-without-type",
+        "header-without-colon"])
+def test_recovery_resumes_after_the_description_not_a_quantifier(body, code, message, col):
+    # a quantifier header's dot, whole or missing its type name or its ':',
+    # does not end the description, so the rest of the broken description
+    # is not reported as a second error
     tlds, diags = parse_tlds(f"p(X: nat) <=> {body}.\nq(X: nat) <=> X = zero.\n")
-    assert len(diags) == 1 and diags[0].pos.line == 1
+    assert [(d.code, d.message, d.pos.line) for d in diags] == [(code, message, 1)]
+    if col is not None:
+        assert diags[0].pos.col == col
     assert [t.predicate for t in tlds] == ["q"]
-    tlds, diags = parse_tlds("p(X: nat) <=> X = zero /\\ (exists Y: nat . Y = X /\\ ) "
-                             "/\\ X = X.")
-    assert [(d.code, d.message, d.pos.col) for d in diags] == [("syntax", "expected ')'", 35)]
 
 
 # -- round trips --------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from tldforge.cli import main
 from tldforge.parser import MAX_NESTING, parse_tlds
-from tldforge.workspace import (load_workspace, run_oracle, run_pipeline,
-                                suggest_skeleton)
+from tldforge.workspace import (builtin_specs, load_workspace, run_oracle,
+                                run_pipeline, suggest_skeleton)
 from util import NESTINGS
 
 
@@ -28,6 +28,18 @@ def test_fixture_workspace_loads_cleanly(maxprefix_dir):
     ws = result.workspace
     assert {"max_prefix", "max_prefix_gen"} <= set(ws.tlds)
     assert "plus" in ws.specs  # builtin preamble is pre-registered
+
+
+def test_loads_share_the_builtin_specs(maxprefix_dir):
+    # the built-in preamble is parsed once per process, not once per load
+    first, second = (load_workspace(maxprefix_dir / "manifest.txt").workspace
+                     for _ in range(2))
+    assert first.specs is not second.specs
+    assert first.specs["plus"] is second.specs["plus"]
+    builtins = builtin_specs()
+    assert isinstance(builtins, tuple)
+    assert all(first.specs[s.name] is s and second.specs[s.name] is s
+               for s in builtins)
 
 
 def test_missing_file_reported_with_path(tmp_path):
