@@ -18,6 +18,7 @@ from .ast import Call, Clause, NafNot, Program, Struct, Term, TypeCheck, Unify, 
 from .errors import NotCallableError, UnknownCalleeError
 from .modes import (Directionality, GROUND, Mode, Multiplicity, NOVAR,
                     Spec, VAR, bound_key)
+from .printer import format_literal
 from .typesys import Cases, TypeEnv
 
 SPLIT_SUGGESTION = "generate separate versions of the procedure for each directionality"
@@ -157,6 +158,10 @@ class ReorderFailure:
     predicate: str
     directionality: Directionality
     reason: str
+    # what stopped the longest prefix the search reached: each unscheduled
+    # literal with its position and why it was not callable, or else each
+    # head parameter whose out-mode was not reached
+    blocked: tuple = ()
     suggestions: tuple = (SPLIT_SUGGESTION, RESPEC_SUGGESTION)
 
 
@@ -197,8 +202,11 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
     body = clause.body
     failed: set = set()  # (state, remaining) pairs with no completion
     path: list = []  # (literal index, pre-state) of the literals scheduled so far
+    deepest: list = [-1, None, ()]  # the longest prefix: length, state, remaining
 
     def search(state: AbstractState, remaining: tuple) -> bool:
+        if len(path) > deepest[0]:
+            deepest[:] = len(path), state, remaining
         if not remaining:
             return _outs_satisfied(state, clause, dir)
         for i in remaining:
@@ -220,10 +228,32 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
         where = f" ({clause.provenance})" if clause.provenance else ""
         return ReorderFailure(clause.predicate, dir,
                               "no literal permutation satisfies the directionality"
-                              + where)
+                              + where, _blocked(clause, dir, registry, *deepest[1:]))
     if pre_modes is not None:
         pre_modes.extend(state.modes for _, state in path)
     return replace(clause, body=tuple(body[i] for i, _ in path))
+
+
+def _blocked(clause: Clause, dir: Directionality, registry: Registry,
+             state: AbstractState, remaining: tuple) -> tuple:
+    """Why the search stopped at ``state`` with the literals ``remaining``
+    unscheduled: none of them is callable there, or, when every literal
+    ran, some head parameter misses its out-mode."""
+    if not remaining:
+        modes = state.mode_map()
+        return tuple(f"every literal ran, but head parameter {arg.name} ends "
+                     f"{modes[arg.name].name} where its out-mode is {m_out.name}"
+                     for arg, (_, m_out) in zip(clause.head_args, dir.modes)
+                     if isinstance(arg, Var) and not modes[arg.name].leq(m_out))
+    out = []
+    for i in remaining:
+        lit = clause.body[i]
+        try:
+            abstract_step(state, lit, registry)
+        except NotCallableError as e:
+            where = f" at {lit.pos}" if lit.pos else ""
+            out.append(f"{format_literal(lit)}{where} never became callable: {e}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

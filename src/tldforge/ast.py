@@ -450,16 +450,20 @@ class LogicDescription:
 # Clauses and programs
 # ---------------------------------------------------------------------------
 
+# a literal's ``pos`` is the source position of the formula it came from
+
 @dataclass(frozen=True)
 class Unify:
     left: Term
     right: Term
+    pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Call:
     predicate: str
     args: tuple
+    pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.args, tuple):
@@ -470,11 +474,13 @@ class Call:
 class TypeCheck:
     type_name: str
     arg: Term
+    pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NafNot:
     literal: "Literal"
+    pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 Literal = Union[Unify, Call, TypeCheck, NafNot]
@@ -504,13 +510,13 @@ def literal_vars(lit: Literal) -> tuple[str, ...]:
 def map_literal_terms(lit: Literal, fn) -> Literal:
     """The literal with ``fn`` applied to each of its terms, left to right."""
     if isinstance(lit, Unify):
-        return Unify(fn(lit.left), fn(lit.right))
+        return Unify(fn(lit.left), fn(lit.right), lit.pos)
     if isinstance(lit, Call):
-        return Call(lit.predicate, tuple(fn(a) for a in lit.args))
+        return Call(lit.predicate, tuple(fn(a) for a in lit.args), lit.pos)
     if isinstance(lit, TypeCheck):
-        return TypeCheck(lit.type_name, fn(lit.arg))
+        return TypeCheck(lit.type_name, fn(lit.arg), lit.pos)
     if isinstance(lit, NafNot):
-        return NafNot(map_literal_terms(lit.literal, fn))
+        return NafNot(map_literal_terms(lit.literal, fn), lit.pos)
     raise TypeError(f"not a literal: {lit!r}")
 
 

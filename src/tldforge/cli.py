@@ -8,6 +8,7 @@ message`` on stderr; generated code goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tld-forge",

@@ -62,10 +62,10 @@ def flatten_arithmetic(clause: Clause) -> Clause:
     memo: dict = {}
     out: list = []
 
-    def flat(t: Term, prelude: list) -> Term:
+    def flat(t: Term, prelude: list, pos) -> Term:
         if isinstance(t, Var) or not t.args:
             return t
-        args = tuple(flat(a, prelude) for a in t.args)
+        args = tuple(flat(a, prelude, pos) for a in t.args)
         rebuilt = Struct(t.functor, args)
         if t.functor in ARITHMETIC_BUILTINS and t.arity == 2:
             hit = memo.get(rebuilt)
@@ -73,13 +73,13 @@ def flatten_arithmetic(clause: Clause) -> Clause:
                 hit = next(names)
                 memo[rebuilt] = hit
                 prelude.append(Call(ARITHMETIC_BUILTINS[t.functor],
-                                    (args[0], args[1], Var(hit))))
+                                    (args[0], args[1], Var(hit)), pos))
             return Var(hit)
         return rebuilt
 
     for lit in clause.body:
         prelude: list = []
-        lit2 = ast.map_literal_terms(lit, lambda t: flat(t, prelude))
+        lit2 = ast.map_literal_terms(lit, lambda t: flat(t, prelude, lit.pos))
         out.extend(prelude)
         out.append(lit2)
     return replace(clause, body=tuple(out))

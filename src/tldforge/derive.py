@@ -113,14 +113,14 @@ def _dnf(f: Formula) -> list[list[Formula]]:
 
 def _to_literal(f: Formula, type_names: frozenset):
     if isinstance(f, Eq):
-        return Unify(f.left, f.right)
+        return Unify(f.left, f.right, f.pos)
     if isinstance(f, Atom):
         if len(f.args) == 1 and f.predicate in type_names:
-            return TypeCheck(f.predicate, f.args[0])
-        return Call(f.predicate, f.args)
+            return TypeCheck(f.predicate, f.args[0], f.pos)
+        return Call(f.predicate, f.args, f.pos)
     if isinstance(f, Not):
         if isinstance(f.body, (Eq, Atom)):
-            return NafNot(_to_literal(f.body, type_names))
+            return NafNot(_to_literal(f.body, type_names), f.pos)
         raise NotDerivableError(
             f"negation landed on a non-atomic residue{_where(f)}")
     raise NotDerivableError(

@@ -8,7 +8,8 @@ next terminating dot, passing over the dots of quantifier headers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import ast
 from .ast import (And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not,
@@ -28,8 +29,7 @@ _SINGLE = "()[]{},|:.+-*<>=~!;"
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, var, int, float, string, op, eof
     text: str
     line: int
@@ -44,122 +44,91 @@ class ParseError(Exception):
         self.code = code
 
 
+# One token, or one newline, after the blanks and comments before it.  A `-`
+# directly before a digit or a lowercase letter matches ``neg``; it is a sign
+# only when the previous token does not end a term.  ``_token_pattern`` fills
+# in the character classes.
+_TOKEN_TEMPLATE = r"""
+(?P<skip>(?:[ \t\r]+|\#[^\n]*)*)
+(?: (?P<word>[{alpha}][{alnum}]*)
+  | (?P<neg>-(?:[{digit}]+(?:\.[{digit}]+)?|[{lower}][{alnum}]*))
+  | (?P<op>{ops})
+  | (?P<number>[{digit}]+(?:\.[{digit}]+(?:[eE][+-]?[{digit}]+)?)?)
+  | (?P<newline>\n)
+  | (?P<string>"(?:\\.|[^"\\])*")
+  | (?P<bad>.)
+  | \Z )
+"""
+
+
+def _token_pattern(extra: str = "") -> re.Pattern:
+    """The token pattern for text whose non-ASCII characters are ``extra``:
+    each class holds exactly the characters its ``str`` test accepts."""
+    def cls(ascii_part: str, test) -> str:
+        return ascii_part + re.escape("".join(c for c in extra if test(c)))
+    ops = "|".join(map(re.escape, _TWO_CHAR_PLUS)) + "|[" + re.escape(_SINGLE) + "]"
+    return re.compile(_TOKEN_TEMPLATE.format(
+        digit=cls("0-9", str.isdigit), lower=cls("a-z", str.islower),
+        alpha=cls("A-Za-z_", str.isalpha), alnum=cls("0-9A-Za-z_", str.isalnum),
+        ops=ops), re.VERBOSE | re.DOTALL)
+
+
+_ASCII_TOKEN = _token_pattern()
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """Tokens with 1-based positions, ending in one ``eof`` token.
+
+    A newline inside a string does not start a line, and a comment that
+    ends the text does not move the ``eof`` column.
+    """
+    if text.isascii():
+        finditer = _ASCII_TOKEN.finditer
+    else:
+        finditer = _token_pattern("".join(c for c in set(text) if not c.isascii())).finditer
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def prev_ends_term() -> bool:
-        if not tokens:
-            return False
-        t = tokens[-1]
-        return t.kind in ("ident", "var", "int", "float") or t.text in (")", "]", "}")
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string",
-                                 Token("eof", "", start_line, start_col))
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        while k < n and text[k].isdigit():
-                            k += 1
-                        j = k
-                tokens.append(Token("float", text[i:j], start_line, start_col))
+    append = tokens.append
+    line, base, pos = 1, 0, 0  # base: the index where the current line starts
+    while True:
+        for m in finditer(text, pos):
+            kind = m.lastgroup
+            start = m.end(1)
+            col = start - base + 1
+            if kind == "word":
+                raw = m[kind]
+                append(Token("var" if raw[0].isupper() or raw[0] == "_" else "ident",
+                             raw, line, col))
+            elif kind == "op":
+                append(Token("op", m[kind], line, col))
+            elif kind == "newline":
+                line += 1
+                base = start + 1
+            elif kind == "number":
+                raw = m[kind]
+                append(Token("float" if "." in raw else "int", raw, line, col))
+            elif kind == "skip":  # the end of the text
+                comment = text.find("#", m.start(), start)
+                append(Token("eof", "", line, col if comment < 0 else comment - base + 1))
+                return tokens
+            elif kind == "string":
+                raw = m[kind][1:-1]
+                append(Token("string", _ESCAPE.sub(r"\1", raw) if "\\" in raw else raw,
+                             line, col))
+            elif kind == "neg":
+                if tokens and (tokens[-1].kind in ("ident", "var", "int", "float")
+                               or tokens[-1].text in (")", "]", "}")):
+                    append(Token("op", "-", line, col))  # binary minus
+                    pos = start + 1
+                    break  # match again after the `-`
+                raw = m[kind]
+                kind = "ident" if not raw[1].isdigit() else "float" if "." in raw else "int"
+                append(Token(kind, raw, line, col))
+            elif m[kind] == '"':
+                raise ParseError("unterminated string", Token("eof", "", line, col))
             else:
-                tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "-" and not prev_ends_term() and i + 1 < n and text[i + 1].isdigit() \
-                and text[i:i + 2] != "->":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("float", text[i:j], start_line, start_col))
-            else:
-                tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "-" and not prev_ends_term() and i + 1 < n and text[i + 1].islower() \
-                and text[i:i + 2] != "->":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if (word[0].isupper() or word[0] == "_") else "ident"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for op in _TWO_CHAR_PLUS:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched is None and c in _SINGLE:
-            matched = c
-        if matched is None:
-            raise ParseError(f"unexpected character {c!r}",
-                             Token("op", c, start_line, start_col))
-        tokens.append(Token("op", matched, start_line, start_col))
-        col += len(matched)
-        i += len(matched)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+                raise ParseError(f"unexpected character {m[kind]!r}",
+                                 Token("op", m[kind], line, col))
 
 
 class _Stream:
@@ -170,7 +139,7 @@ class _Stream:
         self.depth = 0  # open nesting levels, see MAX_NESTING
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         t = self.peek()

@@ -19,14 +19,16 @@ from .errors import UnboundVariableError
 TypingEnv = Mapping[str, str]
 
 
-def _checks_for(env: TypingEnv, names) -> list[Formula]:
+def _checks_for(env: TypingEnv, names, pos=None) -> list[Formula]:
+    """Membership checks for ``names``, at the position ``pos`` of the
+    formula that needs them."""
     out = []
     for name in names:
         if name not in env:
             raise UnboundVariableError(f"no type for variable {name}")
         tname = env[name]
         if tname != ast.UNIVERSAL_TYPE:
-            out.append(Atom(tname, (Var(name),)))
+            out.append(Atom(tname, (Var(name),), pos=pos))
     return out
 
 
@@ -57,7 +59,7 @@ def transform_formula(env: TypingEnv, f: Formula) -> Formula:
         return f
     if isinstance(f, Eq):
         names = dict.fromkeys(ast.term_vars(f.left) + ast.term_vars(f.right))
-        return _with_checks(Eq(f.left, f.right, pos=f.pos), _checks_for(env, names))
+        return _with_checks(Eq(f.left, f.right, pos=f.pos), _checks_for(env, names, f.pos))
     if isinstance(f, And):
         return And(tuple(transform_formula(env, g) for g in f.items), pos=f.pos)
     if isinstance(f, Or):
@@ -68,22 +70,22 @@ def transform_formula(env: TypingEnv, f: Formula) -> Formula:
                 if j != i:
                     other_names.update(dict.fromkeys(ast.free_names(h)))
             branches.append(_with_checks(transform_formula(env, g),
-                                         _checks_for(env, other_names)))
+                                         _checks_for(env, other_names, f.pos)))
         return Or(tuple(branches), pos=f.pos)
     if isinstance(f, Not):
-        checks = _checks_for(env, ast.free_names(f.body))
+        checks = _checks_for(env, ast.free_names(f.body), f.pos)
         return _with_checks(Not(transform_formula(env, f.body), pos=f.pos), checks)
     if isinstance(f, Implies):
-        checks_g = _checks_for(env, ast.free_names(f.left))
-        checks_h = _checks_for(env, ast.free_names(f.right))
+        checks_g = _checks_for(env, ast.free_names(f.left), f.pos)
+        checks_h = _checks_for(env, ast.free_names(f.right), f.pos)
         gnt = transform_formula(env, f.left)
         hnt = transform_formula(env, f.right)
         left_branch = _with_checks(Not(gnt), checks_g + checks_h)
         right_branch = _with_checks(hnt, checks_g)
         return Or((left_branch, right_branch), pos=f.pos)
     if isinstance(f, Iff):
-        checks = (_checks_for(env, ast.free_names(f.left))
-                  + _checks_for(env, ast.free_names(f.right)))
+        checks = (_checks_for(env, ast.free_names(f.left), f.pos)
+                  + _checks_for(env, ast.free_names(f.right), f.pos))
         kernel = Iff(transform_formula(env, f.left),
                      transform_formula(env, f.right), pos=f.pos)
         return _with_checks(kernel, checks)
@@ -91,13 +93,13 @@ def transform_formula(env: TypingEnv, f: Formula) -> Formula:
         inner_env = {**env, f.var: f.type_name}
         body = transform_formula(inner_env, f.body)
         if f.type_name != ast.UNIVERSAL_TYPE:
-            body = And((Atom(f.type_name, (Var(f.var),)), body))
+            body = And((Atom(f.type_name, (Var(f.var),), pos=f.pos), body))
         return Exists(f.var, ast.UNIVERSAL_TYPE, body, pos=f.pos)
     if isinstance(f, Forall):
         inner_env = {**env, f.var: f.type_name}
         body = transform_formula(inner_env, f.body)
         if f.type_name != ast.UNIVERSAL_TYPE:
-            body = Implies(Atom(f.type_name, (Var(f.var),)), body)
+            body = Implies(Atom(f.type_name, (Var(f.var),), pos=f.pos), body)
         return Forall(f.var, ast.UNIVERSAL_TYPE, body, pos=f.pos)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -106,7 +108,7 @@ def transform_tld(tld: TypedLogicDescription) -> LogicDescription:
     """The untyped description: parameter checks in declaration order,
     then the transformed definition."""
     env = tld.param_env()
-    checks = _checks_for(env, [name for name, _ in tld.params])
+    checks = _checks_for(env, [name for name, _ in tld.params], tld.pos)
     body = transform_formula(env, tld.definition)
     definition = ast.conj(checks + [body]) if checks else body
     return LogicDescription(tld.predicate, tuple(n for n, _ in tld.params), definition)

@@ -10,6 +10,7 @@ cross-references; any error makes the load fail as a whole.
 from __future__ import annotations
 
 import importlib.resources
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,10 +63,34 @@ class Workspace:
         return Registry(self.env, self.specs)
 
     def eval_context(self, universe_depth: int = 2, unfold_depth: int = 4) -> EvalContext:
-        preds = {}
-        for name, tld in self.tlds.items():
-            preds[name] = (tld, simplify_description(transform_tld(tld)))
-        return EvalContext(self.env, preds, universe_depth, unfold_depth)
+        return EvalContext(self.env, _DescriptionPairs(self.tlds),
+                           universe_depth, unfold_depth)
+
+
+class _DescriptionPairs(Mapping):
+    """name -> (typed, untyped description) for every description; the
+    untyped one is built on its first lookup, so an oracle run transforms
+    only the descriptions it unfolds."""
+
+    def __init__(self, tlds: dict):
+        self._tlds = tlds
+        self._pairs: dict = {}
+
+    def __getitem__(self, name: str) -> tuple:
+        pair = self._pairs.get(name)
+        if pair is None:
+            tld = self._tlds[name]
+            pair = self._pairs[name] = (tld, simplify_description(transform_tld(tld)))
+        return pair
+
+    def __contains__(self, name) -> bool:
+        return name in self._tlds
+
+    def __iter__(self):
+        return iter(self._tlds)
+
+    def __len__(self) -> int:
+        return len(self._tlds)
 
 
 @dataclass
@@ -253,7 +278,8 @@ def _format_report(predicate: str, spec: Spec, analysis: list) -> str:
     for k, res in enumerate(analysis, start=1):
         lines.append(f"  directionality {k}: {res.directionality}")
         if not res.ok:
-            lines.append(f"    no executable literal order: {res.failure.reason}")
+            lines.append("    no executable literal order: "
+                         + "; ".join((res.failure.reason, *res.failure.blocked)))
             continue
         for i, clause in enumerate(res.eliminated.clauses, start=1):
             body = ", ".join(format_literal(lit) for lit in clause.body) or "true"
@@ -328,7 +354,8 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
     if failures:
         f = failures[0].failure
         result.failure = (
-            f"{predicate}: {f.reason} for {f.directionality}; alternatives: "
+            f"{predicate}: {f.reason} for {f.directionality}; "
+            + "".join(f"{why}; " for why in f.blocked) + "alternatives: "
             + "; or ".join(f.suggestions))
         return result
 

@@ -1,17 +1,19 @@
+import string
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tldforge import ast
 from tldforge.ast import (And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or,
                           Struct, Var)
 from tldforge.modes import GROUND, INF, Multiplicity, STAR, VAR
-from tldforge.parser import (MAX_NESTING, parse_formula, parse_spec, parse_specs,
-                             parse_term, parse_tld, parse_tlds, parse_type_defs,
-                             parse_types)
+from tldforge.parser import (MAX_NESTING, ParseError, parse_formula, parse_spec,
+                             parse_specs, parse_term, parse_tld, parse_tlds,
+                             parse_type_defs, parse_types, tokenize)
 from tldforge.printer import (format_formula, format_spec, format_term,
                               format_tld, format_typedef)
 from tldforge.typesys import Alias, Case, Cases
-from util import NESTINGS
+from util import NESTINGS, reference_tokenize
 
 
 # -- .types ------------------------------------------------------------------
@@ -344,3 +346,39 @@ def test_term_print_parse_round_trip(t):
 @given(random_formulas())
 def test_formula_print_parse_round_trip(f):
     assert parse_formula(format_formula(f)) == f
+
+
+# -- the tokenizer against the character loop it replaced ---------------------
+
+def _token_outcome(tokenize_fn, text):
+    try:
+        return [tuple(t) for t in tokenize_fn(text)]
+    except ParseError as e:
+        return (e.message, e.code, tuple(e.token))
+
+
+# pieces the two tokenizers must read alike: every ASCII punctuation mark,
+# blanks, strings with escapes and newlines, comments (also at the end),
+# numbers with fractions and exponents, a `-` after a closing bracket, and
+# letters and digits where str.isdigit/isalpha/islower and the regex classes
+# \d and \w disagree
+_LEXEMES = st.sampled_from(
+    list(string.punctuation) + list(" \t\r\n")
+    + ["a", "Z", "_x", "e", "E", "0", "7", "12", "3.5", "1.5e-3", "2E+7", "4.e",
+       '"a\\"b"', '"two\nlines"', '"\\\\"', '"open', "# note", "#", "# end\n",
+       ")-1", "]-x", "}-2.5", "-infinite", "--3", "-4.5e3", "->", "::=", "<=>", "/\\", "\\/",
+       "\\+", ":-", "==", "=>", "é", "ß", "Ü", "٣", "²", "½", "x²", "٣٣.٣", "-é", "-ß"])
+
+
+@seed(8)
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(_LEXEMES, max_size=16).map("".join))
+def test_tokenizer_matches_the_reference_loop(text):
+    assert _token_outcome(tokenize, text) == _token_outcome(reference_tokenize, text)
+
+
+def test_tokenizer_matches_the_reference_loop_on_the_fixtures(maxprefix_dir, golden_dir):
+    paths = sorted(maxprefix_dir.iterdir()) + sorted(golden_dir.iterdir())
+    for path in paths:
+        text = path.read_text()
+        assert _token_outcome(tokenize, text) == _token_outcome(reference_tokenize, text)

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from tldforge import cli
 from tldforge.cli import main
 from tldforge.parser import MAX_NESTING, parse_tlds
+from tldforge.transform import simplify_description
 from tldforge.workspace import (builtin_specs, load_workspace, run_oracle,
                                 run_pipeline, suggest_skeleton)
 from util import NESTINGS
@@ -222,6 +224,80 @@ def test_cli_reorder_failure_exits_nonzero(tmp_path, capsys):
             in captured.err)
     assert "separate versions of the procedure" in captured.err
     assert "adapting the directionalities" in captured.err
+
+
+def test_reorder_failure_names_the_blocked_literal_and_its_position(tmp_path, capsys):
+    path = write_workspace(
+        tmp_path, types="nat ::= zero | s(nat).\n",
+        spec="procedure p(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+             "dir (ground, var -> ground) : <0-1>.\n\n"
+             "procedure r(Y).\ntype Y : nat.\ndir (ground) : <0-1>.\n",
+        tld="p(X: nat, Y: nat) <=> X = zero /\\ r(Y).\nr(Y: nat) <=> Y = zero.\n")
+    assert main(["gen", "prolog", "--manifest", str(path), "--pred", "p"]) == 1
+    err = capsys.readouterr().err
+    assert "no literal permutation satisfies the directionality (disjunct 1 of 1)" in err
+    assert (f"r(Y) at {tmp_path / 'w.tld'}:1:35 never became callable: "
+            "no directionality of r/1 accepts argument modes (var)") in err
+
+
+def test_reorder_failure_names_the_unreached_out_mode(tmp_path, capsys):
+    # every literal runs in any order and none binds Y
+    path = write_workspace(
+        tmp_path,
+        spec="procedure nofix(X, Y).\ntype X : integer.\ntype Y : term.\n"
+             "dir (ground, var -> ground) : <0-*>.\n",
+        tld="nofix(X: integer, Y: term) <=> gt(X, 1) /\\ plus(X, 2, V) /\\ lt(X, 9).\n")
+    assert main(["analyze", "--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    why = "every literal ran, but head parameter Y ends var where its out-mode is ground"
+    assert (f"no literal permutation satisfies the directionality (disjunct 1 of 1); {why}"
+            in captured.out)
+    assert why in captured.err
+
+
+def test_cli_parser_is_built_once_and_reused(maxprefix_dir, capsys):
+    manifest = str(maxprefix_dir / "manifest.txt")
+    argv = ["gen", "prolog", "--manifest", manifest]
+    outcomes = []
+    for _ in range(2):
+        outcomes.append((main(argv), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--manifest", manifest])  # no target
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", "--manifest", manifest]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    # each subcommand keeps its own --emit-stage default, in any order
+    for command, stage in ((["transform"], "simplified"), (["gen", "prolog"], None),
+                           (["derive"], "derived"), (["transform"], "simplified")):
+        args = parser.parse_args(command + ["--manifest", manifest])
+        assert args.emit_stage == stage
+
+
+def test_eval_context_builds_untyped_descriptions_on_lookup(maxprefix_ws, monkeypatch):
+    import tldforge.workspace as workspace
+    built = []
+    original = workspace.transform_tld
+
+    def counting(tld):
+        built.append(tld.predicate)
+        return original(tld)
+
+    monkeypatch.setattr(workspace, "transform_tld", counting)
+    preds = maxprefix_ws.eval_context().predicates
+    assert "max_prefix" in preds and "nothing" not in preds
+    assert list(preds) == list(maxprefix_ws.tlds) and len(preds) == len(maxprefix_ws.tlds)
+    assert built == []
+    tld, ld = preds["max_prefix"]
+    assert preds.get("max_prefix") is preds["max_prefix"]
+    assert preds.get("nothing") is None
+    assert tld is maxprefix_ws.tlds["max_prefix"]
+    assert ld == simplify_description(original(tld))
+    assert built == ["max_prefix"]
 
 
 def test_cli_analyze_matches_golden(maxprefix_dir, golden_dir, capsys):

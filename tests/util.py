@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from tldforge import ast
 from tldforge.ast import Struct, Var
-from tldforge.parser import _Stream, _parse_term, tokenize
+from tldforge.parser import (_SINGLE, _TWO_CHAR_PLUS, ParseError, Token, _Stream,
+                             _parse_term, tokenize)
 
 
 def walk(t, subst):
@@ -101,3 +102,124 @@ NESTINGS = {
     "quantifiers": (lambda k: "".join(f"exists Y{i}: term . " for i in range(k))
                     + "X = zero", "exists"),
 }
+
+
+def reference_tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """The character-by-character tokenizer that ``parser.tokenize``
+    replaced, kept as the reference its token streams and errors are
+    compared with."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def prev_ends_term() -> bool:
+        if not tokens:
+            return False
+        t = tokens[-1]
+        return t.kind in ("ident", "var", "int", "float") or t.text in (")", "]", "}")
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if c == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string",
+                                 Token("eof", "", start_line, start_col))
+            tokens.append(Token("string", "".join(buf), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j < n and text[j] in "eE":
+                    k = j + 1
+                    if k < n and text[k] in "+-":
+                        k += 1
+                    if k < n and text[k].isdigit():
+                        while k < n and text[k].isdigit():
+                            k += 1
+                        j = k
+                tokens.append(Token("float", text[i:j], start_line, start_col))
+            else:
+                tokens.append(Token("int", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == "-" and not prev_ends_term() and i + 1 < n and text[i + 1].isdigit() \
+                and text[i:i + 2] != "->":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(Token("float", text[i:j], start_line, start_col))
+            else:
+                tokens.append(Token("int", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == "-" and not prev_ends_term() and i + 1 < n and text[i + 1].islower() \
+                and text[i:i + 2] != "->":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "var" if (word[0].isupper() or word[0] == "_") else "ident"
+            tokens.append(Token(kind, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        matched = None
+        for op in _TWO_CHAR_PLUS:
+            if text.startswith(op, i):
+                matched = op
+                break
+        if matched is None and c in _SINGLE:
+            matched = c
+        if matched is None:
+            raise ParseError(f"unexpected character {c!r}",
+                             Token("op", c, start_line, start_col))
+        tokens.append(Token("op", matched, start_line, start_col))
+        col += len(matched)
+        i += len(matched)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
