@@ -422,30 +422,18 @@ class DeterminismResult:
 def _equal_to_trusted(clause: Clause, trusted: dict, env: TypeEnv,
                       var: str, tname: str) -> bool:
     """Is var linked by body equalities to a trusted input of that type?"""
-    groups: dict = {}
-
-    def find(x):
-        while groups.get(x, x) != x:
-            x = groups[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            groups[ra] = rb
-
-    for lit in clause.body:
-        if isinstance(lit, Unify) and isinstance(lit.left, Var) and isinstance(lit.right, Var):
-            groups.setdefault(lit.left.name, lit.left.name)
-            groups.setdefault(lit.right.name, lit.right.name)
-            union(lit.left.name, lit.right.name)
-    groups.setdefault(var, var)
-    root = find(var)
-    for p, t in trusted.items():
-        groups.setdefault(p, p)
-        if find(p) == root and env.same_type(t, tname):
-            return True
-    return False
+    pairs = [(lit.left.name, lit.right.name) for lit in clause.body
+             if isinstance(lit, Unify) and isinstance(lit.left, Var)
+             and isinstance(lit.right, Var)]
+    linked = {var}
+    grown = True
+    while grown:  # the names that variable-variable equalities link to var
+        grown = False
+        for a, b in pairs:
+            if (a in linked) != (b in linked):
+                linked |= {a, b}
+                grown = True
+    return any(p in linked and env.same_type(t, tname) for p, t in trusted.items())
 
 
 def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,

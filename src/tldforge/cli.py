@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="reorder, eliminate and report determinism")
     common(p)
-    p.add_argument("--dir-index", type=int, default=1, help="1-based directionality")
     p.add_argument("--level", choices=("paper-compat", "none"), default="paper-compat")
 
     p = sub.add_parser("gen", help="emit code")
@@ -136,8 +135,7 @@ def _run(args) -> int:
         # one procedure's error is reported and the others still run
         try:
             if args.command == "analyze":
-                r = run_pipeline(ws, pred, target=None, level=args.level,
-                                 dir_index=args.dir_index - 1)
+                r = run_pipeline(ws, pred, target=None, level=args.level)
             elif args.command == "gen":
                 r = run_pipeline(ws, pred, target=args.target, level=args.level,
                                  dir_index=args.dir_index - 1, cuts=args.cuts,

@@ -8,14 +8,22 @@ type ranges over all terms of the environment's signature up to the depth
 bound, so a true/false verdict is a fact about the bounded universe.
 
 The evaluator compiles each formula once into closures and solves
-determining equations inside exists blocks; the equivalence checker sweeps
-free variables with partial evaluation and bulk counting.  A type guard --
-a mandatory membership conjunct t(X), or one mandatory in every disjunct of
-a mandatory disjunction -- is false on every value of X outside t.  So the
-sweep enumerates only the values in t or in X's declared type and counts
-the others in bulk as outside bindings with the untyped formula false; an
-exists block enumerates only its binder's guard type, and a forall block
-``forall Y . g(Y) => K`` only the values in g.
+determining equations inside exists blocks.  The equivalence checker binds
+the free variables one at a time, in universe order, and evaluates the
+untyped formula on each prefix.  Once that verdict is true or false, or the
+binding is full, one path settles the whole block of completions: its
+outside bindings from the untyped verdict, its inside bindings in bulk from
+the untyped and the typed verdict, or one full binding at a time while the
+typed side is unknown.  A verdict on a prefix holds on every completion, so
+the counts are those of enumerating every binding, and the first violation
+reported is the first violating binding in universe order.
+
+A type guard -- a mandatory membership conjunct t(X), or one mandatory in
+every disjunct of a mandatory disjunction -- is false on every value of X
+outside t.  So the sweep enumerates only the values in t or in X's declared
+type and counts the others in bulk as outside bindings with the untyped
+formula false; an exists block enumerates only its binder's guard type, and
+a forall block ``forall Y . g(Y) => K`` only the values in g.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
 that really ranges over all of it: a swept variable without a guard, or an
@@ -173,13 +181,6 @@ def _description(entry, side: str):
     if isinstance(entry, TypedLogicDescription):
         return entry.definition, tuple(n for n, _ in entry.params)
     return entry.definition, tuple(entry.params)
-
-
-def _fresh_name(base: str, used) -> str:
-    k = 1
-    while f"{base}_{k}" in used:
-        k += 1
-    return f"{base}_{k}"
 
 
 def _mandatory_conjuncts(kernel: Formula, forbidden: frozenset = frozenset()):
@@ -409,7 +410,7 @@ class _Evaluator:
             name, body = kernel.var, kernel.body
             taken = scope | {n for n, _ in block}
             if name in taken:
-                fresh = _fresh_name(name, taken | ast.all_names(body))
+                fresh = ast.fresh_name(name, set(taken | ast.all_names(body)))
                 body = ast.rename_free(body, name, fresh)
                 name = fresh
             block += ((name, kernel.type_name),)
@@ -691,7 +692,9 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     lie outside its declared type are counted in bulk, never evaluated.  The
     universe's size is counted; a guarded variable's values are drawn from
     its declared type and its guard's type, and only a variable without a
-    guard enumerates the whole universe.
+    guard enumerates the whole universe.  ``first_violation`` is the first
+    violating binding in universe order: by the first variable's value, then
+    the second's, and so on, each value ordered as ``iter_terms`` yields it.
     """
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
@@ -727,110 +730,78 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         in_sets.append(members)
         kept_lists.append(kept)
     U = types.count_terms(depth)
+    first_term = next(types.iter_terms(depth))
     report = EquivalenceReport(depth=ctx.universe_depth)
+    counts = vars(report)
+    outside_kind = {FALSE: "outside_false", TRUE: "violations", UNKNOWN: "inconclusive"}
 
-    def record_violation(binding: dict, kind: str):
-        report.violations += 1
-        if report.first_violation is None:
-            report.first_violation = dict(binding)
-            report.first_violation_kind = kind
-
-    def leaf(binding: dict, all_in: bool):
-        report.total += 1
-        ru = run_u(binding, budget)
-        if all_in:
-            report.inside += 1
-            rt = run_t(binding, budget)
-            if ru is UNKNOWN or rt is UNKNOWN:
-                report.inconclusive += 1
-            elif ru is rt:
-                report.inside_agree += 1
-            else:
-                record_violation(binding, "inside-disagree")
-        else:
-            report.outside += 1
-            if ru is FALSE:
-                report.outside_false += 1
-            elif ru is TRUE:
-                record_violation(binding, "outside-true")
-            else:
-                report.inconclusive += 1
+    def tally(k: int, region: str, kind: str):
+        for count in ("total", region, kind):
+            counts[count] += k
 
     def out_completion(i: int, binding: dict, all_in: bool) -> dict:
         """The first completion in universe order with a value outside its
-        type; the universe is built only as far as that value."""
-        out = dict(binding)
-        forced = not all_in
-        for j in range(i, n):
-            extra = None if forced else \
-                next((v for v in types.iter_terms(depth) if v not in in_sets[j]), None)
-            out[names[j]] = next(types.iter_terms(depth)) if extra is None else extra
-            forced = forced or extra is not None
+        type: the first term everywhere if that is outside some type, else
+        the first term everywhere but at the last position that has an
+        outside value, which takes its first one; the universe is built
+        only as far as that value."""
+        out = {**binding, **dict.fromkeys(names[i:], first_term)}
+        if all_in and all(first_term in in_sets[j] for j in range(i, n)):
+            j = max(j for j in range(i, n) if len(in_sets[j]) < U)
+            out[names[j]] = next(v for v in types.iter_terms(depth) if v not in in_sets[j])
         return out
 
-    def in_completions(i: int, binding: dict):
-        for combo in product(*in_lists[i:]):
-            full = dict(binding)
-            for name, value in zip(names[i:], combo):
-                full[name] = value
-            yield full
+    def earliest(*violations):
+        """The first in universe order of some violations (binding, kind)
+        of one block, or None."""
+        return min(filter(None, violations), default=None,
+                   key=lambda v: [types.universe_key(v[0][m]) for m in names])
 
     def sweep(i: int, binding: dict, all_in: bool):
-        if i == n:
-            leaf(binding, all_in)
-            return
+        """Count the block of the U**(n-i) completions of ``binding`` at
+        positions i and later, and return its first violation in universe
+        order as (binding, kind), or None.  ``all_in`` tells whether the
+        bound values lie in their types."""
         ru = run_u(binding, budget)
-        rem_total = U ** (n - i)
+        if ru is UNKNOWN and i < n:
+            # a value failing a guard makes the untyped side false on every
+            # completion (Kleene absorption): no violation, nothing inconclusive
+            tally((U - len(kept_lists[i])) * U ** (n - i - 1), "outside", "outside_false")
+            first = None
+            for value in kept_lists[i]:
+                binding[names[i]] = value
+                found = sweep(i + 1, binding, all_in and value in in_sets[i])
+                first = first or found
+            binding.pop(names[i], None)
+            return first
+        # a partial verdict holds on every completion, so the block settles
+        # in bulk; the untyped side is unknown only on a full binding
         rem_in = math.prod(len(s) for s in in_lists[i:]) if all_in else 0
-        rem_out = rem_total - rem_in
-        if ru is FALSE:
-            report.total += rem_out
-            report.outside += rem_out
-            report.outside_false += rem_out
-            if rem_in:
-                rt = run_t(binding, budget)
-                if rt is FALSE:
-                    report.total += rem_in
-                    report.inside += rem_in
-                    report.inside_agree += rem_in
-                else:
-                    for full in in_completions(i, binding):
-                        leaf(full, True)
-            return
-        if ru is TRUE:
-            if rem_out:
-                report.total += rem_out
-                report.outside += rem_out
-                record_violation(out_completion(i, binding, all_in), "outside-true")
-                report.violations += rem_out - 1
-            if rem_in:
-                rt = run_t(binding, budget)
-                if rt is TRUE:
-                    report.total += rem_in
-                    report.inside += rem_in
-                    report.inside_agree += rem_in
-                elif rt is FALSE:
-                    report.total += rem_in
-                    report.inside += rem_in
-                    first = next(iter(in_completions(i, binding)))
-                    record_violation(first, "inside-disagree")
-                    report.violations += rem_in - 1
-                else:
-                    for full in in_completions(i, binding):
-                        leaf(full, True)
-            return
-        # a value failing a guard makes the untyped side false on every
-        # completion (Kleene absorption): no violation, nothing inconclusive
-        guarded_out = (U - len(kept_lists[i])) * U ** (n - i - 1)
-        report.total += guarded_out
-        report.outside += guarded_out
-        report.outside_false += guarded_out
-        for value in kept_lists[i]:
-            binding[names[i]] = value
-            sweep(i + 1, binding, all_in and value in in_sets[i])
-        binding.pop(names[i], None)
+        rem_out = U ** (n - i) - rem_in
+        tally(rem_out, "outside", outside_kind[ru])
+        outside = (out_completion(i, binding, all_in), "outside-true") \
+            if ru is TRUE and rem_out else None
+        if not rem_in:
+            return outside
+        rt = run_t(binding, budget)
+        if rt is UNKNOWN and i < n:
+            # the typed side needs the rest: one full binding at a time
+            inside = None
+            for combo in product(*in_lists[i:]):
+                found = sweep(n, {**binding, **dict(zip(names[i:], combo))}, True)
+                inside = inside or found
+            return earliest(outside, inside)
+        kind = ("inconclusive" if UNKNOWN in (ru, rt)
+                else "inside_agree" if ru is rt else "violations")
+        tally(rem_in, "inside", kind)
+        if kind != "violations":
+            return outside
+        inside = {**binding, **{m: s[0] for m, s in zip(names[i:], in_lists[i:])}}
+        return earliest(outside, (inside, "inside-disagree"))
 
-    sweep(0, {}, True)
+    found = sweep(0, {}, True)
+    if found is not None:
+        report.first_violation, report.first_violation_kind = found
     return report
 
 

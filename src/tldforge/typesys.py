@@ -226,12 +226,6 @@ class TypeEnv:
         out = []
         seen = set()
         for case in d.body.cases:
-            if case.arity == 0:
-                t = Struct(case.functor)
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-                continue
             pools = [self.enumerate_type(ct, depth - 1) for ct in case.components]
             for args in itertools.product(*pools):
                 t = Struct(case.functor, args)

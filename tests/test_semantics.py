@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+from fixture_formulas import fixture_cases, fixture_context
 from tldforge import ast
 from tldforge.ast import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Struct, Var
 from tldforge.errors import MissingBindingError, UnknownPredicateError
@@ -141,12 +142,14 @@ COUNTS = ("total", "outside", "outside_false", "inside", "inside_agree",
           "violations", "inconclusive")
 
 
-def _brute_force_counts(ctx, typed, untyped, freevars) -> dict:
-    """Every binding of the universe evaluated by evaluate_reference and
-    classified as check_equivalence classifies a single binding."""
+def _brute_force(ctx, typed, untyped, freevars):
+    """Every binding of the universe, in universe order, evaluated by
+    evaluate_reference and classified as check_equivalence classifies a
+    single binding: the counts, and the first violation with its kind."""
     universe = ctx.types.enumerate_type("term", ctx.universe_depth)
     members = [set(ctx.types.enumerate_type(t, ctx.universe_depth)) for _, t in freevars]
     counts = dict.fromkeys(COUNTS, 0)
+    first = (None, None)
     for combo in itertools.product(universe, repeat=len(freevars)):
         binding = {n: v for (n, _), v in zip(freevars, combo)}
         ru = evaluate_reference(ctx, untyped, binding, side=UNTYPED)
@@ -156,34 +159,26 @@ def _brute_force_counts(ctx, typed, untyped, freevars) -> dict:
             rt = evaluate_reference(ctx, typed, binding, side=TYPED)
             kind = ("inconclusive" if UNKNOWN in (ru, rt)
                     else "inside_agree" if ru is rt else "violations")
+            violation = "inside-disagree"
         else:
             counts["outside"] += 1
             kind = {FALSE: "outside_false", TRUE: "violations"}.get(ru, "inconclusive")
+            violation = "outside-true"
         counts[kind] += 1
-    return counts
+        if kind == "violations" and first == (None, None):
+            first = (binding, violation)
+    return counts, first
 
 
 def _check_against_brute_force(ctx, typed, untyped, freevars):
     rep = check_equivalence(ctx, typed, untyped, freevars)
-    assert {k: getattr(rep, k) for k in COUNTS} == \
-        _brute_force_counts(ctx, typed, untyped, freevars)
-    first = rep.first_violation
-    if first is None:
-        assert rep.violations == 0
-        return rep
-    inside = all(ctx.types.is_member(t, first[n]) for n, t in freevars)
-    ru = evaluate_reference(ctx, untyped, first, side=UNTYPED)
-    if rep.first_violation_kind == "outside-true":
-        assert not inside and ru is TRUE
-    else:
-        assert rep.first_violation_kind == "inside-disagree" and inside
-        rt = evaluate_reference(ctx, typed, first, side=TYPED)
-        assert UNKNOWN not in (ru, rt) and ru is not rt
+    counts, first = _brute_force(ctx, typed, untyped, freevars)
+    assert {k: getattr(rep, k) for k in COUNTS} == counts
+    assert (rep.first_violation, rep.first_violation_kind) == first
     return rep
 
 
 def test_sweep_counts_match_brute_force_on_every_row():
-    from fixture_formulas import fixture_cases, fixture_context
     ctx = fixture_context(universe_depth=2)
     for name, typed, freevars in fixture_cases():
         untyped = simplify_checks(transform_formula(dict(freevars), typed))
@@ -192,6 +187,45 @@ def test_sweep_counts_match_brute_force_on_every_row():
     broken = Not(transform_formula({"X": "nat"}, parse_formula("X = zero")))
     rep = _check_against_brute_force(ctx, typed, broken, (("X", "nat"),))
     assert rep.violations >= 1
+
+
+def test_first_violation_is_the_first_in_universe_order():
+    ctx = fixture_context(universe_depth=2)
+    cases = [
+        # [] is outside nat: the first outside binding puts [] everywhere
+        ("X = X /\\ Y = Y", "true", (("X", "list"), ("Y", "nat")),
+         {"X": Struct("[]"), "Y": Struct("[]")}, "outside-true"),
+        # [] is in both types: only the last position takes a value outside
+        ("true", "true", (("X", "list"), ("Y", "list")),
+         {"X": Struct("[]"), "Y": Struct("apple")}, "outside-true"),
+        # an inside binding that disagrees comes before the first outside one
+        ("Y = s(banana)", "q(zero)", (("X", "term"), ("Y", "list")),
+         {"X": Struct("[]"), "Y": Struct("[]")}, "inside-disagree"),
+        # the untyped side is false and the typed side true on X = zero,
+        # before Y is bound: the block disagrees in bulk
+        ("X = zero", "nat(X) /\\ nat(Y) /\\ ~(X = zero)", (("X", "nat"), ("Y", "nat")),
+         {"X": zero, "Y": zero}, "inside-disagree"),
+    ]
+    for typed, untyped, freevars, first, kind in cases:
+        rep = _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
+                                         freevars)
+        assert (rep.first_violation, rep.first_violation_kind) == (first, kind), typed
+
+
+def test_sweep_reports_match_brute_force_on_random_pairs():
+    # every report field, the first violation included, on random
+    # (typed, untyped) pairs over two variables
+    ctx = fixture_context(universe_depth=1)
+    rng = random.Random(9)
+    rnd_formula = _formula_generator(rng, ["nat", "fruit", "term"], ["nat", "fruit"])
+    types = ["nat", "fruit", "term", "list"]
+    violating = 0
+    for _ in range(300):
+        freevars = (("X", rng.choice(types)), ("Y", rng.choice(types)))
+        rep = _check_against_brute_force(ctx, rnd_formula(2, ["X", "Y"]),
+                                         rnd_formula(2, ["X", "Y"]), freevars)
+        violating += rep.violations > 0
+    assert violating >= 100
 
 
 def test_sweep_prunes_only_through_guards():
@@ -409,6 +443,24 @@ def test_empty_domain_decides_the_block():
         f = parse_formula(text)
         assert evaluate_reference(ctx, f, binding) is expected, text
         assert evaluate(ctx, f, binding) is expected, text
+
+
+def test_sweep_settles_guards_of_an_empty_type():
+    # a guarded variable whose type and guard type are empty at the depth
+    # enumerates no value: its whole block is counted in bulk
+    env, _ = parse_types(EMPTY_AT_TWO)
+    cases = [
+        (2, "true", "deep(X)", (("X", "deep"),)),
+        (2, "true", "nat(Y) /\\ deep(X)", (("Y", "nat"), ("X", "deep"))),
+        (2, "Y = zero", "deep(X) /\\ nat(Y) /\\ Y = zero", (("X", "deep"), ("Y", "nat"))),
+        (1, "true", "pair(X) /\\ nat(Y)", (("X", "pair"), ("Y", "nat"))),
+        (1, "true", "nat(Y)", (("X", "pair"), ("Y", "nat"))),
+    ]
+    for depth, typed, untyped, freevars in cases:
+        ctx = EvalContext(env, universe_depth=depth)
+        rep = _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
+                                         freevars)
+        assert rep.inside == 0, untyped
 
 
 def test_partial_verdicts_hold_on_every_completion():

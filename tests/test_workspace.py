@@ -155,6 +155,20 @@ def test_oracle_vacuous_forall_over_an_empty_domain(tmp_path, capsys):
     assert "violations: 0," in capsys.readouterr().out
 
 
+def test_oracle_with_a_parameter_type_empty_at_the_depth(tmp_path, capsys):
+    # pair has no term of depth 1: the guard pair(X) settles every binding
+    path = write_workspace(
+        tmp_path,
+        types="nat ::= zero | s(nat).\npair ::= p(nat, nat).\n",
+        spec="procedure fst(P, X).\ntype P : pair.\ntype X : nat.\n"
+             "dir (ground, ground) : <0-1>.\n",
+        tld="fst(P: pair, X: nat) <=> exists Y: nat . P = p(X, Y).\n")
+    assert main(["oracle", "equiv", "--manifest", str(path), "--pred", "fst",
+                 "--depth", "1"]) == 0
+    out = capsys.readouterr().out
+    assert ", 0 inside)" in out and "violations: 0," in out, out
+
+
 def test_skeleton_for_the_induction_parameter(maxprefix_ws):
     text = suggest_skeleton(maxprefix_ws, "max_prefix_gen", "L")
     assert "L = [] /\\ #hole" in text
@@ -200,9 +214,12 @@ def test_cli_check_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_usage_error_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "ada", "--manifest", "x"])
-    assert exc.value.code == 2
+    # analyze reports every directionality; only gen picks one
+    for argv in (["gen", "ada", "--manifest", "x"],
+                 ["analyze", "--manifest", "x", "--dir-index", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_gen_matches_golden(maxprefix_dir, golden_dir, capsys):
