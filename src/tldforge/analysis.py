@@ -5,7 +5,10 @@ unification propagates groundness, calls must match a declared directionality
 of their callee, type checks run as tests (ground argument required), and
 negation as failure requires fully ground arguments.  On top of the abstract
 step sit literal reordering, redundant-check elimination, and determinism
-analysis.
+analysis.  An analysis compiles each distinct literal's step once: the
+step memoizes its post-modes and answer multiplicity per tuple of input
+modes, and the reorder records the multiplicities the determinism analysis
+multiplies.
 """
 
 from __future__ import annotations
@@ -54,19 +57,16 @@ class AbstractState:
         return dict(self.modes)
 
 
+D11 = Multiplicity(1, 1)
+D01 = Multiplicity(0, 1)
+
+
 def term_mode(modes: dict, t: Term) -> Mode:
-    """The instantiation class a term is known to be in."""
+    """The instantiation class a term is known to be in; every variable of
+    ``t`` is in ``modes``."""
     if isinstance(t, Var):
-        m = modes.get(t.name)
-        if m is None:
-            raise NotCallableError(f"variable {t.name} is not in scope")
-        return m
-    names = ast.term_vars(t)
-    if not names:
-        return GROUND
-    if all(modes[n] == GROUND for n in names if n in modes):
-        if any(n not in modes for n in names):
-            raise NotCallableError("variable out of scope in compound term")
+        return modes[t.name]
+    if all(modes[n] == GROUND for n in ast.term_vars(t)):
         return GROUND
     return NOVAR  # a compound is never a free variable
 
@@ -105,48 +105,110 @@ def _unify_update(modes: dict, left: Term, right: Term):
             _unify_update(modes, a, b)
 
 
-def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality:
+def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality | None:
     for d in spec.directionalities:
         if d.arity != len(arg_modes):
             continue
         if all(m.leq(m_in) for m, (m_in, _) in zip(arg_modes, d.modes)):
             return d
-    wanted = ", ".join(m.name for m in arg_modes)
-    raise NotCallableError(
-        f"no directionality of {spec.name}/{spec.arity} accepts argument modes ({wanted})")
+    return None
 
 
-def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractState:
-    """The post-state of one body literal, or NotCallableError."""
-    modes = state.mode_map()
+def _mode_rule(lit, modes: dict, spec: Spec | None):
+    """Run one literal's mode rule on ``modes``, which holds every variable
+    of the literal and is updated in place; ``spec`` is a call's callee.
+
+    Returns the literal's own answer multiplicity, or, when the literal
+    cannot run, a function giving the reason."""
     if isinstance(lit, Unify):
-        for n in ast.literal_vars(lit):
-            if n not in modes:
-                raise NotCallableError(f"variable {n} is not in scope")
+        # a free variable on either side makes the unification succeed once
+        free = any(isinstance(t, Var) and modes[t.name] == VAR
+                   for t in (lit.left, lit.right))
         _unify_update(modes, lit.left, lit.right)
-    elif isinstance(lit, Call):
-        spec = registry.spec_of(lit.predicate)
+        return D11 if free else D01
+    if isinstance(lit, Call):
         arg_modes = [term_mode(modes, a) for a in lit.args]
         d = _pick_callee_dir(spec, arg_modes)
+        if d is None:
+            wanted = ", ".join(m.name for m in arg_modes)
+            return lambda: (f"no directionality of {spec.name}/{spec.arity} "
+                            f"accepts argument modes ({wanted})")
         for arg, (_, m_out) in zip(lit.args, d.modes):
             if isinstance(arg, Var):
                 modes[arg.name] = m_out
             elif m_out == GROUND:
                 for n in ast.term_vars(arg):
                     modes[n] = GROUND
-    elif isinstance(lit, TypeCheck):
+        return d.mult
+    if isinstance(lit, TypeCheck):
         if term_mode(modes, lit.arg) != GROUND:
-            raise NotCallableError(
-                f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
-                "needs a ground argument")
-    elif isinstance(lit, NafNot):
+            return lambda: (f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
+                            "needs a ground argument")
+        return D01
+    if isinstance(lit, NafNot):
         for n in ast.literal_vars(lit):
-            if modes.get(n) != GROUND:
-                raise NotCallableError(
-                    f"negation as failure needs ground arguments; {n} is not ground")
-    else:
-        raise TypeError(f"not a literal: {lit!r}")
-    return AbstractState.make(modes)
+            if modes[n] != GROUND:
+                return lambda: f"negation as failure needs ground arguments; {n} is not ground"
+        return D01
+    raise TypeError(f"not a literal: {lit!r}")
+
+
+_UNSEEN = object()
+
+
+class _LiteralStep:
+    """One literal's mode rule, compiled: its variables, its callee, and
+    the result for each tuple of their modes met so far."""
+
+    __slots__ = ("lit", "names", "spec", "results")
+
+    def __init__(self, lit, registry: Registry):
+        self.lit = lit
+        self.names = ast.literal_vars(lit)
+        self.spec = registry.spec_of(lit.predicate) if isinstance(lit, Call) else None
+        # modes of ``names`` -> (post-modes, or None when unchanged,
+        # multiplicity), or None when the literal cannot run
+        self.results: dict = {}
+
+    def apply(self, state: tuple, where: tuple):
+        """(post-state, multiplicity) of the literal on a state, a mode per
+        variable with the literal's variables at positions ``where``; None
+        when the literal cannot run there."""
+        local = tuple([state[i] for i in where])
+        r = self.results.get(local, _UNSEEN)
+        if r is _UNSEEN:
+            modes = dict(zip(self.names, local))
+            out = _mode_rule(self.lit, modes, self.spec)
+            if isinstance(out, Multiplicity):
+                post = tuple([modes[n] for n in self.names])
+                r = (None if post == local else post, out)
+            else:
+                r = None
+            self.results[local] = r
+        if r is None:
+            return None
+        post, mult = r
+        if post is None:
+            return state, mult
+        new = list(state)
+        for i, m in zip(where, post):
+            new[i] = m
+        return tuple(new), mult
+
+
+def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractState:
+    """The post-state of one body literal, or NotCallableError."""
+    step = _LiteralStep(lit, registry)
+    index = {n: i for i, (n, _) in enumerate(state.modes)}
+    for n in step.names:
+        if n not in index:
+            raise NotCallableError(f"variable {n} is not in scope")
+    modes = tuple(m for _, m in state.modes)
+    r = step.apply(modes, tuple(index[n] for n in step.names))
+    if r is None:
+        why = _mode_rule(lit, state.mode_map(), step.spec)
+        raise NotCallableError(why())
+    return AbstractState(tuple(zip(index, r[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +227,21 @@ class ReorderFailure:
     suggestions: tuple = (SPLIT_SUGGESTION, RESPEC_SUGGESTION)
 
 
-def initial_state(clause: Clause, dir: Directionality) -> AbstractState:
+def _start_modes(clause: Clause, dir: Directionality, literal_names) -> dict:
+    """Head parameters at their in-modes, other variables free; the body
+    literals' variables are given as ``literal_names``."""
     modes: dict = {}
     for arg, (m_in, _) in zip(clause.head_args, dir.modes):
         if isinstance(arg, Var):
             modes[arg.name] = m_in
-    for lit in clause.body:
-        for n in ast.literal_vars(lit):
+    for names in literal_names:
+        for n in names:
             modes.setdefault(n, VAR)
+    return modes
+
+
+def initial_state(clause: Clause, dir: Directionality) -> AbstractState:
+    modes = _start_modes(clause, dir, map(ast.literal_vars, clause.body))
     return AbstractState(tuple(sorted(modes.items())))
 
 
@@ -184,53 +253,88 @@ def _outs_satisfied(state: AbstractState, clause: Clause, dir: Directionality) -
     return True
 
 
+def _bind(clause: Clause, dir: Directionality, registry: Registry, steps: dict) -> tuple:
+    """The clause's variable names in initial_state's order, their modes
+    there, and each body literal's compiled step from ``steps`` with the
+    positions of the literal's variables among those names."""
+    compiled = []
+    for lit in clause.body:
+        step = steps.get(lit)
+        if step is None:
+            step = steps[lit] = _LiteralStep(lit, registry)
+        compiled.append(step)
+    modes = _start_modes(clause, dir, (c.names for c in compiled))
+    names = sorted(modes)
+    index = {n: i for i, n in enumerate(names)}
+    bound = [(c, tuple([index[n] for n in c.names])) for c in compiled]
+    return names, tuple(modes[n] for n in names), bound
+
+
+def runs_as_written(clause: Clause, dir: Directionality, registry: Registry,
+                    steps: dict | None = None) -> bool:
+    """Whether the body runs in its written order under the directionality
+    and ends with every head parameter within its out-mode.  ``steps`` is
+    as for ``reorder``."""
+    names, state, bound = _bind(clause, dir, registry, {} if steps is None else steps)
+    for step, where in bound:
+        r = step.apply(state, where)
+        if r is None:
+            return False
+        state = r[0]
+    return _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir)
+
+
 def reorder(clause: Clause, dir: Directionality, registry: Registry,
-            pre_modes: list | None = None):
+            mults: list | None = None, steps: dict | None = None):
     """A body permutation executable under the directionality.
 
     Deterministic: greedily take the leftmost callable unscheduled literal,
     with full backtracking when the greedy run sticks, so the result is the
     lexicographically first executable permutation.  Subtrees already proven
     to fail are remembered by (state, unscheduled literals) and not searched
-    again, which bounds the search by n * 2**n abstract steps when the state
-    depends only on which literals ran.  Returns the reordered clause, or a
+    again, which bounds the search by n * 2**n steps when the state depends
+    only on which literals ran.  Returns the reordered clause, or a
     ReorderFailure naming the clause and carrying the two standard
-    suggestions (split per directionality, or respecify).  When
-    ``pre_modes`` is given, it receives ``AbstractState.modes`` before each
-    literal of the returned order.
+    suggestions (split per directionality, or respecify).  When ``mults``
+    is given, it receives the answer multiplicity of each literal of the
+    returned order at its place there.  ``steps`` maps each literal to its
+    compiled mode step; the reorders of one analysis share it.
     """
     body = clause.body
+    names, start, bound = _bind(clause, dir, registry, {} if steps is None else steps)
     failed: set = set()  # (state, remaining) pairs with no completion
-    path: list = []  # (literal index, pre-state) of the literals scheduled so far
+    path: list = []  # (literal index, multiplicity) of the literals scheduled so far
     deepest: list = [-1, None, ()]  # the longest prefix: length, state, remaining
 
-    def search(state: AbstractState, remaining: tuple) -> bool:
+    def search(state: tuple, remaining: tuple) -> bool:
         if len(path) > deepest[0]:
             deepest[:] = len(path), state, remaining
         if not remaining:
-            return _outs_satisfied(state, clause, dir)
-        for i in remaining:
-            try:
-                nxt = abstract_step(state, body[i], registry)
-            except NotCallableError:
+            return _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir)
+        for k, i in enumerate(remaining):
+            step, where = bound[i]
+            r = step.apply(state, where)
+            if r is None:
                 continue
-            rest = tuple(j for j in remaining if j != i)
+            nxt, mult = r
+            rest = remaining[:k] + remaining[k + 1:]
             if failed and (nxt, rest) in failed:
                 continue
-            path.append((i, state))
+            path.append((i, mult))
             if search(nxt, rest):
                 return True
             path.pop()
             failed.add((nxt, rest))
         return False
 
-    if not search(initial_state(clause, dir), tuple(range(len(body)))):
-        where = f" ({clause.provenance})" if clause.provenance else ""
+    if not search(start, tuple(range(len(body)))):
+        which = f" ({clause.provenance})" if clause.provenance else ""
+        stuck = AbstractState(tuple(zip(names, deepest[1])))
         return ReorderFailure(clause.predicate, dir,
                               "no literal permutation satisfies the directionality"
-                              + where, _blocked(clause, dir, registry, *deepest[1:]))
-    if pre_modes is not None:
-        pre_modes.extend(state.modes for _, state in path)
+                              + which, _blocked(clause, dir, registry, stuck, deepest[2]))
+    if mults is not None:
+        mults.extend(m for _, m in path)
     return replace(clause, body=tuple(body[i] for i, _ in path))
 
 
@@ -437,11 +541,13 @@ def _equal_to_trusted(clause: Clause, trusted: dict, env: TypeEnv,
 
 
 def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
-                        pre_modes: list) -> DeterminismResult:
+                        mults: list) -> DeterminismResult:
     """Computed answer-count bounds for a reordered, eliminated program.
 
-    ``pre_modes`` holds, per clause, the modes before each body literal, as
-    recorded by ``reorder``.
+    ``mults`` holds, per clause, the answer multiplicity of each body
+    literal, as recorded by ``reorder``; a complete switch's discriminating
+    literal and a check on a variable equal to a trusted input of its type
+    count as <1-1> instead.
     """
     spec = registry.spec_of(prog.predicate)
     env = registry.env
@@ -449,29 +555,13 @@ def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
     trusted = trusted_params(spec)
     clause_mults = []
     for ci, clause in enumerate(prog.clauses):
-        mult = Multiplicity(1, 1)
-        for pos, lit in enumerate(clause.body):
-            modes = dict(pre_modes[ci][pos])
+        mult = D11
+        for pos, (lit, lm) in enumerate(zip(clause.body, mults[ci], strict=True)):
             if switch is not None and pos == switch.positions[ci]:
-                lm = Multiplicity(1, 1)  # a complete exclusive switch selects one branch
-            elif isinstance(lit, Unify):
-                lm = (Multiplicity(1, 1)
-                      if term_mode(modes, lit.left) == VAR
-                      or term_mode(modes, lit.right) == VAR
-                      else Multiplicity(0, 1))
-            elif isinstance(lit, Call):
-                callee = registry.spec_of(lit.predicate)
-                d = _pick_callee_dir(callee, [term_mode(modes, a) for a in lit.args])
-                lm = d.mult
-            elif isinstance(lit, TypeCheck):
-                if (isinstance(lit.arg, Var)
-                        and _equal_to_trusted(clause, trusted, env,
-                                              lit.arg.name, lit.type_name)):
-                    lm = Multiplicity(1, 1)
-                else:
-                    lm = Multiplicity(0, 1)
-            else:  # NafNot
-                lm = Multiplicity(0, 1)
+                lm = D11  # a complete exclusive switch selects one branch
+            elif (isinstance(lit, TypeCheck) and isinstance(lit.arg, Var)
+                  and _equal_to_trusted(clause, trusted, env, lit.arg.name, lit.type_name)):
+                lm = D11
             mult = mult.times(lm)
         clause_mults.append(mult)
     if not clause_mults:
@@ -509,28 +599,27 @@ def analyze_procedure(prog: Program, spec: Spec, registry: Registry,
                       level: str = "paper-compat") -> list[DirectionResult]:
     """Reorder, eliminate and measure determinism per directionality."""
     results = []
+    steps: dict = {}  # each distinct literal's compiled mode step, for this call only
     for d in spec.directionalities:
         ordered_clauses = []
-        pre_modes = []
+        mults = []
         failure = None
         for clause in prog.clauses:
-            clause_modes: list = []
-            out = reorder(clause, d, registry, clause_modes)
+            clause_mults: list = []
+            out = reorder(clause, d, registry, clause_mults, steps)
             if isinstance(out, ReorderFailure):
                 failure = out
                 break
             ordered_clauses.append(out)
-            pre_modes.append(clause_modes)
+            mults.append(clause_mults)
         if failure is not None:
             results.append(DirectionResult(d, None, None, (), None, failure))
             continue
         ordered = Program(prog.predicate, prog.arity, tuple(ordered_clauses))
         elim = eliminate_checks(ordered, spec, registry, level)
-        # a type check never changes modes, so dropping the removed checks'
-        # entries leaves the eliminated clauses' pre-modes
         gone = {(rc.clause_index, rc.position) for rc in elim.removed}
-        kept = [[m for pos, m in enumerate(clause_modes) if (ci, pos) not in gone]
-                for ci, clause_modes in enumerate(pre_modes)]
+        kept = [[m for pos, m in enumerate(clause_mults) if (ci, pos) not in gone]
+                for ci, clause_mults in enumerate(mults)]
         det = analyze_determinism(elim.program, d, registry, kept)
         results.append(DirectionResult(d, ordered, elim.program, elim.removed,
                                        det, None))

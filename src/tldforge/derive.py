@@ -10,6 +10,7 @@ rejected loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ast
@@ -17,6 +18,10 @@ from .ast import (And, Atom, Call, Clause, Eq, Exists, FalseF, Forall, Formula,
                   Iff, Implies, LogicDescription, NafNot, Not, Or, Program,
                   TrueF, TypeCheck, Unify, Var)
 from .errors import NotDerivableError
+
+# the most clauses a definition may distribute into; past it, derivation
+# stops with a ``derive-blowup`` error instead of building them all
+MAX_CLAUSES = 4096
 
 
 @dataclass(frozen=True)
@@ -92,23 +97,51 @@ def _hoist(f: Formula, used: set) -> tuple[list, Formula]:
     return [], f
 
 
-def _dnf(f: Formula) -> list[list[Formula]]:
+def _first_pos(f: Formula):
+    """The source position of the first positioned node of ``f``, in
+    preorder; connectives carry none, their leaves do."""
+    if getattr(f, "pos", None):
+        return f.pos
+    for g in ast.subformulas(f):
+        pos = _first_pos(g)
+        if pos:
+            return pos
+    return None
+
+
+def _dnf(f: Formula, leaf) -> list[list]:
+    """The disjuncts of ``f`` as lists of ``leaf(g)`` over its leaves ``g``;
+    ``leaf`` runs once per leaf, and every disjunct holding that leaf shares
+    its result.  A subformula with more than MAX_CLAUSES disjuncts is
+    refused before they are built: a conjunction by the product of its
+    conjuncts' counts, a disjunction by the running sum of its disjuncts'."""
     if isinstance(f, TrueF):
         return [[]]
     if isinstance(f, FalseF):
         return []
     if isinstance(f, Or):
-        out: list[list[Formula]] = []
+        out: list[list] = []
         for g in f.items:
-            out.extend(_dnf(g))
+            out.extend(_dnf(g, leaf))
+            _check_count(len(out), f)
         return out
     if isinstance(f, And):
+        parts = [_dnf(g, leaf) for g in f.items]
+        _check_count(math.prod(map(len, parts)), f)
         out = [[]]
-        for g in f.items:
-            branches = _dnf(g)
+        for branches in parts:
             out = [left + right for left in out for right in branches]
         return out
-    return [[f]]
+    return [[leaf(f)]]
+
+
+def _check_count(count: int, f: Formula):
+    if count > MAX_CLAUSES:
+        pos = _first_pos(f)
+        what = "conjunction" if isinstance(f, And) else "disjunction"
+        raise NotDerivableError(
+            f"derive-blowup: the {what}{f' at {pos}' if pos else ''} distributes "
+            f"into {count} clauses, more than the limit of {MAX_CLAUSES}")
 
 
 def _to_literal(f: Formula, type_names: frozenset):
@@ -131,30 +164,34 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
     """Flatten the definition to ordered disjuncts of literals.
 
     Duplicate type-check literals within one disjunct collapse to the first
-    occurrence (conjunction idempotence).
+    occurrence (conjunction idempotence).  A definition with more than
+    MAX_CLAUSES disjuncts is not derivable.
     """
     nnf = _nnf(ld.definition, True)
     used = set(ld.params) | set(ast.free_names(ld.definition))
     binders, matrix = _hoist(nnf, used)
+
+    def leaf(f: Formula) -> tuple:
+        lit = _to_literal(f, type_names)
+        return lit, ast.literal_vars(lit)
+
     taken = set(ld.params) | set(ast.free_names(ld.definition))
     # the last suffix given to each renamed binder; every smaller suffix is
     # then in ``taken``, because each disjunct's names all join ``taken``
     # and a binder is renamed at most once per disjunct
     last_suffix: dict = {}
     disjuncts = []
-    for conjuncts in _dnf(matrix):
-        literals = []
+    for leaves in _dnf(matrix, leaf):
+        kept = []
         seen_checks = set()
-        for c in conjuncts:
-            lit = _to_literal(c, type_names)
+        occurring = set()
+        for lit, names in leaves:
             if isinstance(lit, TypeCheck):
                 if lit in seen_checks:
                     continue
                 seen_checks.add(lit)
-            literals.append(lit)
-        occurring = set()
-        for lit in literals:
-            occurring.update(ast.literal_vars(lit))
+            kept.append((lit, names))
+            occurring.update(names)
         # a binder shared across disjuncts through distribution gets a fresh
         # name per disjunct: no clause-local name repeats across clauses
         exvars = []
@@ -172,10 +209,11 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
                 renaming[n] = Var(name)
             taken.add(name)
             exvars.append((name, t))
-        if renaming:
-            literals = [ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
-                        for lit in literals]
-        disjuncts.append(Disjunct(tuple(exvars), tuple(literals)))
+        literals = tuple(
+            lit if renaming.keys().isdisjoint(names)
+            else ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
+            for lit, names in kept)
+        disjuncts.append(Disjunct(tuple(exvars), literals))
     return NormalizedBody(tuple(disjuncts))
 
 

@@ -716,16 +716,18 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     in_sets = []
     kept_lists = []  # the values the sweep enumerates: in a guard's type or in-type
     for name, tname in freevars:
-        ordered = in_universe_order(types.enumerate_type(tname, depth))
+        # the universe itself is enumerated in universe order already
+        ordered = (types.enumerate_type(tname, depth) if tname == UNIVERSAL_TYPE
+                   else in_universe_order(types.enumerate_type(tname, depth)))
         members = set(ordered)
         guards = _guard_types(mandatory, name, types)
-        if guards:
+        if guards and tname != UNIVERSAL_TYPE:
             kept = in_universe_order(
                 [v for v in types.enumerate_type(guards[0], depth)
                  if v not in members
                  and all(types.bounded_member(g, v, depth) for g in guards[1:])] + ordered)
         else:
-            kept = list(types.enumerate_type(UNIVERSAL_TYPE, depth))
+            kept = types.enumerate_type(UNIVERSAL_TYPE, depth)
         in_lists.append(ordered)
         in_sets.append(members)
         kept_lists.append(kept)

@@ -10,18 +10,20 @@ from tldforge.analysis import (AbstractState, Registry, ReorderFailure,
                                abstract_step, analyze_determinism,
                                analyze_procedure, detect_switch,
                                eliminate_checks, initial_state, reorder,
-                               _outs_satisfied)
+                               runs_as_written, _outs_satisfied)
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
 from tldforge.derive import body_formula, derive_clauses, literal_formula
 from tldforge.codegen import flatten_program
 from tldforge.errors import NotCallableError, UnknownCalleeError
-from tldforge.modes import (ANY, Directionality, GROUND, Mode,
+from tldforge.modes import (ALL_MODES, ANY, Directionality, GROUND, Mode,
                             Multiplicity, NOVAR, Spec, VAR)
 from tldforge.parser import parse_types
 from tldforge.semantics import check_agreement
 from tldforge.transform import simplify_description, transform_tld
-from util import instantiation_class, resolve, unify
+from tldforge.workspace import load_workspace
+from util import (instantiation_class, reference_determinism, reference_literal_mults,
+                  reference_step, resolve, unify)
 
 D11 = Multiplicity(1, 1)
 D01 = Multiplicity(0, 1)
@@ -251,14 +253,14 @@ def test_elimination_safety_on_the_fixtures(maxprefix_ws, registry):
 # -- determinism --------------------------------------------------------------------
 
 def determinism(prog, d, reg):
-    """analyze_determinism on the pre-modes reorder records; each program
-    here is already in an executable order, which reorder keeps."""
-    pre_modes = []
+    """analyze_determinism on the multiplicities reorder records; each
+    program here is already in an executable order, which reorder keeps."""
+    mults = []
     for clause in prog.clauses:
-        clause_modes = []
-        assert reorder(clause, d, reg, clause_modes) == clause
-        pre_modes.append(clause_modes)
-    return analyze_determinism(prog, d, reg, pre_modes)
+        clause_mults = []
+        assert reorder(clause, d, reg, clause_mults) == clause
+        mults.append(clause_mults)
+    return analyze_determinism(prog, d, reg, mults)
 
 
 def test_fixture_multiplicities(maxprefix_ws, registry):
@@ -383,8 +385,8 @@ def _first_valid_permutation(clause, d, registry):
             prefix = perm[:k]
             if prefix not in walked:
                 try:
-                    walked[prefix] = abstract_step(walked[perm[:k - 1]],
-                                                   clause.body[perm[k - 1]], registry)
+                    walked[prefix] = reference_step(walked[perm[:k - 1]],
+                                                    clause.body[perm[k - 1]], registry)
                 except NotCallableError:
                     walked[prefix] = None
             if walked[prefix] is None:
@@ -393,6 +395,18 @@ def _first_valid_permutation(clause, d, registry):
             if _outs_satisfied(walked[perm], clause, d):
                 return perm
     return None
+
+
+def _runs_as_written(clause, d, registry):
+    """Slow reference: every literal in written order through the reference
+    step, then the head's out-modes."""
+    state = initial_state(clause, d)
+    for lit in clause.body:
+        try:
+            state = reference_step(state, lit, registry)
+        except NotCallableError:
+            return False
+    return _outs_satisfied(state, clause, d)
 
 
 NAMES = ("X", "Y", "Z", "W")
@@ -429,32 +443,48 @@ def clauses_and_dirs(draw):
           Directionality(((VAR, GROUND), (VAR, GROUND)), D01)))
 def test_reorder_is_the_first_valid_permutation(registry, case):
     clause, d = case
-    pre_modes: list = []
-    out = reorder(clause, d, registry, pre_modes)
+    mults: list = []
+    out = reorder(clause, d, registry, mults)
     expected = _first_valid_permutation(clause, d, registry)
     if expected is None:
         assert isinstance(out, ReorderFailure)
         return
     assert out.body == tuple(clause.body[i] for i in expected)
-    # the recorded modes are those of a fresh walk over the returned order
-    state = initial_state(out, d)
-    for lit, modes in zip(out.body, pre_modes, strict=True):
-        assert modes == state.modes
-        state = abstract_step(state, lit, registry)
+    # the recorded multiplicities are those the determinism analysis
+    # computed by walking the returned order again
+    assert mults == reference_literal_mults(out, d, registry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clauses_and_dirs(), st.lists(st.sampled_from(ALL_MODES), min_size=4, max_size=4))
+def test_abstract_step_is_the_reference_step(registry, case, modes):
+    # the compiled step applied once gives the reference's post-state, or
+    # fails with the reference's message
+    clause, _ = case
+    state = AbstractState.make(dict(zip(NAMES, modes)))
+    for lit in clause.body:
+        try:
+            expected = reference_step(state, lit, registry)
+        except NotCallableError as e:
+            with pytest.raises(NotCallableError) as exc:
+                abstract_step(state, lit, registry)
+            assert str(exc.value) == str(e)
+            continue
+        assert abstract_step(state, lit, registry) == expected
 
 
 def test_failing_reorder_visits_each_subset_once(registry, monkeypatch):
     # eight literals, all callable in any order, none binding the output Y
     import tldforge.analysis as analysis
     steps = 0
-    original = analysis.abstract_step
+    original = analysis._LiteralStep.apply
 
-    def counting(state, lit, reg):
+    def counting(self, state, where):
         nonlocal steps
         steps += 1
-        return original(state, lit, reg)
+        return original(self, state, where)
 
-    monkeypatch.setattr(analysis, "abstract_step", counting)
+    monkeypatch.setattr(analysis._LiteralStep, "apply", counting)
     X = Var("X")
     body = (Call("gt", (X, Struct("1"))), Call("plus", (X, Struct("2"), Var("V0"))),
             Call("lt", (X, Struct("3"))), Call("times", (X, Struct("4"), Var("V1"))),
@@ -467,3 +497,87 @@ def test_failing_reorder_visits_each_subset_once(registry, monkeypatch):
     assert out.reason == ("no literal permutation satisfies the directionality "
                           "(disjunct 1 of 1)")
     assert 0 < steps <= 8 * 2 ** 8
+
+
+# -- analyze_procedure against the references on generated workspaces ---------------
+
+DNF_PARTS = ("(lt(X, {c}) \\/ ge(X, {c}))", "(le(X, {c}) \\/ gt(X, {c}))",
+             "(X = {c} \\/ gt(X, {c}))")
+DNF_TAILS = ("plus(X, {c}, V) /\\ Y = V", "Y = V /\\ plus(X, {c}, V)")
+DNF_DIRS = ("(ground, var -> ground) : <0-*>", "(ground, ground) : <0-*>",
+            "(var -> ground, ground) : <0-*>")
+TRAP_SPECS = ("procedure src(A, B).\ntype A : integer.\ntype B : integer.\n"
+              "dir (ground, var -> ground) : <1-1>.\n\n"
+              "procedure split(A, B, C).\ntype A : integer.\ntype B : integer.\n"
+              "type C : integer.\n"
+              "dir (ground, var -> ground, var -> ground) : <1-1>.\n"
+              "dir (ground, ground, var -> ground) : <0-1>.\n\n")
+
+
+def _dnf_workspace(rng):
+    """k conjoined two-way disjunctions over X, then Y from X: the shape of
+    the DNF benchmark, with random directionalities."""
+    parts = [rng.choice(DNF_PARTS).format(c=rng.randrange(-5, 6))
+             for _ in range(rng.randrange(1, 5))]
+    body = " /\\ ".join(parts + [rng.choice(DNF_TAILS).format(c=rng.randrange(1, 9))])
+    dirs = rng.sample(DNF_DIRS, rng.randrange(1, 4))
+    return "", dirs, body
+
+
+def _chain_workspace(rng):
+    """A reverse data-flow chain of times/3 from X to Y, optionally through
+    src/split, whose valid order needs backtracking."""
+    n = rng.randrange(1, 5)
+    names = ["X"] + [f"V{i}" for i in range(1, n)] + ["Y"]
+    lits = [f"times({names[i]}, {rng.randrange(2, 6)}, {names[i + 1]})" for i in range(n)]
+    extra = ""
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        lits[j] = lits[j].replace(f"({names[j]},", "(W,", 1)
+        lits[j:j] = [f"split({names[j]}, Z, W)", f"src({names[j]}, Z)"]
+        extra = TRAP_SPECS
+    rng.shuffle(lits)
+    dirs = rng.sample(("(ground, var -> ground) : <1-1>", "(ground, ground) : <0-1>",
+                       "(var -> ground, ground) : <1-1>"), rng.randrange(1, 3))
+    return extra, dirs, " /\\ ".join(lits)
+
+
+def test_analyze_procedure_matches_the_references(tmp_path):
+    rng = random.Random(10)
+    compared = failed = 0
+    for w in range(40):
+        extra, dirs, body = (_dnf_workspace if w % 2 else _chain_workspace)(rng)
+        d = tmp_path / f"w{w}"
+        d.mkdir()
+        (d / "w.types").write_text("")
+        (d / "w.spec").write_text(extra + "procedure p(X, Y).\ntype X : integer.\n"
+                                  "type Y : integer.\n"
+                                  + "".join(f"dir {x}.\n" for x in dirs))
+        (d / "w.tld").write_text(f"p(X: integer, Y: integer) <=> {body}.\n")
+        (d / "manifest.txt").write_text("types w.types\nspec w.spec\ntld w.tld\n")
+        loaded = load_workspace(d / "manifest.txt")
+        assert loaded.ok, [x.format() for x in loaded.diagnostics]
+        ws = loaded.workspace
+        reg, spec = ws.registry, ws.specs["p"]
+        prog = derived_program(ws, "p")
+        for res, dir_ in zip(analyze_procedure(prog, spec, reg), spec.directionalities,
+                             strict=True):
+            perms = [_first_valid_permutation(c, dir_, reg) for c in prog.clauses]
+            if None in perms:
+                assert not res.ok, body
+                failed += 1
+                continue
+            ordered = Program("p", 2, tuple(
+                Clause("p", c.head_args, tuple(c.body[i] for i in perm))
+                for c, perm in zip(prog.clauses, perms)))
+            elim = eliminate_checks(ordered, spec, reg)
+            assert res.ordered == ordered, body
+            # the fixed-order walk the emitter runs for the other directionalities
+            for other in spec.directionalities:
+                for c in elim.program.clauses:
+                    assert runs_as_written(c, other, reg) == _runs_as_written(c, other, reg)
+            assert (res.eliminated, res.removed) == (elim.program, elim.removed), body
+            assert res.determinism.computed == reference_determinism(
+                elim.program, dir_, reg), body
+            compared += 1
+    assert compared >= 20 and failed >= 5, (compared, failed)

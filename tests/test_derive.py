@@ -2,7 +2,8 @@ import pytest
 
 from tldforge.ast import (Call, LogicDescription, NafNot, Struct, TypeCheck,
                           Unify, Var)
-from tldforge.derive import (body_formula, derive_clauses, normalize,
+from tldforge import derive
+from tldforge.derive import (MAX_CLAUSES, body_formula, derive_clauses, normalize,
                              normalized_formula, program_formula)
 from tldforge.errors import NotDerivableError
 from tldforge.parser import parse_formula, parse_types
@@ -103,6 +104,41 @@ def test_universal_in_body_is_not_derivable():
     with pytest.raises(NotDerivableError) as exc:
         normalize(ld(["X"], "forall Y: term . q(X, Y)"), TYPES)
     assert "at <formula>:1:" in str(exc.value)  # carries the source position
+
+
+def conjoined_tests(k):
+    """k conjoined two-way disjunctions, then Y through a binder that each
+    of the 2**k disjuncts renames."""
+    return "exists V: term . " + " /\\ ".join(
+        [f"(lt(X, {i}) \\/ ge(X, {i}))" for i in range(k)] + ["plus(X, 1, V)", "Y = V"])
+
+
+def test_clause_limit_is_reached_exactly(monkeypatch):
+    assert MAX_CLAUSES == 4096
+    prog = derive_clauses(ld(["X", "Y"], conjoined_tests(12)), TYPES)
+    assert len(prog.clauses) == MAX_CLAUSES
+    assert prog.clauses[-1].body[-2:] == (Call("plus", (Var("X"), Struct("1"), Var("V4095"))),
+                                         Unify(Var("Y"), Var("V4095")))
+    # one more disjunction is refused before the conjunction is distributed:
+    # only the two-way disjunctions are
+    sizes = []
+    original = derive._dnf
+
+    def recording(f, leaf):
+        out = original(f, leaf)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(derive, "_dnf", recording)
+    with pytest.raises(NotDerivableError) as exc:
+        normalize(ld(["X", "Y"], conjoined_tests(13)), TYPES)
+    assert max(sizes) == 2
+    # at the conjunction's first literal, lt(X, 0): connectives carry no position
+    assert str(exc.value) == ("derive-blowup: the conjunction at <formula>:1:19 "
+                              "distributes into 8192 clauses, more than the limit of 4096")
+    with pytest.raises(NotDerivableError,
+                       match="disjunction at <formula>:1:1 distributes into 4097 clauses"):
+        normalize(ld(["X"], " \\/ ".join(["X = a"] * 4097)), TYPES)
 
 
 def test_negated_universal_is_derivable():

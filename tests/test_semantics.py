@@ -212,6 +212,27 @@ def test_first_violation_is_the_first_in_universe_order():
         assert (rep.first_violation, rep.first_violation_kind) == (first, kind), typed
 
 
+def test_term_parameters_sweep_the_universe_in_enumeration_order():
+    # a term-typed parameter takes the universe as enumerated, unsorted and
+    # unfiltered, which is only right because it is already in universe order
+    for depth in (1, 2, 3):
+        ctx = fixture_context(universe_depth=depth)
+        types = ctx.types
+        universe = types.enumerate_type("term", depth)
+        assert sorted(universe, key=types.universe_key) == list(universe)
+        assert all(types.bounded_member("term", v, depth) for v in universe)
+        rep = check_equivalence(ctx, parse_formula("true"), parse_formula("true"),
+                                [("X", "term")])
+        assert asdict(rep) == {
+            "depth": depth, "total": len(universe), "outside": 0, "outside_false": 0,
+            "inside": len(universe), "inside_agree": len(universe), "violations": 0,
+            "inconclusive": 0, "first_violation": None, "first_violation_kind": None}
+        assert len(universe) == (10, 120, 14530)[depth - 1]
+    # a guard on a term-typed parameter keeps the whole universe
+    _check_against_brute_force(fixture_context(universe_depth=2), parse_formula("X = zero"),
+                               parse_formula("nat(X) /\\ X = zero"), (("X", "term"),))
+
+
 def test_sweep_reports_match_brute_force_on_random_pairs():
     # every report field, the first violation included, on random
     # (typed, untyped) pairs over two variables

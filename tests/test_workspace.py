@@ -323,6 +323,18 @@ def test_cli_analyze_matches_golden(maxprefix_dir, golden_dir, capsys):
     assert out == (golden_dir / "max_prefix.analyze").read_text()
 
 
+@pytest.mark.parametrize("command, golden", [
+    (["gen", "prolog"], "dnf6.pl"),
+    (["gen", "mercury"], "dnf6.m"),
+    (["analyze"], "dnf6.analyze"),
+])
+def test_cli_dnf_matches_golden(golden_dir, capsys, command, golden):
+    # 2**6 clauses sharing each derived literal, and a binder renamed per clause
+    manifest = golden_dir.parent / "dnf" / "manifest.txt"
+    assert main(command + ["--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == (golden_dir / golden).read_text()
+
+
 def test_cli_analyze_reports_orders_the_emitter_would_refuse(tmp_path, capsys):
     # each directionality needs its own order, which a single Prolog
     # procedure cannot have; the analysis itself succeeds
@@ -400,6 +412,27 @@ def test_cli_level_none_keeps_all_checks(maxprefix_dir, capsys):
     assert code == 0
     assert "integer_list(L)" in captured.out
     assert "integer(A)" in captured.out
+
+
+def test_cli_clause_blowup_is_a_positioned_error(tmp_path, capsys):
+    body = " /\\ ".join(f"(lt(X, {i}) \\/ ge(X, {i}))" for i in range(13))
+    path = write_workspace(
+        tmp_path,
+        spec="procedure p(X).\ntype X : integer.\ndir (ground) : <0-*>.\n",
+        tld=f"p(X: integer) <=> {body}.\n")
+    assert main(["gen", "prolog", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: derive-blowup: the conjunction at {tmp_path / 'w.tld'}:1:1 "
+                   "distributes into 8192 clauses, more than the limit of 4096\n")
+
+
+@pytest.mark.parametrize("index", ["0", "-1"])
+def test_cli_dir_index_below_one_is_a_usage_error(maxprefix_dir, capsys, index):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "prolog", "--manifest", str(maxprefix_dir / "manifest.txt"),
+              "--dir-index", index])
+    assert exc.value.code == 2
+    assert "--dir-index: must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_dir_index_two_demands_splitting(maxprefix_dir, capsys):

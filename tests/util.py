@@ -1,9 +1,14 @@
-"""Shared test helpers: a tiny concrete unifier and a generic clause reader."""
+"""Shared test helpers: a tiny concrete unifier, a generic clause reader,
+and the slow references that faster code is compared with."""
 
 from __future__ import annotations
 
 from tldforge import ast
-from tldforge.ast import Struct, Var
+from tldforge.analysis import (AbstractState, _equal_to_trusted, detect_switch,
+                               initial_state, trusted_params)
+from tldforge.ast import Call, NafNot, Struct, TypeCheck, Unify, Var
+from tldforge.errors import NotCallableError
+from tldforge.modes import GROUND, NOVAR, VAR, Multiplicity, bound_key
 from tldforge.parser import (_SINGLE, _TWO_CHAR_PLUS, ParseError, Token, _Stream,
                              _parse_term, tokenize)
 
@@ -223,3 +228,144 @@ def reference_tokenize(text: str, filename: str = "<input>") -> list[Token]:
         i += len(matched)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# -- the abstract step and determinism walk that compiled mode steps replaced --
+
+def _reference_term_mode(modes: dict, t):
+    if isinstance(t, Var):
+        m = modes.get(t.name)
+        if m is None:
+            raise NotCallableError(f"variable {t.name} is not in scope")
+        return m
+    names = ast.term_vars(t)
+    if not names:
+        return GROUND
+    if all(modes[n] == GROUND for n in names if n in modes):
+        if any(n not in modes for n in names):
+            raise NotCallableError("variable out of scope in compound term")
+        return GROUND
+    return NOVAR
+
+
+def _reference_unify(modes: dict, left, right):
+    if isinstance(left, Var) and isinstance(right, Var):
+        x, y = left.name, right.name
+        if modes[x] == GROUND or modes[y] == GROUND:
+            modes[x] = modes[y] = GROUND
+        else:
+            modes[x] = modes[y] = modes[x].join(modes[y])
+        return
+    if isinstance(right, Var):
+        left, right = right, left
+    if isinstance(left, Var):
+        x = left.name
+        rnames = ast.term_vars(right)
+        if modes[x] == GROUND:
+            for n in rnames:
+                modes[n] = GROUND
+        else:
+            if modes[x].atoms & {"g", "n"}:
+                for n in rnames:
+                    modes[n] = modes[n].instantiation_closure()
+            modes[x] = GROUND if all(modes[n] == GROUND for n in rnames) else NOVAR
+        return
+    if (isinstance(left, Struct) and isinstance(right, Struct)
+            and left.functor == right.functor and left.arity == right.arity):
+        for a, b in zip(left.args, right.args):
+            _reference_unify(modes, a, b)
+
+
+def _reference_callee_dir(spec, arg_modes):
+    for d in spec.directionalities:
+        if d.arity == len(arg_modes) and all(
+                m.leq(m_in) for m, (m_in, _) in zip(arg_modes, d.modes)):
+            return d
+    wanted = ", ".join(m.name for m in arg_modes)
+    raise NotCallableError(
+        f"no directionality of {spec.name}/{spec.arity} accepts argument modes ({wanted})")
+
+
+def reference_step(state: AbstractState, lit, registry) -> AbstractState:
+    """``analysis.abstract_step`` as it was before steps were compiled: the
+    post-state of one literal, or NotCallableError."""
+    modes = state.mode_map()
+    if isinstance(lit, Unify):
+        for n in ast.literal_vars(lit):
+            if n not in modes:
+                raise NotCallableError(f"variable {n} is not in scope")
+        _reference_unify(modes, lit.left, lit.right)
+    elif isinstance(lit, Call):
+        spec = registry.spec_of(lit.predicate)
+        d = _reference_callee_dir(spec, [_reference_term_mode(modes, a) for a in lit.args])
+        for arg, (_, m_out) in zip(lit.args, d.modes):
+            if isinstance(arg, Var):
+                modes[arg.name] = m_out
+            elif m_out == GROUND:
+                for n in ast.term_vars(arg):
+                    modes[n] = GROUND
+    elif isinstance(lit, TypeCheck):
+        if _reference_term_mode(modes, lit.arg) != GROUND:
+            raise NotCallableError(
+                f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
+                "needs a ground argument")
+    elif isinstance(lit, NafNot):
+        for n in ast.literal_vars(lit):
+            if modes.get(n) != GROUND:
+                raise NotCallableError(
+                    f"negation as failure needs ground arguments; {n} is not ground")
+    else:
+        raise TypeError(f"not a literal: {lit!r}")
+    return AbstractState.make(modes)
+
+
+def reference_literal_mults(clause, d, registry) -> list:
+    """Each literal's own answer multiplicity along an executable clause,
+    from the modes before it, as the determinism analysis computed it when
+    it walked the clause again instead of reading what ``reorder`` recorded."""
+    state = initial_state(clause, d)
+    out = []
+    for lit in clause.body:
+        modes = state.mode_map()
+        if isinstance(lit, Unify):
+            free = VAR in (_reference_term_mode(modes, lit.left),
+                           _reference_term_mode(modes, lit.right))
+            out.append(Multiplicity(1, 1) if free else Multiplicity(0, 1))
+        elif isinstance(lit, Call):
+            spec = registry.spec_of(lit.predicate)
+            out.append(_reference_callee_dir(
+                spec, [_reference_term_mode(modes, a) for a in lit.args]).mult)
+        else:
+            out.append(Multiplicity(0, 1))
+        state = reference_step(state, lit, registry)
+    return out
+
+
+def reference_determinism(prog, d, registry) -> Multiplicity:
+    """The computed multiplicity of an executable program: the walk above,
+    with the switch and trusted-check rules, summed over the clauses."""
+    spec = registry.spec_of(prog.predicate)
+    switch = detect_switch(prog, d, spec, registry.env)
+    trusted = trusted_params(spec)
+    clause_mults = []
+    for ci, clause in enumerate(prog.clauses):
+        mult = Multiplicity(1, 1)
+        for pos, (lit, lm) in enumerate(zip(clause.body,
+                                            reference_literal_mults(clause, d, registry))):
+            if switch is not None and pos == switch.positions[ci]:
+                lm = Multiplicity(1, 1)
+            elif (isinstance(lit, TypeCheck) and isinstance(lit.arg, Var)
+                  and _equal_to_trusted(clause, trusted, registry.env,
+                                        lit.arg.name, lit.type_name)):
+                lm = Multiplicity(1, 1)
+            mult = mult.times(lm)
+        clause_mults.append(mult)
+    if not clause_mults:
+        return Multiplicity(0, 0)
+    if switch is not None:
+        return Multiplicity(min((m.min for m in clause_mults), key=bound_key),
+                            max((m.max for m in clause_mults), key=bound_key))
+    total = clause_mults[0]
+    for m in clause_mults[1:]:
+        total = total.plus(m)
+    return total
