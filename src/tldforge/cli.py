@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ForgeError
+from .semantics import MAX_DEPTH
 from .workspace import (STAGE_NAMES, load_workspace, run_oracle, run_pipeline,
                         suggest_skeleton)
 
@@ -25,6 +26,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _depth(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEPTH}, got {value}")
     return value
 
 
@@ -74,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded-universe verification")
     p.add_argument("action", choices=("equiv",))
     common(p, pred_required=True)
-    p.add_argument("--depth", type=_positive_int, default=2,
-                   help="universe depth bound (at least 1)")
+    p.add_argument("--depth", type=_depth, default=2,
+                   help=f"universe depth bound (1 to {MAX_DEPTH})")
 
     return parser
 

@@ -26,7 +26,7 @@ class NotStructuralError(ForgeError):
 
 
 class MissingBindingError(ForgeError):
-    """Evaluation reached a free variable with no binding."""
+    """A free variable of the evaluated formula has no ground binding."""
 
 
 class UnknownPredicateError(ForgeError):

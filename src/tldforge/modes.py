@@ -8,6 +8,7 @@ union and meet is intersection (an empty meet signals a contradiction).
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,37 +18,28 @@ G = "g"  # ground
 V = "v"  # free variable
 N = "n"  # non-ground non-variable
 
-_NAMES = {
-    frozenset({G}): "ground",
-    frozenset({V}): "var",
-    frozenset({N}): "ngv",
-    frozenset({G, N}): "novar",
-    frozenset({G, V}): "gv",
-    frozenset({V, N}): "noground",
-    frozenset({G, V, N}): "any",
-}
 
+class Mode(enum.Enum):
+    """One of the seven legal modes, named by its keyword; its value is its
+    atom set.  ``Mode(atoms)`` returns the member or raises ValueError."""
 
-@dataclass(frozen=True)
-class Mode:
-    atoms: frozenset
+    ground = frozenset({G})
+    var = frozenset({V})
+    ngv = frozenset({N})
+    novar = frozenset({G, N})
+    gv = frozenset({G, V})
+    noground = frozenset({V, N})
+    any = frozenset({G, V, N})
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, frozenset):
-            object.__setattr__(self, "atoms", frozenset(self.atoms))
-        if not self.atoms or not self.atoms <= {G, V, N}:
-            raise ValueError(f"illegal mode atoms: {set(self.atoms)!r}")
-
-    @property
-    def name(self) -> str:
-        return _NAMES[self.atoms]
+    def __init__(self, atoms: frozenset):
+        self.atoms = atoms
 
     @classmethod
     def from_name(cls, name: str) -> "Mode":
-        for atoms, n in _NAMES.items():
-            if n == name:
-                return cls(atoms)
-        raise ValueError(f"unknown mode keyword: {name}")
+        try:
+            return cls[name]
+        except KeyError:
+            raise ValueError(f"unknown mode keyword: {name}") from None
 
     def leq(self, other: "Mode") -> bool:
         return self.atoms <= other.atoms
@@ -70,15 +62,8 @@ class Mode:
         return self.name
 
 
-GROUND = Mode(frozenset({G}))
-VAR = Mode(frozenset({V}))
-NGV = Mode(frozenset({N}))
-NOVAR = Mode(frozenset({G, N}))
-GV = Mode(frozenset({G, V}))
-NOGROUND = Mode(frozenset({V, N}))
-ANY = Mode(frozenset({G, V, N}))
-
-ALL_MODES = (GROUND, VAR, NGV, NOVAR, GV, NOGROUND, ANY)
+GROUND, VAR, NGV, NOVAR, GV, NOGROUND, ANY = Mode
+ALL_MODES = tuple(Mode)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +104,6 @@ def bound_add(a, b):
     return a + b
 
 
-def format_bound(b) -> str:
-    return str(b)
-
-
 @dataclass(frozen=True)
 class Multiplicity:
     """Declared or computed bounds <Min-Max> on answer substitutions."""
@@ -148,7 +129,7 @@ class Multiplicity:
         return bound_leq(declared.min, self.min) and bound_leq(self.max, declared.max)
 
     def __str__(self) -> str:
-        return f"<{format_bound(self.min)}-{format_bound(self.max)}>"
+        return f"<{self.min}-{self.max}>"
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ RESERVED_TYPE_NAMES = ("term", "integer", "float", "atom")
 _TWO_CHAR_PLUS = ("::=", "<=>", ":-", "==", "=>", "->", "/\\", "\\/", "\\+")
 _SINGLE = "()[]{},|:.+-*<>=~!;"
 
-# deepest nesting of parentheses, negations, quantifiers, implications and
-# term arguments; every later stage recurses on the nesting, and this bound
-# keeps all of them within Python's default recursion limit
+# deepest nesting of parentheses, negations, quantifiers, implications,
+# term arguments and list items; every later stage recurses on the nesting,
+# and this bound keeps all of them within Python's default recursion limit
 MAX_NESTING = 100
 
 
@@ -147,9 +147,6 @@ class _Stream:
             self.i += 1
         return t
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "ident")
-
     def at_op(self, text: str) -> bool:
         t = self.peek()
         return t.kind == "op" and t.text == text
@@ -259,18 +256,20 @@ def _parse_prim_term(s: _Stream) -> Term:
             return Struct(t.text, tuple(args))
         return Struct(t.text)
     if s.at_op("["):
+        start = s.depth
         s.enter(s.next())
         if s.accept("]"):
-            s.depth -= 1
+            s.depth = start
             return ast.NIL
         items = [_parse_term(s)]
         while s.accept(","):
+            s.enter(s.peek())  # [a, b] is [a | [b]]: each item nests one deeper
             items.append(_parse_term(s))
         tail: Term = ast.NIL
         if s.accept("|"):
             tail = _parse_term(s)
         s.expect("]")
-        s.depth -= 1
+        s.depth = start
         return ast.listterm(items, tail)
     if s.at_op("("):
         s.enter(s.next())

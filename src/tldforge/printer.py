@@ -1,4 +1,5 @@
-"""Pretty-printers for the surface formats; inverse of the parsers."""
+"""Printers for terms, formulas, descriptions and clauses; a printed
+description parses back to the same description."""
 
 from __future__ import annotations
 
@@ -6,8 +7,6 @@ from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, FalseF, Forall, Formula,
                   Iff, Implies, LogicDescription, NafNot, Not, Or, Struct, Term,
                   TrueF, TypeCheck, TypedLogicDescription, Unify, Var)
-from .modes import Spec
-from .typesys import Alias, Builtin, TypeDef
 
 _ARITH_PREC = {"+": 1, "-": 1, "*": 2}
 
@@ -77,41 +76,6 @@ def _formula(f: Formula, prec: int) -> str:
     if isinstance(f, Not):
         return f"~{_formula(f.body, 6)}"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def format_typedef(d: TypeDef) -> str:
-    if isinstance(d.body, Alias):
-        return f"{d.name} == {d.body.target}."
-    if isinstance(d.body, Builtin):
-        return f"# {d.name} is built in"
-    cases = []
-    for c in d.body.cases:
-        if c.functor == "[]" and c.arity == 0:
-            cases.append("[]")
-        elif c.functor == "[|]" and c.arity == 2:
-            cases.append(f"[{c.components[0]} | {c.components[1]}]")
-        elif c.components:
-            cases.append(f"{c.functor}({', '.join(c.components)})")
-        else:
-            cases.append(c.functor)
-    return f"{d.name} ::= {' | '.join(cases)}."
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def format_spec(s: Spec) -> str:
-    lines = [f"procedure {s.name}({', '.join(s.params)})."]
-    for p, t in zip(s.params, s.param_types):
-        lines.append(f"type {p} : {t}.")
-    if s.relation:
-        lines.append(f"relation {_quote(s.relation)}.")
-    if s.external:
-        lines.append(f"external {_quote(s.external)}.")
-    for d in s.directionalities:
-        lines.append(f"dir {d}.")
-    return "\n".join(lines) + "\n"
 
 
 def format_tld(tld: TypedLogicDescription) -> str:

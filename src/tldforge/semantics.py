@@ -52,6 +52,11 @@ from .typesys import TypeEnv
 TYPED = "typed"
 UNTYPED = "untyped"
 
+# the deepest universe the command line accepts: with the built-in binary
+# list constructor in every signature the universe's size squares per layer,
+# already about 10^116 terms at depth 8
+MAX_DEPTH = 8
+
 
 class Truth(enum.Enum):
     TRUE = "true"
@@ -260,14 +265,13 @@ class _Evaluator:
     conjuncts, narrowed and empty domains.  A closure reads nothing but the
     binding's values, so one compiled formula serves a whole sweep.  Each
     quantifier closure memoizes its verdicts on the budget and the values of
-    its free variables.  With ``partial``, a variable missing from the
-    binding makes what depends on it unknown instead of raising.
+    its free variables.  A variable missing from the binding makes what
+    depends on it unknown.
     """
 
-    def __init__(self, ctx: EvalContext, side: str = TYPED, partial: bool = False):
+    def __init__(self, ctx: EvalContext, side: str = TYPED):
         self.ctx = ctx
         self.side = side
-        self.partial = partial
         self._definitions: dict = {}  # predicate name -> (params, run, memo)
 
     def universe(self, type_name: str) -> tuple:
@@ -314,18 +318,12 @@ class _Evaluator:
             return self._quantifier(f, scope)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _term(self, t: Term):
+    @staticmethod
+    def _term(t: Term):
         """``value(binding)``: t with the binding's values substituted."""
         if ast.ground(t):
             return lambda binding: t
-        partial = self.partial
-
-        def value(binding):
-            out = ast.subst_term(t, binding)
-            if not partial and not ast.ground(out):
-                raise MissingBindingError(f"no binding for variable {ast.term_vars(out)[0]}")
-            return out
-        return value
+        return lambda binding: ast.subst_term(t, binding)
 
     def _eq(self, f: Eq):
         left, right = self._term(f.left), self._term(f.right)
@@ -428,10 +426,10 @@ class _Evaluator:
         """Enumerate the block's binders that occur in the kernel, each over
         a domain built when the search first reaches it.  An exists block
         first binds values that a mandatory equation forces, narrows a domain
-        by a guard of the kernel, and in partial mode refutes through a
-        mandatory conjunct it can decide.  A forall block over ``A => K``
-        narrows a domain by a guard of A: outside it the implication is true,
-        the neutral element of forall."""
+        by a guard of the kernel, and while an outer variable is unbound
+        refutes through a mandatory conjunct it can decide.  A forall block
+        over ``A => K`` narrows a domain by a guard of A: outside it the
+        implication is true, the neutral element of forall."""
         names = {n for n, _ in block}
         scope = scope | names
         run_kernel = self.compile(kernel, scope)
@@ -450,7 +448,7 @@ class _Evaluator:
                 if solve is not None:
                     solvers.append(solve)
                 cvars = frozenset(ast.free_names(c))
-                if self.partial and not cvars & forbidden:
+                if not cvars & forbidden:
                     refuters.append((self.compile(c, scope | forbidden), cvars))
             guarding = mandatory
         else:
@@ -458,7 +456,6 @@ class _Evaluator:
             guarding = list(_mandatory_conjuncts(kernel.left)) \
                 if isinstance(kernel, Implies) else []
         other = truth_not(stop)
-        partial = self.partial
         domains: dict = {}
 
         def domain(name):
@@ -477,7 +474,7 @@ class _Evaluator:
                 if forced is not None:
                     return search(tuple(n for n in live if n not in forced),
                                   {**binding, **forced}, budget)
-            if partial and any(n not in binding for n in outer):
+            if any(n not in binding for n in outer):
                 # enumeration cannot settle anything that depends on an
                 # unbound outer variable; refute via decidable mandatory
                 # conjuncts or give up conservatively
@@ -573,6 +570,9 @@ def evaluate(ctx: EvalContext, f: Formula, binding: Mapping[str, Term],
     for name, value in binding.items():
         if not ast.ground(value):
             raise MissingBindingError(f"binding for {name} is not ground")
+    missing = [n for n in ast.free_names(f) if n not in binding]
+    if missing:
+        raise MissingBindingError(f"no binding for variable {missing[0]}")
     run = _Evaluator(ctx, side=side).compile(f, frozenset(binding))
     return run(dict(binding), ctx.unfold_depth)
 
@@ -702,8 +702,8 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     names = [n for n, _ in freevars]
     n = len(names)
     scope = frozenset(names)
-    run_t = _Evaluator(ctx, side=TYPED, partial=True).compile(typed_f, scope)
-    run_u = _Evaluator(ctx, side=UNTYPED, partial=True).compile(untyped_f, scope)
+    run_t = _Evaluator(ctx, side=TYPED).compile(typed_f, scope)
+    run_u = _Evaluator(ctx, side=UNTYPED).compile(untyped_f, scope)
     budget = ctx.unfold_depth
     types, depth = ctx.types, ctx.universe_depth
     mandatory = list(_mandatory_conjuncts(untyped_f))
@@ -828,7 +828,7 @@ def check_agreement(ctx: EvalContext, f: Formula, g: Formula, freevars,
         ctx = replace(ctx, universe_depth=depth)
     freevars = list(freevars)
     names = [n for n, _ in freevars]
-    ev = _Evaluator(ctx, side=side, partial=True)
+    ev = _Evaluator(ctx, side=side)
     run_f, run_g = ev.compile(f, frozenset(names)), ev.compile(g, frozenset(names))
     pools = [ctx.types.enumerate_type(t, ctx.universe_depth) for _, t in freevars]
     report = AgreementReport(depth=ctx.universe_depth)

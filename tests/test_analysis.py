@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -273,6 +274,39 @@ def test_fixture_multiplicities(maxprefix_ws, registry):
     assert results[0].determinism.switch is not None
 
 
+def _mirrored(f):
+    """f with every equation s = t written t = s."""
+    if isinstance(f, ast.Eq):
+        return replace(f, left=f.right, right=f.left)
+    if isinstance(f, (ast.And, ast.Or)):
+        return replace(f, items=tuple(map(_mirrored, f.items)))
+    if isinstance(f, (ast.Not, ast.Exists, ast.Forall)):
+        return replace(f, body=_mirrored(f.body))
+    if isinstance(f, (ast.Implies, ast.Iff)):
+        return replace(f, left=_mirrored(f.left), right=_mirrored(f.right))
+    return f
+
+
+@pytest.mark.parametrize("fixture", ["maxprefix", "dnf"])
+def test_mirrored_equations_analyze_alike(fixture, maxprefix_dir):
+    # t = s unifies, proves type facts and discriminates a switch as s = t does
+    loaded = load_workspace(maxprefix_dir.parent / fixture / "manifest.txt")
+    assert loaded.ok
+    ws = loaded.workspace
+    mirrored = replace(ws, tlds={name: replace(tld, definition=_mirrored(tld.definition))
+                                 for name, tld in ws.tlds.items()})
+    assert mirrored.tlds != ws.tlds
+
+    def outcome(w, name):
+        return [(sorted((rc.clause_index, rc.position) for rc in r.removed),
+                 r.determinism.computed,
+                 r.determinism.switch and r.determinism.switch.positions)
+                for r in analyze_procedure(derived_program(w, name), w.specs[name],
+                                           w.registry)]
+    for name in ws.tlds:
+        assert outcome(mirrored, name) == outcome(ws, name), name
+
+
 def test_single_possibly_failing_unification():
     env, _ = parse_types("letter ::= a | b.")
     spec = Spec("p", ("X",), ("letter",), directionalities=(
@@ -424,8 +458,9 @@ def clauses_and_dirs(draw):
         .map(lambda t: Call(t[0], t[1:])),
         st.tuples(st.sampled_from(("gt", "lt")), var, st.one_of(var, const))
         .map(lambda t: Call(t[0], t[1:])))
-    unify = st.tuples(var, st.one_of(var, const, var.map(lambda v: Struct("f", (v,))))) \
-        .map(lambda t: Unify(*t))
+    # constants and f(...) terms on either side, f(X) = f(Y) among them
+    side = st.one_of(var, const, var.map(lambda v: Struct("f", (v,))))
+    unify = st.tuples(side, side).map(lambda t: Unify(*t))
     check = var.map(lambda v: TypeCheck("integer", v))
     naf = st.one_of(unify, call).map(NafNot)
     body = draw(st.lists(st.one_of(call, unify, check, naf), max_size=6))

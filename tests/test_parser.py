@@ -10,8 +10,7 @@ from tldforge.modes import GROUND, INF, Multiplicity, STAR, VAR
 from tldforge.parser import (MAX_NESTING, ParseError, parse_formula, parse_spec,
                              parse_specs, parse_term, parse_tld, parse_tlds,
                              parse_type_defs, parse_types, tokenize)
-from tldforge.printer import (format_formula, format_spec, format_term,
-                              format_tld, format_typedef)
+from tldforge.printer import format_formula, format_term, format_tld
 from tldforge.typesys import Alias, Case, Cases
 from util import NESTINGS, reference_tokenize
 
@@ -273,19 +272,6 @@ def test_fixture_corpus_round_trip(maxprefix_dir):
         reparsed, diags2 = parse_tld(format_tld(tld))
         assert not diags2
         assert reparsed == tld
-
-    spec_text = (maxprefix_dir / "maxprefix.spec").read_text()
-    specs, _ = parse_specs(spec_text)
-    for spec in specs:
-        back, diags3 = parse_spec(format_spec(spec))
-        assert not diags3
-        assert back == spec
-
-    defs, _ = parse_type_defs((maxprefix_dir / "types.types").read_text())
-    for d in defs:
-        redefs, diags4 = parse_type_defs(format_typedef(d))
-        assert not diags4
-        assert redefs == [d]
 
 
 var_names = st.sampled_from(["X", "Y", "Z", "Acc", "_t"])

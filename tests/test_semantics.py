@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from dataclasses import asdict
 
@@ -95,6 +96,13 @@ def test_builtin_arithmetic_meanings(ctx):
     assert evaluate(ctx, Atom("max", (Struct("2"), Struct("-1"), Struct("2"))), {}) is TRUE
     nonint = Struct("+", (Struct("1"), Struct("1")))
     assert evaluate(ctx, Atom("max", (nonint, Struct("1"), Struct("1"))), {}) is FALSE
+    sample = ctx.types.enumerate_type("integer", ctx.universe_depth)
+    comparisons = {"lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+    for (name, op), a, b in itertools.product(comparisons.items(), sample, sample):
+        expected = TRUE if op(int(a.functor), int(b.functor)) else FALSE
+        for run in (evaluate, evaluate_reference):
+            assert run(ctx, Atom(name, (a, b)), {}) is expected, (name, a, b)
+            assert run(ctx, Atom(name, (a, nonint)), {}) is FALSE
 
 
 # -- equivalence checking -------------------------------------------------------
@@ -122,6 +130,9 @@ def test_equivalence_catches_missing_negation_check(ctx):
     rep = check_equivalence(ctx, typed, broken, [("X", "nat")], depth=2)
     assert not rep.ok and rep.violations >= 1
     assert rep.first_violation_kind == "outside-true"
+    # [] is the first term of the universe and lies outside nat
+    assert _check_against_brute_force(ctx, typed, broken, [("X", "nat")]) == rep
+    assert rep.describe().splitlines()[-1] == "  first violation (outside-true): X = []"
     fixed = transform_formula({"X": "nat"}, typed)
     assert check_equivalence(ctx, typed, fixed, [("X", "nat")], depth=2).ok
 
@@ -431,7 +442,7 @@ def test_guarded_forall_agrees_with_reference(ctx):
             continue
         partial = {n: v for n, v in binding.items() if n != "X"}
         side = rng.choice([TYPED, UNTYPED])
-        verdict = _Evaluator(ctx, side=side, partial=True).compile(
+        verdict = _Evaluator(ctx, side=side).compile(
             f, frozenset(free))(partial, ctx.unfold_depth)
         if verdict is UNKNOWN:
             continue
@@ -504,7 +515,7 @@ def test_partial_verdicts_hold_on_every_completion():
         hole = rng.choice(free)
         binding = {n: rng.choice(universe) for n in free if n != hole}
         side = rng.choice([TYPED, UNTYPED])
-        run = _Evaluator(ctx, side=side, partial=True).compile(f, frozenset(free))
+        run = _Evaluator(ctx, side=side).compile(f, frozenset(free))
         verdict = run(binding, ctx.unfold_depth)
         if verdict is UNKNOWN:
             continue

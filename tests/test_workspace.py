@@ -7,6 +7,7 @@ import pytest
 from tldforge import cli
 from tldforge.cli import main
 from tldforge.parser import MAX_NESTING, parse_tlds
+from tldforge.semantics import MAX_DEPTH
 from tldforge.transform import simplify_description
 from tldforge.workspace import (builtin_specs, load_workspace, run_oracle,
                                 run_pipeline, suggest_skeleton)
@@ -433,6 +434,42 @@ def test_cli_dir_index_below_one_is_a_usage_error(maxprefix_dir, capsys, index):
               "--dir-index", index])
     assert exc.value.code == 2
     assert "--dir-index: must be at least 1" in capsys.readouterr().err
+
+
+ONE_NAT = {"types": "nat ::= zero | s(nat).\n",
+           "spec": "procedure p(X).\ntype X : nat.\ndir (ground) : <0-1>.\n"}
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 14, 50, 400])
+def test_cli_depth_past_the_limit_is_a_usage_error(tmp_path, capsys, depth):
+    path = write_workspace(tmp_path, **ONE_NAT, tld="p(X: nat) <=> X = zero.\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "equiv", "--pred", "p", "--manifest", str(path),
+              "--depth", str(depth)])
+    assert exc.value.code == 2
+    assert (f"--depth: must be at most {MAX_DEPTH}, got {depth}"
+            in capsys.readouterr().err)
+
+
+def test_cli_depth_at_the_limit_runs(tmp_path, capsys):
+    path = write_workspace(tmp_path, **ONE_NAT, tld="p(X: nat) <=> X = zero.\n")
+    assert main(["oracle", "equiv", "--pred", "p", "--manifest", str(path),
+                 "--depth", str(MAX_DEPTH)]) == 0
+    assert capsys.readouterr().out.startswith(f"depth {MAX_DEPTH}: checked ")
+
+
+@pytest.mark.parametrize("command", [["check"], ["transform"], ["derive"], ["analyze"],
+                                     ["gen", "prolog"], ["oracle", "equiv", "--pred", "p"]])
+def test_cli_long_list_literal_is_diagnosed(tmp_path, capsys, command):
+    # item 101 of a 350-item list opens the level past the limit
+    head = "p(X: nat) <=> X = zero /\\ Y = ["
+    tld = head + ", ".join(["1"] * 350) + "].\n"
+    path = write_workspace(tmp_path, **ONE_NAT, tld=tld)
+    assert main([*command, "--manifest", str(path)]) == 1
+    col = len(head) + len("1, ") * MAX_NESTING + 1
+    assert capsys.readouterr().err == (f"{tmp_path / 'w.tld'}:1:{col}: "
+                                       "error[nesting-too-deep]: nesting deeper than "
+                                       f"{MAX_NESTING} levels\n")
 
 
 def test_cli_dir_index_two_demands_splitting(maxprefix_dir, capsys):

@@ -101,6 +101,7 @@ NESTINGS = {
     "parentheses": (lambda k: "(" * k + "X = zero" + ")" * k, "("),
     "arguments": (lambda k: "X = " + "s(" * k + "zero" + ")" * k, "("),
     "lists": (lambda k: "X = zero /\\ Y = " + "[" * k + "1" + "]" * k, "["),
+    "list items": (lambda k: "X = zero /\\ Y = [" + ", ".join(["1"] * k) + "]", "1"),
     "sums": (lambda k: "X = zero /\\ Y = 1" + " + 1" * k, "+"),
     "negations": (lambda k: "~" * k + "X = zero", "~"),
     "implications": (lambda k: "X = zero" + " => X = zero" * k, "=>"),
