@@ -216,8 +216,11 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
 
     def emit_one(p: Program, name: str, sw: SwitchInfo | None):
         if not p.clauses:
-            chunks.append(f"% {name}/{p.arity} has no clauses: "
-                          "the definition is unsatisfiable.")
+            # a clause that fails, so that a call fails instead of raising
+            # an existence error
+            head = f"{name}({', '.join(['_'] * p.arity)})" if p.arity else name
+            chunks.extend([f"% {name}/{p.arity} has no clauses: "
+                           "the definition is unsatisfiable.", f"{head} :- fail.", ""])
             return
         for i, clause in enumerate(p.clauses):
             cut_at = None

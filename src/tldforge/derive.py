@@ -1,11 +1,12 @@
 """Deriving executable clauses from an untyped logic description.
 
-The definition is brought to disjunctive normal form: equivalences and
-implications expand classically, negation is pushed down to atomic literals
-(negation as failure), existentials are hoisted outward with fresh renaming,
-and each resulting disjunct becomes one clause.  A universal quantifier that
-survives in a body position falls outside the derivable fragment and is
-rejected loudly.
+The definition is brought to disjunctive normal form in one walk that
+carries a polarity: equivalences and implications expand classically,
+negation flips the polarity down to atomic literals (negation as failure),
+existentials are renamed fresh and hoisted outward, and conjunctions
+distribute over disjunctions.  Each resulting disjunct becomes one clause.
+A universal quantifier that survives in a body position falls outside the
+derivable fragment and is rejected loudly.
 """
 
 from __future__ import annotations
@@ -39,68 +40,67 @@ def _where(f: Formula) -> str:
     return f" at {f.pos}" if getattr(f, "pos", None) else ""
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, TrueF):
-        return ast.TRUE if positive else ast.FALSE
-    if isinstance(f, FalseF):
-        return ast.FALSE if positive else ast.TRUE
+def _dnf(f: Formula, positive: bool, type_names: frozenset, used: set,
+         binders: list) -> list[list]:
+    """The disjuncts of ``f``, read as ``~f`` unless ``positive``, as lists
+    of (literal, its variables) pairs.
+
+    Equivalences and implications expand classically and ``~`` flips the
+    polarity.  Each existential, or universal under negation, is renamed
+    away from ``used`` and recorded in ``binders``, in preorder.  An atom
+    becomes its literal once, a NafNot under negation, and every disjunct
+    holding it shares that pair.  A subformula with more than MAX_CLAUSES
+    disjuncts is refused before they are built: a conjunction by the
+    product of its conjuncts' counts, a disjunction by the running sum of
+    its disjuncts'.
+    """
+    if isinstance(f, (TrueF, FalseF)):
+        return [[]] if isinstance(f, TrueF) == positive else []
     if isinstance(f, (Eq, Atom)):
-        return f if positive else Not(f, pos=f.pos)
-    if isinstance(f, Not):
-        return _nnf(f.body, not positive)
-    if isinstance(f, And):
-        parts = tuple(_nnf(g, positive) for g in f.items)
-        return And(parts, pos=f.pos) if positive else Or(parts, pos=f.pos)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(g, positive) for g in f.items)
-        return Or(parts, pos=f.pos) if positive else And(parts, pos=f.pos)
-    if isinstance(f, Implies):
-        if positive:
-            return Or((_nnf(f.left, False), _nnf(f.right, True)), pos=f.pos)
-        return And((_nnf(f.left, True), _nnf(f.right, False)), pos=f.pos)
-    if isinstance(f, Iff):
-        if positive:
-            return Or((And((_nnf(f.left, True), _nnf(f.right, True))),
-                       And((_nnf(f.left, False), _nnf(f.right, False)))), pos=f.pos)
-        return Or((And((_nnf(f.left, True), _nnf(f.right, False))),
-                   And((_nnf(f.left, False), _nnf(f.right, True)))), pos=f.pos)
-    if isinstance(f, Exists):
+        lit = _to_literal(f, type_names)
         if not positive:
-            raise NotDerivableError(
-                "negation over an existential quantifier leaves a universal "
-                f"in a body position{_where(f)}")
-        return Exists(f.var, f.type_name, _nnf(f.body, True), pos=f.pos)
-    if isinstance(f, Forall):
-        if positive:
-            raise NotDerivableError(
-                f"universal quantifier in a body position{_where(f)}")
-        return Exists(f.var, f.type_name, _nnf(f.body, False), pos=f.pos)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _hoist(f: Formula, used: set) -> tuple[list, Formula]:
-    """Pull existentials to the front, renaming on collision so that no
-    binder name repeats anywhere in the matrix."""
-    if isinstance(f, Exists):
+            lit = NafNot(lit, f.pos)
+        return [[(lit, ast.literal_vars(lit))]]
+    if isinstance(f, Not):
+        return _dnf(f.body, not positive, type_names, used, binders)
+    if isinstance(f, Implies):
+        f = Or((Not(f.left), f.right), pos=f.pos)
+    elif isinstance(f, Iff):
+        # not (A <=> B) is A <=> not B
+        right = f.right if positive else Not(f.right)
+        f = Or((And((f.left, right)), And((Not(f.left), Not(right)))), pos=f.pos)
+        positive = True
+    if isinstance(f, (Exists, Forall)):
+        if isinstance(f, Forall) == positive:
+            what = ("universal quantifier" if positive else "negation over an "
+                    "existential quantifier leaves a universal")
+            raise NotDerivableError(f"{what} in a body position{_where(f)}")
         name = ast.fresh_name(f.var, used)
+        binders.append((name, f.type_name))
         body = f.body if name == f.var else ast.rename_free(f.body, f.var, name)
-        inner, matrix = _hoist(body, used)
-        return [(name, f.type_name)] + inner, matrix
-    if isinstance(f, (And, Or)):
-        binders: list = []
-        parts = []
+        return _dnf(body, positive, type_names, used, binders)
+    if not isinstance(f, (And, Or)):
+        raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, Or) == positive:
+        out: list[list] = []
         for g in f.items:
-            b, m = _hoist(g, used)
-            binders.extend(b)
-            parts.append(m)
-        return binders, type(f)(tuple(parts), pos=f.pos)
-    return [], f
+            out.extend(_dnf(g, positive, type_names, used, binders))
+            _check_count(len(out), "disjunction", f)
+        return out
+    parts = [_dnf(g, positive, type_names, used, binders) for g in f.items]
+    _check_count(math.prod(map(len, parts)), "conjunction", f)
+    out = [[]]
+    for branches in parts:
+        out = [left + right for left in out for right in branches]
+    return out
 
 
 def _first_pos(f: Formula):
-    """The source position of the first positioned node of ``f``, in
-    preorder; connectives carry none, their leaves do."""
-    if getattr(f, "pos", None):
+    """The source position of the first positioned node of ``f``'s normal
+    form, in preorder.  Negations, binders and truth values do not survive
+    into it, and connectives carry no position unless an equivalence or an
+    implication expanded into them; their leaves do."""
+    if isinstance(f, (Eq, Atom, And, Or, Implies, Iff)) and f.pos:
         return f.pos
     for g in ast.subformulas(f):
         pos = _first_pos(g)
@@ -109,55 +109,20 @@ def _first_pos(f: Formula):
     return None
 
 
-def _dnf(f: Formula, leaf) -> list[list]:
-    """The disjuncts of ``f`` as lists of ``leaf(g)`` over its leaves ``g``;
-    ``leaf`` runs once per leaf, and every disjunct holding that leaf shares
-    its result.  A subformula with more than MAX_CLAUSES disjuncts is
-    refused before they are built: a conjunction by the product of its
-    conjuncts' counts, a disjunction by the running sum of its disjuncts'."""
-    if isinstance(f, TrueF):
-        return [[]]
-    if isinstance(f, FalseF):
-        return []
-    if isinstance(f, Or):
-        out: list[list] = []
-        for g in f.items:
-            out.extend(_dnf(g, leaf))
-            _check_count(len(out), f)
-        return out
-    if isinstance(f, And):
-        parts = [_dnf(g, leaf) for g in f.items]
-        _check_count(math.prod(map(len, parts)), f)
-        out = [[]]
-        for branches in parts:
-            out = [left + right for left in out for right in branches]
-        return out
-    return [[leaf(f)]]
-
-
-def _check_count(count: int, f: Formula):
+def _check_count(count: int, what: str, f: Formula):
     if count > MAX_CLAUSES:
         pos = _first_pos(f)
-        what = "conjunction" if isinstance(f, And) else "disjunction"
         raise NotDerivableError(
             f"derive-blowup: the {what}{f' at {pos}' if pos else ''} distributes "
             f"into {count} clauses, more than the limit of {MAX_CLAUSES}")
 
 
-def _to_literal(f: Formula, type_names: frozenset):
+def _to_literal(f: Eq | Atom, type_names: frozenset):
     if isinstance(f, Eq):
         return Unify(f.left, f.right, f.pos)
-    if isinstance(f, Atom):
-        if len(f.args) == 1 and f.predicate in type_names:
-            return TypeCheck(f.predicate, f.args[0], f.pos)
-        return Call(f.predicate, f.args, f.pos)
-    if isinstance(f, Not):
-        if isinstance(f.body, (Eq, Atom)):
-            return NafNot(_to_literal(f.body, type_names), f.pos)
-        raise NotDerivableError(
-            f"negation landed on a non-atomic residue{_where(f)}")
-    raise NotDerivableError(
-        f"formula cannot become a body literal: {f!r}{_where(f)}")
+    if len(f.args) == 1 and f.predicate in type_names:
+        return TypeCheck(f.predicate, f.args[0], f.pos)
+    return Call(f.predicate, f.args, f.pos)
 
 
 def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> NormalizedBody:
@@ -167,21 +132,14 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
     occurrence (conjunction idempotence).  A definition with more than
     MAX_CLAUSES disjuncts is not derivable.
     """
-    nnf = _nnf(ld.definition, True)
-    used = set(ld.params) | set(ast.free_names(ld.definition))
-    binders, matrix = _hoist(nnf, used)
-
-    def leaf(f: Formula) -> tuple:
-        lit = _to_literal(f, type_names)
-        return lit, ast.literal_vars(lit)
-
     taken = set(ld.params) | set(ast.free_names(ld.definition))
+    binders: list = []
     # the last suffix given to each renamed binder; every smaller suffix is
     # then in ``taken``, because each disjunct's names all join ``taken``
     # and a binder is renamed at most once per disjunct
     last_suffix: dict = {}
     disjuncts = []
-    for leaves in _dnf(matrix, leaf):
+    for leaves in _dnf(ld.definition, True, type_names, set(taken), binders):
         kept = []
         seen_checks = set()
         occurring = set()

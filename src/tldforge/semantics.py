@@ -52,7 +52,7 @@ from .typesys import TypeEnv
 TYPED = "typed"
 UNTYPED = "untyped"
 
-# the deepest universe the command line accepts: with the built-in binary
+# the deepest universe an evaluation context accepts: with the built-in binary
 # list constructor in every signature the universe's size squares per layer,
 # already about 10^116 terms at depth 8
 MAX_DEPTH = 8
@@ -176,6 +176,9 @@ class EvalContext:
     def __post_init__(self):
         if self.universe_depth < 1 or self.unfold_depth < 1:
             raise ValueError("bounds must be at least 1")
+        if self.universe_depth > MAX_DEPTH:
+            raise ValueError(f"universe depth {self.universe_depth} is over the "
+                             f"limit of {MAX_DEPTH}")
 
 
 def _description(entry, side: str):

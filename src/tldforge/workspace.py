@@ -201,7 +201,7 @@ def load_workspace(manifest: str | Path) -> LoadResult:
             diags.append(error("unresolved-ref",
                                f"{name}: specification arity {spec.arity} but "
                                f"description arity {tld.arity}", tld.pos))
-        for callee, arity, arg_types in _called_predicates(tld, env):
+        for callee, arity, arg_types in _called_predicates(tld, env, diags):
             callee_spec = specs.get(callee)
             if callee_spec is None:
                 diags.append(error("unresolved-ref",
@@ -228,8 +228,9 @@ def load_workspace(manifest: str | Path) -> LoadResult:
     return LoadResult(Workspace(manifest, env, specs, tlds, out_dir), diags)
 
 
-def _called_predicates(tld, env: TypeEnv):
-    """Predicate atoms with the annotated type of each variable argument."""
+def _called_predicates(tld, env: TypeEnv, diags: list):
+    """Predicate atoms with the annotated type of each variable argument;
+    a quantifier over an unknown type is reported into ``diags``."""
     out = []
 
     def walk(g, scope: dict):
@@ -242,6 +243,9 @@ def _called_predicates(tld, env: TypeEnv):
             out.append((g.predicate, len(g.args), tuple(arg_types)))
             return
         if isinstance(g, (Exists, Forall)):
+            if g.type_name not in env:
+                diags.append(error("unknown-type", f"{tld.predicate}: unknown "
+                                   f"quantifier type {g.type_name} for {g.var}", g.pos))
             walk(g.body, {**scope, g.var: g.type_name})
             return
         for child in subformulas(g):

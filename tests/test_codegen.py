@@ -170,15 +170,40 @@ def fixture_registry():
 
 
 def test_zero_clause_program_emits_a_comment():
+    # the comment, then a clause that fails: a caller fails instead of
+    # meeting an existence error
+    for arity, head in ((1, "p(_)"), (0, "p")):
+        env, specs = fixture_registry()
+        spec = Spec("p", ("X",) * arity, ("letter",) * arity, directionalities=(
+            Directionality(((GROUND, GROUND),) * arity, Multiplicity(0, 0)),))
+        specs["p"] = spec
+        registry = Registry(env, specs)
+        analysis = analyze_procedure(Program("p", arity, ()), spec, registry)
+        text = emit_prolog(spec, analysis, registry)
+        assert text == (f"% p/{arity} has no clauses: the definition is unsatisfiable.\n"
+                        f"{head} :- fail.\n")
+        (clause,) = read_prolog(_without_comments(text))
+        assert clause == (Struct("p", (Var("_"),) * arity), [("call", Struct("fail"))])
+
+
+def test_split_zero_clause_procedures_all_fail():
     env, specs = fixture_registry()
-    spec = Spec("p", ("X",), ("letter",), directionalities=(
-        Directionality(((GROUND, GROUND),), Multiplicity(0, 0)),))
+    spec = Spec("p", ("X", "Y"), ("letter", "letter"), directionalities=(
+        Directionality(((GROUND, GROUND), (VAR, GROUND)), Multiplicity(0, 0)),
+        Directionality(((VAR, GROUND), (GROUND, GROUND)), Multiplicity(0, 0))))
     specs["p"] = spec
     registry = Registry(env, specs)
-    analysis = analyze_procedure(Program("p", 1, ()), spec, registry)
-    text = emit_prolog(spec, analysis, registry)
-    assert text.startswith("%")
-    assert "unsatisfiable" in text
+    analysis = analyze_procedure(Program("p", 2, ()), spec, registry)
+    text = emit_prolog(spec, analysis, registry, split=True)
+    assert [(head.functor, head.args, body)
+            for head, body in read_prolog(_without_comments(text))] == [
+        (name, (Var("_"), Var("_")), [("call", Struct("fail"))])
+        for name in ("p", "p__d2")]
+
+
+def _without_comments(prolog: str) -> str:
+    return "".join(line for line in prolog.splitlines(keepends=True)
+                   if not line.startswith("%"))
 
 
 def test_cut_introduction_on_a_complete_switch():

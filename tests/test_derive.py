@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tldforge.ast import (Call, LogicDescription, NafNot, Struct, TypeCheck,
@@ -9,6 +11,8 @@ from tldforge.errors import NotDerivableError
 from tldforge.parser import parse_formula, parse_types
 from tldforge.semantics import EvalContext, check_equivalence
 from tldforge.transform import simplify_description, transform_tld
+
+from util import reference_normalize
 
 a = Struct("a")
 b = Struct("b")
@@ -124,8 +128,8 @@ def test_clause_limit_is_reached_exactly(monkeypatch):
     sizes = []
     original = derive._dnf
 
-    def recording(f, leaf):
-        out = original(f, leaf)
+    def recording(f, positive, *state):
+        out = original(f, positive, *state)
         sizes.append(len(out))
         return out
 
@@ -214,3 +218,98 @@ def test_clauses_agree_for_the_recursive_fixture(maxprefix_ws):
     rep = check_equivalence(ctx, program_formula(prog), untyped.definition,
                             [(n, "term") for n in untyped.params], depth=2)
     assert rep.violations == 0
+
+
+# -- the single walk against the three-pass reference ------------------------------
+
+def _random_text(rng, depth, names, positive=True):
+    """A formula over every connective, ``true``/``false``, type checks and
+    both quantifiers, whose binders shadow each other and the parameters.
+    A quantifier is mostly the one its polarity can derive."""
+    if depth == 0 or rng.random() < 0.15:
+        x, y = rng.choice(names), rng.choice(names)
+        return rng.choice([f"{x} = {y}", f"{x} = a", f"{x} = s({y})", f"q({x})",
+                           f"r({x}, {y})", f"nat({x})", f"term({y})", "true", "false"])
+    kind = rng.choice(["and", "or", "not", "implies", "iff", "quantifier",
+                       "negated quantifier"])
+    if kind in ("and", "or"):
+        op = " /\\ " if kind == "and" else " \\/ "
+        return "(" + op.join(_random_text(rng, depth - 1, names, positive)
+                             for _ in range(rng.randint(2, 3))) + ")"
+    if kind == "not":
+        return "~" + _random_text(rng, depth - 1, names, not positive)
+    if kind == "implies":
+        return ("(" + _random_text(rng, depth - 1, names, not positive) + " => "
+                + _random_text(rng, depth - 1, names, positive) + ")")
+    if kind == "iff":
+        return ("(" + _random_text(rng, depth - 1, names, positive) + " <=> "
+                + _random_text(rng, depth - 1, names, positive) + ")")
+    negated = kind == "negated quantifier"
+    derivable = "exists" if positive != negated else "forall"
+    other = "forall" if derivable == "exists" else "exists"
+    var = rng.choice(["V", "V1", "W", "X", "Y"])
+    quantifier = (f"{derivable if rng.random() < 0.8 else other} {var}: "
+                  f"{rng.choice(['term', 'nat'])} . ")
+    body = _random_text(rng, depth - 1, names + [var], positive != negated)
+    return ("~" if negated else "") + "(" + quantifier + body + ")"
+
+
+def _outcome(normalizer, description):
+    try:
+        nb = normalizer(description, TYPES)
+    except NotDerivableError as e:
+        return str(e)
+    return nb, [[lit.pos for lit in d.literals] for d in nb.disjuncts]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_walk_matches_the_three_pass_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        params = rng.choice([["X"], ["X", "Y"], ["X", "V", "V1"]])
+        text = _random_text(rng, rng.randint(2, 5), params + ["Z"])
+        description = LogicDescription("p", tuple(params), parse_formula(text))
+        assert _outcome(normalize, description) == _outcome(reference_normalize,
+                                                            description), text
+
+
+def conjoined_disjunctions(k, var="X"):
+    return "(" + " /\\ ".join(f"(lt({var}, {i}) \\/ ge({var}, {i}))"
+                              for i in range(k)) + ")"
+
+
+@pytest.mark.parametrize("text", [
+    " \\/ ".join(["X = a"] * 4097),
+    conjoined_disjunctions(13),
+    # 2**7 * 2**6 clauses in the equivalence's first case
+    conjoined_disjunctions(7) + " <=> " + conjoined_disjunctions(6, "Y"),
+    # 4096 + 12 clauses in the equivalence's two cases together
+    conjoined_disjunctions(12) + " <=> X = a",
+    # 4096 + 1 clauses in the implication, 4096 * 2 in its negation
+    "(" + " /\\ ".join(["X = a"] * 4096) + ") => q(X)",
+    "~(" + conjoined_disjunctions(12) + " => (X = a /\\ X = b))",
+    # the first positioned node of the normal form: the expanded connective's,
+    # and never a negation's
+    "(lt(X, 0) => ge(X, 0)) /\\ " + conjoined_disjunctions(12),
+    "(lt(X, 0) <=> ge(X, 0)) /\\ " + conjoined_disjunctions(12),
+    "(~~lt(X, 0) \\/ ge(X, 0)) /\\ " + conjoined_disjunctions(12),
+])
+def test_blowups_match_the_reference(text):
+    description = ld(["X", "Y"], text)
+    with pytest.raises(NotDerivableError) as exc:
+        normalize(description, TYPES)
+    assert str(exc.value).startswith("derive-blowup: ")
+    assert str(exc.value) == _outcome(reference_normalize, description)
+
+
+def test_blowup_before_a_universal_is_reported_first():
+    # the one walk meets the disjunction's blowup before the universal; the
+    # reference's first pass refused the universal before distributing
+    disjunction = "(" + " \\/ ".join(["X = a"] * 4097) + ") /\\ ("
+    description = ld(["X"], disjunction + "forall Y: term . q(X, Y))")
+    with pytest.raises(NotDerivableError, match="^derive-blowup: the disjunction at "
+                       "<formula>:1:2 distributes into 4097 clauses"):
+        normalize(description, TYPES)
+    assert _outcome(reference_normalize, description) == (
+        "universal quantifier in a body position at "
+        f"<formula>:1:{len(disjunction) + 1}")

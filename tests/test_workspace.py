@@ -7,7 +7,7 @@ import pytest
 from tldforge import cli
 from tldforge.cli import main
 from tldforge.parser import MAX_NESTING, parse_tlds
-from tldforge.semantics import MAX_DEPTH
+from tldforge.semantics import MAX_DEPTH, check_agreement, check_equivalence
 from tldforge.transform import simplify_description
 from tldforge.workspace import (builtin_specs, load_workspace, run_oracle,
                                 run_pipeline, suggest_skeleton)
@@ -70,6 +70,33 @@ def test_unknown_callee_rejected_at_load(tmp_path):
     result = load_workspace(path)
     assert not result.ok
     assert any("mystery" in d.message for d in result.diagnostics)
+
+
+UNKNOWN_QUANTIFIER_TYPE = {
+    "types": "nat ::= zero | s(nat).\n",
+    "spec": "procedure p(X, Y).\ntype X : nat.\ntype Y : nat.\ndir (ground, ground) : <0-1>.\n",
+    "tld": "p(X: nat, Y: nat) <=> exists Z: nosuch . X = Z /\\ Y = zero.\n"}
+
+
+def test_quantifier_over_an_unknown_type_rejected_at_load(tmp_path):
+    result = load_workspace(write_workspace(tmp_path, **UNKNOWN_QUANTIFIER_TYPE))
+    assert not result.ok
+    assert [d.format() for d in result.diagnostics] == [
+        f"{tmp_path / 'w.tld'}:1:23: error[unknown-type]: "
+        "p: unknown quantifier type nosuch for Z"]
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["gen", "prolog"], ["gen", "mercury"], ["analyze"], ["derive"],
+    ["transform"], ["oracle", "equiv", "--pred", "p"]])
+def test_cli_quantifier_over_an_unknown_type_fails_every_command(tmp_path, capsys,
+                                                                  command):
+    path = write_workspace(tmp_path, **UNKNOWN_QUANTIFIER_TYPE)
+    assert main(command + ["--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{tmp_path / 'w.tld'}:1:23: error[unknown-type]: "
+                            "p: unknown quantifier type nosuch for Z\n")
 
 
 def test_description_without_specification_rejected(tmp_path):
@@ -336,6 +363,15 @@ def test_cli_dnf_matches_golden(golden_dir, capsys, command, golden):
     assert capsys.readouterr().out == (golden_dir / golden).read_text()
 
 
+@pytest.mark.parametrize("workspace, golden", [
+    ("dnf", "dnf6"), ("maxprefix", "max_prefix")])
+@pytest.mark.parametrize("stage", ["normalized", "derived"])
+def test_cli_stage_dumps_match_golden(golden_dir, capsys, workspace, golden, stage):
+    manifest = golden_dir.parent / workspace / "manifest.txt"
+    assert main(["derive", "--emit-stage", stage, "--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == (golden_dir / f"{golden}.{stage}").read_text()
+
+
 def test_cli_analyze_reports_orders_the_emitter_would_refuse(tmp_path, capsys):
     # each directionality needs its own order, which a single Prolog
     # procedure cannot have; the analysis itself succeeds
@@ -456,6 +492,34 @@ def test_cli_depth_at_the_limit_runs(tmp_path, capsys):
     assert main(["oracle", "equiv", "--pred", "p", "--manifest", str(path),
                  "--depth", str(MAX_DEPTH)]) == 0
     assert capsys.readouterr().out.startswith(f"depth {MAX_DEPTH}: checked ")
+
+
+def test_cli_unsatisfiable_procedure_fails_in_prolog(tmp_path, capsys):
+    path = write_workspace(tmp_path, **ONE_NAT, tld="p(X: nat) <=> false.\n")
+    assert main(["gen", "prolog", "--manifest", str(path)]) == 0
+    assert capsys.readouterr().out == ("% p/1 has no clauses: the definition is "
+                                       "unsatisfiable.\np(_) :- fail.\n")
+
+
+def test_api_depth_is_bounded_where_the_context_is_built(tmp_path):
+    path = write_workspace(tmp_path, **ONE_NAT, tld="p(X: nat) <=> X = zero.\n")
+    ws = load_workspace(path).workspace
+    ctx = ws.eval_context()
+    typed, untyped = ws.tlds["p"].definition, ctx.predicates["p"][1].definition
+    for depth in (MAX_DEPTH + 1, 14):
+        with pytest.raises(ValueError, match=f"^universe depth {depth} is over the "
+                           f"limit of {MAX_DEPTH}$"):
+            run_oracle(ws, "p", depth=depth)
+        with pytest.raises(ValueError, match=f"limit of {MAX_DEPTH}"):
+            check_equivalence(ctx, typed, untyped, [("X", "nat")], depth=depth)
+        with pytest.raises(ValueError, match=f"limit of {MAX_DEPTH}"):
+            check_agreement(ctx, typed, typed, [("X", "nat")], depth=depth)
+        with pytest.raises(ValueError, match=f"limit of {MAX_DEPTH}"):
+            ws.eval_context(universe_depth=depth)
+    report = run_oracle(ws, "p", depth=MAX_DEPTH)
+    assert report.ok and report.describe().startswith(f"depth {MAX_DEPTH}: checked ")
+    assert check_equivalence(ctx, typed, untyped, [("X", "nat")], depth=MAX_DEPTH).ok
+    assert check_agreement(ctx, typed, typed, [("X", "nat")], depth=MAX_DEPTH).ok
 
 
 @pytest.mark.parametrize("command", [["check"], ["transform"], ["derive"], ["analyze"],

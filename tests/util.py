@@ -3,11 +3,16 @@ and the slow references that faster code is compared with."""
 
 from __future__ import annotations
 
+import math
+
 from tldforge import ast
 from tldforge.analysis import (AbstractState, _equal_to_trusted, detect_switch,
                                initial_state, trusted_params)
-from tldforge.ast import Call, NafNot, Struct, TypeCheck, Unify, Var
-from tldforge.errors import NotCallableError
+from tldforge.ast import (And, Atom, Call, Eq, Exists, FalseF, Forall, Formula, Iff,
+                          Implies, LogicDescription, NafNot, Not, Or, Struct, TrueF,
+                          TypeCheck, Unify, Var)
+from tldforge.derive import MAX_CLAUSES, Disjunct, NormalizedBody
+from tldforge.errors import NotCallableError, NotDerivableError
 from tldforge.modes import GROUND, NOVAR, VAR, Multiplicity, bound_key
 from tldforge.parser import (_SINGLE, _TWO_CHAR_PLUS, ParseError, Token, _Stream,
                              _parse_term, tokenize)
@@ -370,3 +375,188 @@ def reference_determinism(prog, d, registry) -> Multiplicity:
     for m in clause_mults[1:]:
         total = total.plus(m)
     return total
+
+
+# -- the three-pass normalizer that derive's single walk replaced --
+
+def _reference_where(f) -> str:
+    return f" at {f.pos}" if getattr(f, "pos", None) else ""
+
+
+def _reference_nnf(f: Formula, positive: bool) -> Formula:
+    if isinstance(f, TrueF):
+        return ast.TRUE if positive else ast.FALSE
+    if isinstance(f, FalseF):
+        return ast.FALSE if positive else ast.TRUE
+    if isinstance(f, (Eq, Atom)):
+        return f if positive else Not(f, pos=f.pos)
+    if isinstance(f, Not):
+        return _reference_nnf(f.body, not positive)
+    if isinstance(f, And):
+        parts = tuple(_reference_nnf(g, positive) for g in f.items)
+        return And(parts, pos=f.pos) if positive else Or(parts, pos=f.pos)
+    if isinstance(f, Or):
+        parts = tuple(_reference_nnf(g, positive) for g in f.items)
+        return Or(parts, pos=f.pos) if positive else And(parts, pos=f.pos)
+    if isinstance(f, Implies):
+        if positive:
+            return Or((_reference_nnf(f.left, False), _reference_nnf(f.right, True)), pos=f.pos)
+        return And((_reference_nnf(f.left, True), _reference_nnf(f.right, False)), pos=f.pos)
+    if isinstance(f, Iff):
+        # in this order: the first of their errors is the one raised
+        if positive:
+            return Or((And((_reference_nnf(f.left, True), _reference_nnf(f.right, True))),
+                       And((_reference_nnf(f.left, False), _reference_nnf(f.right, False)))),
+                      pos=f.pos)
+        return Or((And((_reference_nnf(f.left, True), _reference_nnf(f.right, False))),
+                   And((_reference_nnf(f.left, False), _reference_nnf(f.right, True)))),
+                  pos=f.pos)
+    if isinstance(f, Exists):
+        if not positive:
+            raise NotDerivableError(
+                "negation over an existential quantifier leaves a universal "
+                f"in a body position{_reference_where(f)}")
+        return Exists(f.var, f.type_name, _reference_nnf(f.body, True), pos=f.pos)
+    if isinstance(f, Forall):
+        if positive:
+            raise NotDerivableError(
+                f"universal quantifier in a body position{_reference_where(f)}")
+        return Exists(f.var, f.type_name, _reference_nnf(f.body, False), pos=f.pos)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_hoist(f: Formula, used: set) -> tuple[list, Formula]:
+    """Pull existentials to the front, renaming on collision so that no
+    binder name repeats anywhere in the matrix."""
+    if isinstance(f, Exists):
+        name = ast.fresh_name(f.var, used)
+        body = f.body if name == f.var else ast.rename_free(f.body, f.var, name)
+        inner, matrix = _reference_hoist(body, used)
+        return [(name, f.type_name)] + inner, matrix
+    if isinstance(f, (And, Or)):
+        binders: list = []
+        parts = []
+        for g in f.items:
+            b, m = _reference_hoist(g, used)
+            binders.extend(b)
+            parts.append(m)
+        return binders, type(f)(tuple(parts), pos=f.pos)
+    return [], f
+
+
+def _reference_first_pos(f: Formula):
+    """The source position of the first positioned node of ``f``, in
+    preorder; connectives carry none, their leaves do."""
+    if getattr(f, "pos", None):
+        return f.pos
+    for g in ast.subformulas(f):
+        pos = _reference_first_pos(g)
+        if pos:
+            return pos
+    return None
+
+
+def _reference_dnf(f: Formula, leaf) -> list[list]:
+    """The disjuncts of ``f`` as lists of ``leaf(g)`` over its leaves ``g``;
+    ``leaf`` runs once per leaf, and every disjunct holding that leaf shares
+    its result.  A subformula with more than MAX_CLAUSES disjuncts is
+    refused before they are built: a conjunction by the product of its
+    conjuncts' counts, a disjunction by the running sum of its disjuncts'."""
+    if isinstance(f, TrueF):
+        return [[]]
+    if isinstance(f, FalseF):
+        return []
+    if isinstance(f, Or):
+        out: list[list] = []
+        for g in f.items:
+            out.extend(_reference_dnf(g, leaf))
+            _reference_check_count(len(out), f)
+        return out
+    if isinstance(f, And):
+        parts = [_reference_dnf(g, leaf) for g in f.items]
+        _reference_check_count(math.prod(map(len, parts)), f)
+        out = [[]]
+        for branches in parts:
+            out = [left + right for left in out for right in branches]
+        return out
+    return [[leaf(f)]]
+
+
+def _reference_check_count(count: int, f: Formula):
+    if count > MAX_CLAUSES:
+        pos = _reference_first_pos(f)
+        what = "conjunction" if isinstance(f, And) else "disjunction"
+        raise NotDerivableError(
+            f"derive-blowup: the {what}{f' at {pos}' if pos else ''} distributes "
+            f"into {count} clauses, more than the limit of {MAX_CLAUSES}")
+
+
+def _reference_to_literal(f: Formula, type_names: frozenset):
+    if isinstance(f, Eq):
+        return Unify(f.left, f.right, f.pos)
+    if isinstance(f, Atom):
+        if len(f.args) == 1 and f.predicate in type_names:
+            return TypeCheck(f.predicate, f.args[0], f.pos)
+        return Call(f.predicate, f.args, f.pos)
+    if isinstance(f, Not):
+        if isinstance(f.body, (Eq, Atom)):
+            return NafNot(_reference_to_literal(f.body, type_names), f.pos)
+        raise NotDerivableError(
+            f"negation landed on a non-atomic residue{_reference_where(f)}")
+    raise NotDerivableError(
+        f"formula cannot become a body literal: {f!r}{_reference_where(f)}")
+
+
+def reference_normalize(ld: LogicDescription,
+                        type_names: frozenset = frozenset()) -> NormalizedBody:
+    """``derive.normalize`` as it was before its three walks became one:
+    negation normal form, then binders hoisted and renamed, then
+    distribution over the hoisted matrix."""
+    nnf = _reference_nnf(ld.definition, True)
+    used = set(ld.params) | set(ast.free_names(ld.definition))
+    binders, matrix = _reference_hoist(nnf, used)
+
+    def leaf(f: Formula) -> tuple:
+        lit = _reference_to_literal(f, type_names)
+        return lit, ast.literal_vars(lit)
+
+    taken = set(ld.params) | set(ast.free_names(ld.definition))
+    # the last suffix given to each renamed binder; every smaller suffix is
+    # then in ``taken``, because each disjunct's names all join ``taken``
+    # and a binder is renamed at most once per disjunct
+    last_suffix: dict = {}
+    disjuncts = []
+    for leaves in _reference_dnf(matrix, leaf):
+        kept = []
+        seen_checks = set()
+        occurring = set()
+        for lit, names in leaves:
+            if isinstance(lit, TypeCheck):
+                if lit in seen_checks:
+                    continue
+                seen_checks.add(lit)
+            kept.append((lit, names))
+            occurring.update(names)
+        # a binder shared across disjuncts through distribution gets a fresh
+        # name per disjunct: no clause-local name repeats across clauses
+        exvars = []
+        renaming: dict = {}
+        for n, t in binders:
+            if n not in occurring:
+                continue
+            name = n
+            if name in taken:
+                k = last_suffix.get(n, 0) + 1
+                while f"{n}{k}" in taken or f"{n}{k}" in occurring:
+                    k += 1
+                last_suffix[n] = k
+                name = f"{n}{k}"
+                renaming[n] = Var(name)
+            taken.add(name)
+            exvars.append((name, t))
+        literals = tuple(
+            lit if renaming.keys().isdisjoint(names)
+            else ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
+            for lit, names in kept)
+        disjuncts.append(Disjunct(tuple(exvars), literals))
+    return NormalizedBody(tuple(disjuncts))
