@@ -7,8 +7,11 @@ range over the bounded enumeration of their annotated type; the universal
 type ranges over all terms of the environment's signature up to the depth
 bound, so a true/false verdict is a fact about the bounded universe.
 
-The evaluator compiles each formula once into closures and solves
-determining equations inside exists blocks.  The equivalence checker binds
+The evaluator compiles each formula once into closures, and each term into
+a closure giving its value under a binding, so no evaluation substitutes
+into a term; it solves determining equations inside exists blocks by
+matching the equation as written against the value of its other side.
+Every value in a binding is ground.  The equivalence checker binds
 the free variables one at a time, in universe order, and evaluates the
 untyped formula on each prefix.  Once that verdict is true or false, or the
 binding is full, one path settles the whole block of completions: its
@@ -20,16 +23,20 @@ reported is the first violating binding in universe order.
 
 A type guard -- a mandatory membership conjunct t(X), or one mandatory in
 every disjunct of a mandatory disjunction -- is false on every value of X
-outside t.  So the sweep enumerates only the values in t or in X's declared
-type and counts the others in bulk as outside bindings with the untyped
-formula false; an exists block enumerates only its binder's guard type, and
-a forall block ``forall Y . g(Y) => K`` only the values in g.
+outside t, and a pin -- a mandatory conjunct X = t or t = X with t ground --
+on every value but t.  So the sweep enumerates only the outside values that
+pass the untyped formula's guards and pins and the inside values that pass
+either formula's; it counts the others in bulk, as outside bindings with
+the untyped formula false and inside bindings where both formulas are
+false.  An exists block enumerates only its binder's guard type, and a
+forall block ``forall Y . g(Y) => K`` only the values in g.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
-that really ranges over all of it: a swept variable without a guard, or an
-unguarded binder at ``term`` that a search reaches.  A binder's domain is
-built on first use, an empty domain is told by inhabitation, and every
-membership test is the type system's bounded membership.  These are pure speedups: results are
+that really ranges over all of it: a swept variable without a filter, or an
+unguarded binder at ``term`` that a search reaches; so is the pool of a
+``term`` parameter.  A binder's domain is built on first use, an empty
+domain is told by inhabitation, and every membership test is the type
+system's bounded membership.  These are pure speedups: results are
 identical to brute-force enumeration (see evaluate_reference, which the
 tests compare against).
 """
@@ -228,19 +235,71 @@ def _guard_types(mandatory, name: str, types: TypeEnv) -> list:
     return out
 
 
-def _match(pattern: Term, value: Term, out: dict) -> bool:
-    """One-way match of a pattern with variables against a ground term."""
+def _pins(mandatory, name: str) -> list:
+    """The ground terms t of the pins ``name = t`` or ``t = name`` among the
+    mandatory conjuncts, on the outer variable ``name``.  Each pin is false
+    on every other value of ``name``, and so is the kernel."""
+    out = []
+    for c, forbidden in mandatory:
+        if isinstance(c, Eq) and name not in forbidden:
+            out += [t for v, t in ((c.left, c.right), (c.right, c.left))
+                    if isinstance(v, Var) and v.name == name and ast.ground(t)]
+    return out
+
+
+def _term_value(t: Term):
+    """``value(binding)``: t with the binding's values put for its
+    variables, or None as soon as one of them is unbound.  A binding holds
+    only ground values, so a value is ground."""
+    if isinstance(t, Var):
+        name = t.name
+        return lambda binding: binding.get(name)
+    if ast.ground(t):
+        return lambda binding: t
+    functor = t.functor
+    args = [_term_value(a) for a in t.args]
+
+    def build(binding):
+        values = []
+        for arg in args:
+            v = arg(binding)
+            if v is None:
+                return None
+            values.append(v)
+        return Struct(functor, tuple(values))
+    return build
+
+
+def _term_matcher(pattern: Term):
+    """``match(value, binding, out)``: the one-way match of the pattern
+    against a ground value, in one walk.  The pattern's bound variables are
+    read from ``binding``, and the values the others must take are recorded
+    in ``out``."""
     if isinstance(pattern, Var):
-        seen = out.get(pattern.name)
-        if seen is None:
-            out[pattern.name] = value
-            return True
-        return seen == value
-    if not isinstance(value, Struct):
-        return False
-    if pattern.functor != value.functor or pattern.arity != value.arity:
-        return False
-    return all(_match(p, v, out) for p, v in zip(pattern.args, value.args))
+        name = pattern.name
+
+        def match_var(value, binding, out):
+            seen = binding.get(name)
+            if seen is None:
+                seen = out.get(name)
+                if seen is None:
+                    out[name] = value
+                    return True
+            return seen == value
+        return match_var
+    if ast.ground(pattern):
+        return lambda value, binding, out: value == pattern
+    functor, arity = pattern.functor, len(pattern.args)
+    args = [_term_matcher(a) for a in pattern.args]
+
+    def match(value, binding, out):
+        if value.functor != functor or len(value.args) != arity:
+            return False
+        for arg, v in zip(args, value.args):
+            if not arg(v, binding, out):
+                return False
+        return True
+    return match
 
 
 def _junction(parts, stop: Truth):
@@ -265,11 +324,18 @@ class _Evaluator:
 
     ``compile`` works out once whatever depends only on the formula:
     conjunct order, free names, absorbed quantifier blocks, mandatory
-    conjuncts, narrowed and empty domains.  A closure reads nothing but the
+    conjuncts, narrowed and empty domains.  Each term is compiled too, into
+    a closure giving its value under the binding (see ``_term_value``), so
+    no evaluation substitutes into a term.  A closure reads nothing but the
     binding's values, so one compiled formula serves a whole sweep.  Each
     quantifier closure memoizes its verdicts on the budget and the values of
     its free variables.  A variable missing from the binding makes what
     depends on it unknown.
+
+    Every value in a binding is ground.  ``evaluate`` checks its arguments;
+    everything else binds only values of the bounded universe (the sweeps,
+    the domains) or values built from ground ones (the solvers, and
+    ``_unfold``, which is called on ground arguments only).
     """
 
     def __init__(self, ctx: EvalContext, side: str = TYPED):
@@ -321,35 +387,26 @@ class _Evaluator:
             return self._quantifier(f, scope)
         raise TypeError(f"not a formula: {f!r}")
 
-    @staticmethod
-    def _term(t: Term):
-        """``value(binding)``: t with the binding's values substituted."""
-        if ast.ground(t):
-            return lambda binding: t
-        return lambda binding: ast.subst_term(t, binding)
-
     def _eq(self, f: Eq):
-        left, right = self._term(f.left), self._term(f.right)
-        ground = ast.ground
+        left, right = _term_value(f.left), _term_value(f.right)
 
         def eq(binding, budget):
             a, b = left(binding), right(binding)
-            if ground(a) and ground(b):
-                return TRUE if a == b else FALSE
-            return UNKNOWN
+            if a is None or b is None:
+                return UNKNOWN
+            return TRUE if a == b else FALSE
         return eq
 
     def _atom(self, f: Atom):
         name = f.predicate
-        args = [self._term(a) for a in f.args]
+        args = [_term_value(a) for a in f.args]
         types = self.ctx.types
-        ground = ast.ground
         if len(args) == 1 and name in types:
             arg = args[0]
 
             def member(binding, budget):
                 v = arg(binding)
-                if not ground(v):
+                if v is None:
                     return UNKNOWN
                 return TRUE if types.is_member(name, v) else FALSE
             return member
@@ -357,9 +414,13 @@ class _Evaluator:
         builtin = BUILTIN_PREDICATES.get(name)
 
         def atom(binding, budget):
-            values = tuple([a(binding) for a in args])
-            if not all(ground(v) for v in values):
-                return UNKNOWN
+            values = []
+            for arg in args:
+                v = arg(binding)
+                if v is None:
+                    return UNKNOWN
+                values.append(v)
+            values = tuple(values)
             if defined:
                 return UNKNOWN if budget <= 0 else self._unfold(name, values, budget)
             if builtin is not None:
@@ -518,45 +579,49 @@ class _Evaluator:
                 and c.predicate not in self.ctx.predicates):
             if any(set(ast.term_vars(a)) & forbidden for a in c.args):
                 return None
+            args = [_term_value(a) for a in c.args]
+            # the binder an open position names, if it is a bare variable
+            targets = [a.name if isinstance(a, Var) else None for a in c.args]
 
             def solve_builtin(binding, live):
-                args = [ast.subst_term(a, binding) for a in c.args]
-                open_positions = [i for i, a in enumerate(args) if not ast.ground(a)]
-                if len(open_positions) != 1:
+                values = [arg(binding) for arg in args]
+                holes = [i for i, v in enumerate(values) if v is None]
+                if len(holes) != 1:
                     return None
-                hole = open_positions[0]
-                target = args[hole]
-                if not isinstance(target, Var) or target.name not in live:
+                hole = holes[0]
+                target = targets[hole]
+                if target not in live:
                     return None
-                known = [ast.int_value(a) for i, a in enumerate(args) if i != hole]
+                known = [ast.int_value(v) for i, v in enumerate(values) if i != hole]
                 solved = _invert_builtin(c.predicate, known, hole)
                 if solved is _NOT_DETERMINED:
                     return None
                 if solved is _NO_SOLUTION:
                     return FALSE
                 value = Struct(str(solved))
-                if not self.in_universe(types[target.name], value):
+                if not self.in_universe(types[target], value):
                     return FALSE  # the only satisfying value is out of reach
-                return {target.name: value}
+                return {target: value}
             return solve_builtin
         if not isinstance(c, Eq) or \
                 (set(ast.term_vars(c.left)) | set(ast.term_vars(c.right))) & forbidden:
             return None
+        left, right = _term_value(c.left), _term_value(c.right)
+        match_left, match_right = _term_matcher(c.left), _term_matcher(c.right)
 
         def solve_eq(binding, live):
-            left = ast.subst_term(c.left, binding)
-            right = ast.subst_term(c.right, binding)
-            lg, rg = ast.ground(left), ast.ground(right)
-            if lg and rg:
-                return FALSE if left != right else None
-            if lg:
-                pattern, value = right, left
-            elif rg:
-                pattern, value = left, right
+            # a side with a value is matched against the other side as written:
+            # equal values force nothing, different ones fail the match
+            value = left(binding)
+            if value is not None:
+                match = match_right
             else:
-                return None
+                value = right(binding)
+                if value is None:
+                    return None
+                match = match_left
             sol: dict = {}
-            if not _match(pattern, value, sol):
+            if not match(value, binding, sol):
                 return FALSE
             forced = {k: v for k, v in sol.items() if k in live}
             for k, v in forced.items():
@@ -691,11 +756,14 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     false; inside the types both formulas must evaluate alike.  ``unknown``
     outcomes are reported as inconclusive, not as violations.
 
-    A variable's values that fail a type guard of the untyped formula and
-    lie outside its declared type are counted in bulk, never evaluated.  The
-    universe's size is counted; a guarded variable's values are drawn from
-    its declared type and its guard's type, and only a variable without a
-    guard enumerates the whole universe.  ``first_violation`` is the first
+    Each formula has filters on a variable: its type guards and its pins
+    (mandatory equations binding the variable to a ground term), false on
+    every value they reject.  A variable's values outside its declared type
+    that fail the untyped formula's filters, and those inside it that fail
+    both formulas' filters, are counted in bulk, never evaluated.  The
+    universe's size and a ``term`` parameter's pool are counted; only a
+    variable that no filter narrows enumerates the whole universe.
+    ``first_violation`` is the first
     violating binding in universe order: by the first variable's value, then
     the second's, and so on, each value ordered as ``iter_terms`` yields it.
     """
@@ -709,36 +777,65 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     run_u = _Evaluator(ctx, side=UNTYPED).compile(untyped_f, scope)
     budget = ctx.unfold_depth
     types, depth = ctx.types, ctx.universe_depth
-    mandatory = list(_mandatory_conjuncts(untyped_f))
+    U = types.count_terms(depth)
+    first_term = next(types.iter_terms(depth))
+    typed_mandatory = list(_mandatory_conjuncts(typed_f))
+    untyped_mandatory = list(_mandatory_conjuncts(untyped_f))
+
+    def universe() -> tuple:
+        # built only where a block enumerates it; already in universe order
+        return types.enumerate_type(UNIVERSAL_TYPE, depth)
 
     def in_universe_order(values) -> list:
         return sorted((v for v in values if types.bounded_member(UNIVERSAL_TYPE, v, depth)),
                       key=types.universe_key)
 
-    in_lists = []  # each variable's in-type values, in universe order
-    in_sets = []
-    kept_lists = []  # the values the sweep enumerates: in a guard's type or in-type
+    def passing(mandatory, name: str):
+        """The values of ``name`` that pass a side's filters -- its guards
+        and its pins -- or None when it has none.  On every other value
+        that side is false, whatever the other variables are."""
+        guards, pins = _guard_types(mandatory, name, types), _pins(mandatory, name)
+        if not guards and not pins:
+            return None
+        pool = pins[:1] if pins else types.enumerate_type(guards[0], depth)
+        return {v for v in pool if all(v == p for p in pins)
+                and all(types.bounded_member(g, v, depth) for g in guards)}
+
+    in_counts = []  # each variable's number of in-type values
+    in_sets = []  # its in-type values, or None for every value (a term parameter)
+    in_lists = []  # the same in universe order, or None
+    kept_lists = []  # the values the sweep enumerates at its position, or None for all
+    skipped = []  # (inside, outside) numbers of the values it settles in bulk
     for name, tname in freevars:
-        # the universe itself is enumerated in universe order already
-        ordered = (types.enumerate_type(tname, depth) if tname == UNIVERSAL_TYPE
-                   else in_universe_order(types.enumerate_type(tname, depth)))
-        members = set(ordered)
-        guards = _guard_types(mandatory, name, types)
-        if guards and tname != UNIVERSAL_TYPE:
-            kept = in_universe_order(
-                [v for v in types.enumerate_type(guards[0], depth)
-                 if v not in members
-                 and all(types.bounded_member(g, v, depth) for g in guards[1:])] + ordered)
+        if tname == UNIVERSAL_TYPE:
+            members = ordered = None
+            count = U
         else:
-            kept = types.enumerate_type(UNIVERSAL_TYPE, depth)
-        in_lists.append(ordered)
+            ordered = in_universe_order(types.enumerate_type(tname, depth))
+            members, count = set(ordered), len(ordered)
+        pass_u = passing(untyped_mandatory, name)
+        pass_t = passing(typed_mandatory, name)
+        if pass_u is None or (pass_t is None and members is None):
+            kept, skip = None, (0, 0)  # the whole universe
+        else:
+            # an outside value must pass the untyped side's filters, an
+            # inside one either side's
+            inside_t = (members if pass_t is None else pass_t if members is None
+                        else pass_t & members)
+            kept = in_universe_order(pass_u | inside_t)
+            kept_in = len(kept) if members is None else sum(v in members for v in kept)
+            skip = (count - kept_in, U - count - (len(kept) - kept_in))
+        in_counts.append(count)
         in_sets.append(members)
+        in_lists.append(ordered)
         kept_lists.append(kept)
-    U = types.count_terms(depth)
-    first_term = next(types.iter_terms(depth))
+        skipped.append(skip)
     report = EquivalenceReport(depth=ctx.universe_depth)
     counts = vars(report)
     outside_kind = {FALSE: "outside_false", TRUE: "violations", UNKNOWN: "inconclusive"}
+
+    def inside(j: int, value) -> bool:
+        return in_sets[j] is None or value in in_sets[j]
 
     def tally(k: int, region: str, kind: str):
         for count in ("total", region, kind):
@@ -751,9 +848,9 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         outside value, which takes its first one; the universe is built
         only as far as that value."""
         out = {**binding, **dict.fromkeys(names[i:], first_term)}
-        if all_in and all(first_term in in_sets[j] for j in range(i, n)):
-            j = max(j for j in range(i, n) if len(in_sets[j]) < U)
-            out[names[j]] = next(v for v in types.iter_terms(depth) if v not in in_sets[j])
+        if all_in and all(inside(j, first_term) for j in range(i, n)):
+            j = max(j for j in range(i, n) if in_counts[j] < U)
+            out[names[j]] = next(v for v in types.iter_terms(depth) if not inside(j, v))
         return out
 
     def earliest(*violations):
@@ -769,19 +866,25 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         bound values lie in their types."""
         ru = run_u(binding, budget)
         if ru is UNKNOWN and i < n:
-            # a value failing a guard makes the untyped side false on every
-            # completion (Kleene absorption): no violation, nothing inconclusive
-            tally((U - len(kept_lists[i])) * U ** (n - i - 1), "outside", "outside_false")
+            # a value failing the untyped side's filters makes it false on
+            # every completion (Kleene absorption), and an inside value
+            # failing both sides' filters makes both false: no violation,
+            # nothing inconclusive
+            skip_in, skip_out = skipped[i]
+            rest = U ** (n - i - 1)
+            rest_in = math.prod(in_counts[i + 1:]) if all_in else 0
+            tally(skip_in * rest_in, "inside", "inside_agree")
+            tally(skip_out * rest + skip_in * (rest - rest_in), "outside", "outside_false")
             first = None
-            for value in kept_lists[i]:
+            for value in universe() if kept_lists[i] is None else kept_lists[i]:
                 binding[names[i]] = value
-                found = sweep(i + 1, binding, all_in and value in in_sets[i])
+                found = sweep(i + 1, binding, all_in and inside(i, value))
                 first = first or found
             binding.pop(names[i], None)
             return first
         # a partial verdict holds on every completion, so the block settles
         # in bulk; the untyped side is unknown only on a full binding
-        rem_in = math.prod(len(s) for s in in_lists[i:]) if all_in else 0
+        rem_in = math.prod(in_counts[i:]) if all_in else 0
         rem_out = U ** (n - i) - rem_in
         tally(rem_out, "outside", outside_kind[ru])
         outside = (out_completion(i, binding, all_in), "outside-true") \
@@ -791,18 +894,20 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         rt = run_t(binding, budget)
         if rt is UNKNOWN and i < n:
             # the typed side needs the rest: one full binding at a time
-            inside = None
-            for combo in product(*in_lists[i:]):
+            inside_first = None
+            pools = [universe() if s is None else s for s in in_lists[i:]]
+            for combo in product(*pools):
                 found = sweep(n, {**binding, **dict(zip(names[i:], combo))}, True)
-                inside = inside or found
-            return earliest(outside, inside)
+                inside_first = inside_first or found
+            return earliest(outside, inside_first)
         kind = ("inconclusive" if UNKNOWN in (ru, rt)
                 else "inside_agree" if ru is rt else "violations")
         tally(rem_in, "inside", kind)
         if kind != "violations":
             return outside
-        inside = {**binding, **{m: s[0] for m, s in zip(names[i:], in_lists[i:])}}
-        return earliest(outside, (inside, "inside-disagree"))
+        first = {**binding, **{m: first_term if s is None else s[0]
+                               for m, s in zip(names[i:], in_lists[i:])}}
+        return earliest(outside, (first, "inside-disagree"))
 
     found = sweep(0, {}, True)
     if found is not None:

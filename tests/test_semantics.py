@@ -11,9 +11,10 @@ from tldforge.ast import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, S
 from tldforge.errors import MissingBindingError, UnknownPredicateError
 from tldforge.parser import parse_formula, parse_tlds, parse_types
 from tldforge.semantics import (EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
-                                _Evaluator, check_agreement, check_equivalence,
-                                evaluate, evaluate_reference)
+                                _Evaluator, _term_matcher, _term_value, check_agreement,
+                                check_equivalence, evaluate, evaluate_reference)
 from tldforge.transform import simplify_checks, transform_formula, transform_tld
+from util import reference_match
 
 zero = Struct("zero")
 
@@ -300,6 +301,104 @@ def test_sweep_prunes_only_through_guards():
         rep = _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
                                          freevars)
         assert (rep.violations > 0) is violates, (untyped, rep.describe())
+
+
+def test_sweep_settles_pinned_values_in_bulk():
+    # a pin X = t (t ground, a mandatory conjunct) is false on every other
+    # value of X; the values no filter of either side lets through are
+    # counted in bulk, and the counts are those of every binding
+    cases = [
+        # a pin on both sides, on a term parameter and on a nat one
+        ("X = s(zero)", "X = s(zero)", (("X", "term"),)),
+        ("X = s(zero)", "nat(X) /\\ X = s(zero)", (("X", "nat"),)),
+        # a pin on one side only: the other side is unfiltered, or filtered
+        # by a guard alone
+        ("X = zero", "true", (("X", "nat"),)),
+        ("true", "X = zero", (("X", "nat"),)),
+        ("X = zero", "nat(X)", (("X", "nat"),)),
+        ("nat(X)", "zero = X", (("X", "term"),)),
+        # a pin under a binder that captures the swept name does not count
+        ("~(X = s(zero))", "(exists X: term . X = zero) /\\ ~(X = s(zero))",
+         (("X", "nat"),)),
+        ("X = zero", "exists X: nat . X = zero", (("X", "term"),)),
+        # ... while one under a binder of another name does
+        ("X = zero", "exists Y: nat . X = zero /\\ Y = X", (("X", "nat"),)),
+        # a constant outside the universe, or no term of the signature
+        ("X = s(s(zero))", "X = s(s(zero))", (("X", "nat"),)),
+        ("X = mk(zero)", "nat(X) /\\ X = mk(zero)", (("X", "term"),)),
+        # a pin with a guard, agreeing and disagreeing
+        ("X = zero", "nat(X) /\\ X = zero", (("X", "term"),)),
+        ("X = zero", "fruit(X) /\\ X = zero", (("X", "nat"),)),
+        # two pins of one variable, equal and different
+        ("X = zero", "X = zero /\\ zero = X", (("X", "nat"),)),
+        ("X = zero", "X = zero /\\ X = s(zero)", (("X", "term"),)),
+        # two pinned variables
+        ("X = zero /\\ Y = apple", "X = zero /\\ Y = apple",
+         (("X", "nat"), ("Y", "fruit"))),
+        ("X = zero /\\ Y = s(zero)", "nat(X) /\\ X = zero /\\ Y = s(zero)",
+         (("X", "term"), ("Y", "nat"))),
+        ("Y = zero", "X = zero /\\ Y = zero", (("X", "term"), ("Y", "nat"))),
+        # X = Y pins neither, also next to a pin of Y
+        ("X = Y", "X = Y", (("X", "nat"), ("Y", "term"))),
+        ("X = Y /\\ Y = zero", "X = Y /\\ Y = zero", (("X", "term"), ("Y", "nat"))),
+    ]
+    for depth in (1, 2):
+        ctx = fixture_context(universe_depth=depth)
+        for typed, untyped, freevars in cases:
+            _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
+                                       freevars)
+
+
+def test_pinned_parameter_does_not_sweep_the_universe():
+    # about 10^116 terms at the depth limit: only the pinned value is evaluated
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    ctx = EvalContext(env)
+    f = parse_formula("X = zero")
+    rep = check_equivalence(ctx, f, f, [("X", "nat")], depth=8)
+    U = env.count_terms(8)
+    assert (rep.total, rep.inside, rep.inside_agree) == (U, 8, 8)
+    assert rep.outside == rep.outside_false == U - 8
+    assert rep.ok and rep.inconclusive == 0
+    rep = check_equivalence(ctx, f, f, [("X", "term"), ("Y", "nat")], depth=8)
+    assert (rep.total, rep.inside, rep.inside_agree) == (U * U, U * 8, U * 8)
+
+
+def _random_term(rng, depth, names):
+    """A random term of functors of arity 0 to 3 over ``names``; ground
+    when ``names`` is empty."""
+    r = rng.random()
+    if names and r < 0.3:
+        return Var(rng.choice(names))
+    if depth <= 0 or r < 0.5:
+        return Struct(rng.choice(["zero", "apple", "1"]))
+    functor, arity = rng.choice([("s", 1), ("f", 2), ("g", 3), ("[|]", 2)])
+    return Struct(functor, tuple(_random_term(rng, depth - 1, names) for _ in range(arity)))
+
+
+def test_term_closures_are_substitution_and_match():
+    # the compiled value of a term is its substitution when that is ground,
+    # and the binding-aware match decides as the reference match does on
+    # the substituted pattern, forcing the same values
+    rng = random.Random(31)
+    names = ["X", "Y", "Z", "W"]
+    matched = 0
+    for _ in range(3000):
+        t = _random_term(rng, 3, names)
+        binding = {n: _random_term(rng, 2, []) for n in names if rng.random() < 0.5}
+        substituted = ast.subst_term(t, binding)
+        expected = substituted if ast.ground(substituted) else None
+        assert _term_value(t)(binding) == expected, (t, binding)
+        if rng.random() < 0.5:
+            full = {n: binding.get(n, _random_term(rng, 1, [])) for n in names}
+            value = ast.subst_term(t, full)
+        else:
+            value = _random_term(rng, 3, [])
+        out, ref = {}, {}
+        ok = _term_matcher(t)(value, binding, out)
+        assert ok == reference_match(substituted, value, ref), (t, binding, value)
+        assert out == ref, (t, binding, value)
+        matched += ok and bool(out)
+    assert matched >= 500
 
 
 def test_maxprefix_depth_three_counts_are_pinned(maxprefix_ws):

@@ -429,6 +429,17 @@ def test_cli_oracle_equiv(maxprefix_dir, capsys):
     assert "violations: 0" in out
 
 
+def test_cli_oracle_settles_a_pinned_term_parameter(golden_dir, capsys):
+    # p(X: term) <=> X = zero: the 16,317,567 values at depth 4 are counted,
+    # and only zero is evaluated
+    manifest = golden_dir.parent / "pinned" / "manifest.txt"
+    assert main(["oracle", "equiv", "--manifest", str(manifest), "--pred", "p",
+                 "--depth", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "checked 16317567 bindings (0 outside the types, 16317567 inside)" in out
+    assert "violations: 0, inconclusive: 0" in out
+
+
 def test_cli_writes_output_files_when_out_declared(tmp_path, capsys):
     src = write_workspace(
         tmp_path,

@@ -560,3 +560,20 @@ def reference_normalize(ld: LogicDescription,
             for lit, names in kept)
         disjuncts.append(Disjunct(tuple(exvars), literals))
     return NormalizedBody(tuple(disjuncts))
+
+
+# -- the match on substituted terms that the evaluator's term closures replaced --
+
+def reference_match(pattern, value, out: dict) -> bool:
+    """One-way match of a pattern with variables against a ground term."""
+    if isinstance(pattern, Var):
+        seen = out.get(pattern.name)
+        if seen is None:
+            out[pattern.name] = value
+            return True
+        return seen == value
+    if not isinstance(value, Struct):
+        return False
+    if pattern.functor != value.functor or pattern.arity != value.arity:
+        return False
+    return all(reference_match(p, v, out) for p, v in zip(pattern.args, value.args))
