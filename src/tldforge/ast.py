@@ -6,12 +6,18 @@ literal itself.  Formulas carry a type name on every quantifier; the
 distinguished name ``term`` is the universal type, so an untyped formula is
 exactly one whose quantifier annotations are all ``term``.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share.  Terms are
+hash-consed: ``Var`` and ``Struct`` keep one weak table of the live terms,
+and building a term equal to a live one returns that object, so there is at
+most one live object per distinct term and ``a == b`` exactly when
+``a is b``.  Equality and hashing are therefore the identity ones, done in
+C.  The table holds no term alive: an entry goes when its term dies.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -28,44 +34,115 @@ FLOAT_RE = re.compile(r"-?\d+\.\d+([eE][+-]?\d+)?\Z")
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# the live terms, each under its key: a variable's name, or a structure's
+# (functor, args); an entry goes when its term dies
+_TERMS: dict = {}
 
-    def __post_init__(self):
-        if not self.name or not (self.name[0].isupper() or self.name[0] == "_"):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+
+def _forget(ref, table=_TERMS):
+    # a dead term's entry may already hold its successor's ref
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class _HashConsed:
+    """What ``Var`` and ``Struct`` share: immutable slots, a weak reference
+    for the table, and identity equality, hashing and copying."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# a new term is built with object.__new__ and its slots' setters, and its
+# table entry with weakref.ref.__new__ (what KeyedRef's Python-level
+# __new__ and __init__ come down to): terms are built in the evaluator's
+# inner loops
+_new, _new_ref, _KeyedRef = object.__new__, weakref.ref.__new__, weakref.KeyedRef
+
+
+class Var(_HashConsed):
+    """A variable: at most one live ``Var`` per name."""
+
+    __slots__ = ("name",)
+    is_ground = False
+
+    def __new__(cls, name: str):
+        ref = _TERMS.get(name)
+        if ref is not None:
+            t = ref()
+            if t is not None:
+                return t
+        if not name or not (name[0].isupper() or name[0] == "_"):
+            raise ValueError(f"invalid variable name: {name!r}")
+        t = _new(cls)
+        _set_name(t, name)
+        ref = _TERMS[name] = _new_ref(_KeyedRef, t, _forget)
+        ref.key = name
+        return t
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Struct:
-    functor: str
-    args: tuple = ()
+class Struct(_HashConsed):
+    """A functor applied to a tuple of terms: at most one live ``Struct``
+    per functor and arguments.  ``is_ground`` is set when it is built, from
+    its arguments'."""
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
+    __slots__ = ("functor", "args", "is_ground")
+
+    def __new__(cls, functor: str, args=()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (functor, args)
+        ref = _TERMS.get(key)
+        if ref is not None:
+            t = ref()
+            if t is not None:
+                return t
+        is_ground = True
+        for a in args:
+            if not a.is_ground:
+                is_ground = False
+                break
+        t = _new(cls)
+        _set_functor(t, functor)
+        _set_args(t, args)
+        _set_is_ground(t, is_ground)
+        ref = _TERMS[key] = _new_ref(_KeyedRef, t, _forget)
+        ref.key = key
+        return t
+
+    def __reduce__(self):
+        return Struct, (self.functor, self.args)
 
     @property
     def arity(self) -> int:
         return len(self.args)
-
-    def __hash__(self) -> int:
-        # cached: terms are hashed heavily by the evaluator's memo tables
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.functor, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         if not self.args:
             return self.functor
         return f"{self.functor}({', '.join(map(repr, self.args))})"
 
+
+_set_name = Var.name.__set__
+_set_functor, _set_args, _set_is_ground = (
+    Struct.functor.__set__, Struct.args.__set__, Struct.is_ground.__set__)
 
 Term = Union[Var, Struct]
 
@@ -104,13 +181,7 @@ def is_float_literal(t: Term) -> bool:
 
 
 def ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    g = t.__dict__.get("_ground")
-    if g is None:
-        g = all(ground(a) for a in t.args)
-        object.__setattr__(t, "_ground", g)
-    return g
+    return t.is_ground
 
 
 def term_depth(t: Term) -> int:

@@ -11,15 +11,21 @@ The evaluator compiles each formula once into closures, and each term into
 a closure giving its value under a binding, so no evaluation substitutes
 into a term; it solves determining equations inside exists blocks by
 matching the equation as written against the value of its other side.
-Every value in a binding is ground.  The equivalence checker binds
-the free variables one at a time, in universe order, and evaluates the
-untyped formula on each prefix.  Once that verdict is true or false, or the
-binding is full, one path settles the whole block of completions: its
-outside bindings from the untyped verdict, its inside bindings in bulk from
-the untyped and the typed verdict, or one full binding at a time while the
-typed side is unknown.  A verdict on a prefix holds on every completion, so
-the counts are those of enumerating every binding, and the first violation
-reported is the first violating binding in universe order.
+Every value in a binding is ground, and terms are hash-consed, so two
+values are equal exactly when they are one object.  A quantifier memoizes
+its verdicts only where its key can recur: not when its free variables
+cover every name the binding may hold (see ``_Evaluator._quantifier``).
+
+The equivalence checker binds the free variables one at a time, in
+universe order, and evaluates the untyped formula on each prefix.  Once
+that verdict is true or false, or the binding is full, one path settles
+the whole block of completions: its outside bindings from the untyped
+verdict, and its inside bindings in bulk from the untyped and the typed
+verdict; while the typed side is unknown, it binds the inside completions
+one more position at a time and evaluates the typed formula on each longer
+prefix.  A verdict on a prefix holds on every completion, so the counts
+are those of enumerating every binding, and the first violation reported
+is the first violating binding in universe order.
 
 A type guard -- a mandatory membership conjunct t(X), or one mandatory in
 every disjunct of a mandatory disjunction -- is false on every value of X
@@ -28,8 +34,11 @@ on every value but t.  So the sweep enumerates only the outside values that
 pass the untyped formula's guards and pins and the inside values that pass
 either formula's; it counts the others in bulk, as outside bindings with
 the untyped formula false and inside bindings where both formulas are
-false.  An exists block enumerates only its binder's guard type, and a
-forall block ``forall Y . g(Y) => K`` only the values in g.
+false.  Where the untyped side is already decided, the inside values that
+fail the typed formula's filters are counted in bulk the same way, as
+agreeing or as violations.  An exists block enumerates only its binder's
+guard type, and a forall block ``forall Y . g(Y) => K`` only the values
+in g.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
 that really ranges over all of it: a swept variable without a filter, or an
@@ -285,10 +294,10 @@ def _term_matcher(pattern: Term):
                 if seen is None:
                     out[name] = value
                     return True
-            return seen == value
+            return seen is value
         return match_var
     if ast.ground(pattern):
-        return lambda value, binding, out: value == pattern
+        return lambda value, binding, out: value is pattern
     functor, arity = pattern.functor, len(pattern.args)
     args = [_term_matcher(a) for a in pattern.args]
 
@@ -327,12 +336,14 @@ class _Evaluator:
     conjuncts, narrowed and empty domains.  Each term is compiled too, into
     a closure giving its value under the binding (see ``_term_value``), so
     no evaluation substitutes into a term.  A closure reads nothing but the
-    binding's values, so one compiled formula serves a whole sweep.  Each
+    binding's values, so one compiled formula serves a whole sweep.  A
     quantifier closure memoizes its verdicts on the budget and the values of
-    its free variables.  A variable missing from the binding makes what
-    depends on it unknown.
+    its free variables where that key can recur (see ``_quantifier``).  A
+    variable missing from the binding makes what depends on it unknown.
 
-    Every value in a binding is ground.  ``evaluate`` checks its arguments;
+    Every value in a binding is ground, so membership tests skip the
+    groundness check, and values are compared by identity, which is term
+    equality for hash-consed terms.  ``evaluate`` checks its arguments;
     everything else binds only values of the bounded universe (the sweeps,
     the domains) or values built from ground ones (the solvers, and
     ``_unfold``, which is called on ground arguments only).
@@ -394,7 +405,7 @@ class _Evaluator:
             a, b = left(binding), right(binding)
             if a is None or b is None:
                 return UNKNOWN
-            return TRUE if a == b else FALSE
+            return TRUE if a is b else FALSE
         return eq
 
     def _atom(self, f: Atom):
@@ -408,7 +419,7 @@ class _Evaluator:
                 v = arg(binding)
                 if v is None:
                     return UNKNOWN
-                return TRUE if types.is_member(name, v) else FALSE
+                return TRUE if types.ground_member(name, v) else FALSE
             return member
         defined = self.ctx.predicates.get(name) is not None
         builtin = BUILTIN_PREDICATES.get(name)
@@ -449,10 +460,22 @@ class _Evaluator:
     # -- quantifier blocks ----------------------------------------------------
 
     def _quantifier(self, f, scope: frozenset):
-        # block evaluation is expensive and sweeps revisit the same values
-        # of the node's free variables
-        free = sorted(ast.free_names(f))
+        """The quantifier's block, memoized on the budget and the values of
+        its free variables where such a key can recur.
+
+        A quantifier whose free names cover the whole ``scope`` sees a new
+        key on every evaluation, so it runs its block directly: the
+        formulas at the top of a sweep or of ``check_agreement`` are
+        evaluated once per binding, a definition once per arguments and
+        budget (``_unfold`` memoizes the call), and a block's kernel once
+        per value of the block's binders.  Any other quantifier is
+        evaluated again for each value of the names it does not read, and
+        keeps its memo.
+        """
         block = self._block(f, type(f), (), scope)
+        free = sorted(ast.free_names(f))
+        if scope <= set(free):
+            return block
         memo: dict = {}
 
         def run(binding, budget):
@@ -760,10 +783,11 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     (mandatory equations binding the variable to a ground term), false on
     every value they reject.  A variable's values outside its declared type
     that fail the untyped formula's filters, and those inside it that fail
-    both formulas' filters, are counted in bulk, never evaluated.  The
-    universe's size and a ``term`` parameter's pool are counted; only a
-    variable that no filter narrows enumerates the whole universe.
-    ``first_violation`` is the first
+    both formulas' filters, are counted in bulk, never evaluated; so are
+    the inside values that fail the typed formula's filters once the
+    untyped formula is decided.  The universe's size and a ``term``
+    parameter's pool are counted; only a variable that no filter narrows
+    enumerates the whole universe.  ``first_violation`` is the first
     violating binding in universe order: by the first variable's value, then
     the second's, and so on, each value ordered as ``iter_terms`` yields it.
     """
@@ -806,6 +830,8 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     in_lists = []  # the same in universe order, or None
     kept_lists = []  # the values the sweep enumerates at its position, or None for all
     skipped = []  # (inside, outside) numbers of the values it settles in bulk
+    typed_passes = []  # the values passing the typed side's filters, or None
+    typed_kept = []  # the inside ones in universe order, or None for every inside value
     for name, tname in freevars:
         if tname == UNIVERSAL_TYPE:
             members = ordered = None
@@ -830,6 +856,9 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         in_lists.append(ordered)
         kept_lists.append(kept)
         skipped.append(skip)
+        typed_passes.append(pass_t)
+        typed_kept.append(ordered if pass_t is None else
+                          in_universe_order(pass_t if members is None else pass_t & members))
     report = EquivalenceReport(depth=ctx.universe_depth)
     counts = vars(report)
     outside_kind = {FALSE: "outside_false", TRUE: "violations", UNKNOWN: "inconclusive"}
@@ -852,6 +881,12 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
             j = max(j for j in range(i, n) if in_counts[j] < U)
             out[names[j]] = next(v for v in types.iter_terms(depth) if not inside(j, v))
         return out
+
+    def in_completion(i: int, binding: dict) -> dict:
+        """The first completion in universe order with every value at
+        positions i and later inside its type."""
+        return {**binding, **{m: first_term if s is None else s[0]
+                              for m, s in zip(names[i:], in_lists[i:])}}
 
     def earliest(*violations):
         """The first in universe order of some violations (binding, kind)
@@ -891,23 +926,40 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
             if ru is TRUE and rem_out else None
         if not rem_in:
             return outside
-        rt = run_t(binding, budget)
+        return earliest(outside, settle_inside(i, binding, ru, run_t(binding, budget)))
+
+    def settle_inside(i: int, binding: dict, ru: Truth, rt: Truth):
+        """Count the inside completions of ``binding`` at positions i and
+        later, where the untyped side is ``ru`` and the typed side ``rt``,
+        and return their first violation in universe order, or None.  While
+        the typed side is unknown, bind one more position: an inside value
+        failing the typed side's filters makes it false on every
+        completion, so those values are counted in bulk."""
         if rt is UNKNOWN and i < n:
-            # the typed side needs the rest: one full binding at a time
-            inside_first = None
-            pools = [universe() if s is None else s for s in in_lists[i:]]
-            for combo in product(*pools):
-                found = sweep(n, {**binding, **dict(zip(names[i:], combo))}, True)
-                inside_first = inside_first or found
-            return earliest(outside, inside_first)
+            name, passed, kept = names[i], typed_passes[i], typed_kept[i]
+            skipped_first = None
+            if passed is not None:
+                skip = in_counts[i] - len(kept)
+                tally(skip * math.prod(in_counts[i + 1:]), "inside",
+                      "violations" if ru is TRUE else "inside_agree")
+                if skip and ru is TRUE:
+                    pool = types.iter_terms(depth) if in_lists[i] is None else in_lists[i]
+                    value = next(v for v in pool if v not in passed)
+                    skipped_first = (in_completion(i + 1, {**binding, name: value}),
+                                     "inside-disagree")
+            first = None
+            for value in universe() if kept is None else kept:
+                binding[name] = value
+                found = settle_inside(i + 1, binding, ru, run_t(binding, budget))
+                first = first or found
+            binding.pop(name, None)
+            return earliest(skipped_first, first)
         kind = ("inconclusive" if UNKNOWN in (ru, rt)
                 else "inside_agree" if ru is rt else "violations")
-        tally(rem_in, "inside", kind)
+        tally(math.prod(in_counts[i:]), "inside", kind)
         if kind != "violations":
-            return outside
-        first = {**binding, **{m: first_term if s is None else s[0]
-                               for m, s in zip(names[i:], in_lists[i:])}}
-        return earliest(outside, (first, "inside-disagree"))
+            return None
+        return in_completion(i, binding), "inside-disagree"
 
     found = sweep(0, {}, True)
     if found is not None:

@@ -129,9 +129,10 @@ class TypeEnv:
     def is_member(self, type_name: str, t: Term) -> bool:
         if not ast.ground(t):
             raise NonGroundTermError(f"term is not ground: {t!r}")
-        return self._member(type_name, t)
+        return self.ground_member(type_name, t)
 
-    def _member(self, type_name: str, t: Term) -> bool:
+    def ground_member(self, type_name: str, t: Term) -> bool:
+        """``is_member`` for a term the caller knows is ground, unchecked."""
         key = (type_name, t)
         hit = self._member_cache.get(key)
         if hit is not None:
@@ -149,13 +150,13 @@ class TypeEnv:
                 out = (isinstance(t, Struct) and not t.args
                        and not ast.is_int_literal(t) and not ast.is_float_literal(t))
         elif isinstance(d.body, Alias):
-            out = self._member(d.body.target, t)
+            out = self.ground_member(d.body.target, t)
         else:
             out = False
             for case in d.body.cases:
                 if (isinstance(t, Struct) and t.functor == case.functor
                         and t.arity == case.arity
-                        and all(self._member(ct, arg)
+                        and all(self.ground_member(ct, arg)
                                 for ct, arg in zip(case.components, t.args))):
                     out = True
                     break

@@ -1,3 +1,9 @@
+import copy
+import gc
+import pickle
+import random
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +11,9 @@ from tldforge import ast
 from tldforge.ast import (And, Atom, Eq, Exists, Or, Struct, Var, free_names,
                           free_variables, rename_free, substitute)
 from tldforge.errors import NonGroundSubstituteError, UnboundVariableError
-from tldforge.parser import parse_formula, parse_tlds
+from tldforge.parser import parse_formula, parse_term, parse_tlds, parse_types
+from tldforge.semantics import _term_value
+from util import reference_term_eq
 
 zero = Struct("zero")
 s_zero = Struct("s", (zero,))
@@ -144,3 +152,139 @@ def test_positions_do_not_affect_equality():
     a = parse_formula("X = zero /\\ q(X)")
     b = And((Eq(Var("X"), zero), Atom("q", (Var("X"),))))
     assert a == b
+
+
+# -- hash-consed terms ----------------------------------------------------------
+
+_CONSTANTS = ["zero", "apple", "1", "[]"]
+_FUNCTORS = [("s", 1), ("f", 2), ("[|]", 2), ("g", 3)]
+
+
+def _random_spec(rng, depth, names):
+    """A random term as nested (functor, children) pairs, or a variable name."""
+    r = rng.random()
+    if names and r < 0.2:
+        return rng.choice(names)
+    if depth <= 0 or r < 0.45:
+        return (rng.choice(_CONSTANTS), ())
+    functor, arity = rng.choice(_FUNCTORS)
+    return (functor, tuple(_random_spec(rng, depth - 1, names) for _ in range(arity)))
+
+
+def _build(spec, as_list=False):
+    if isinstance(spec, str):
+        return Var(spec)
+    functor, children = spec
+    args = [_build(c, as_list) for c in children]
+    return Struct(functor, args if as_list else tuple(args))
+
+
+def _text(spec) -> str:
+    if isinstance(spec, str):
+        return spec
+    functor, children = spec
+    if functor == "[|]":
+        return f"[{_text(children[0])} | {_text(children[1])}]"
+    return functor if not children else f"{functor}({', '.join(map(_text, children))})"
+
+
+def _hole(spec, rng, binding):
+    """The spec with some subterms replaced by fresh variables, and the
+    binding from those variables to the subterms they replaced."""
+    if not isinstance(spec, str) and rng.random() < 0.3:
+        name = f"V{len(binding)}"
+        binding[name] = _build(spec)
+        return name
+    if isinstance(spec, str):
+        return spec
+    functor, children = spec
+    return (functor, tuple(_hole(c, rng, binding) for c in children))
+
+
+def _spec_of(t):
+    return t.name if isinstance(t, Var) else (t.functor, tuple(map(_spec_of, t.args)))
+
+
+def test_equal_terms_are_one_object_however_built():
+    # a term built from tuples, from lists, by the parser, by substitution,
+    # by the evaluator's value closures or by enumeration is the one live
+    # object of its structure: == is structural equality and is identity
+    rng = random.Random(14)
+    pool = []
+    for _ in range(600):
+        spec = _random_spec(rng, 3, ["X", "Y"])
+        built = [_build(spec), _build(spec, as_list=True), parse_term(_text(spec))]
+        binding: dict = {}
+        pattern = _hole(spec, rng, binding)
+        built.append(ast.subst_term(_build(pattern), binding))
+        value = _term_value(_build(pattern))(binding)
+        if value is not None:
+            built.append(value)
+        assert all(t is built[0] for t in built), spec
+        pool.append(built[rng.randrange(len(built))])
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    universe = env.enumerate_type("term", 2)
+    assert all(_build(_spec_of(t)) is t for t in universe)
+    pool += rng.sample(universe, 50)
+    pool += [_build(_spec_of(t)) for t in rng.sample(pool, 100)]
+    same = 0
+    for _ in range(20000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert (a == b) == reference_term_eq(a, b) == (a is b), (a, b)
+        assert (a != b) == (a is not b)
+        same += a is b
+    assert same >= 100
+    assert len(set(pool)) == len({id(t) for t in pool})
+
+
+def test_copies_of_a_term_are_the_term():
+    for t in (Var("X"), zero, Struct("f", (s_zero, Var("Y"), Struct("[|]", (zero, Struct("[]")))))):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t, (t,)])[1][0] is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_terms_are_immutable():
+    t = Struct("f", (zero, Var("X")))
+    for obj, name in ((t, "functor"), (t, "args"), (t, "is_ground"), (t, "other"),
+                      (Var("X"), "name"), (Var("X"), "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, zero)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert t.functor == "f" and t.args == (zero, Var("X"))
+    with pytest.raises(ValueError):
+        Var("x")
+
+
+def test_groundness_is_set_when_a_term_is_built():
+    assert zero.is_ground and s_zero.is_ground
+    assert not Var("X").is_ground
+    assert not Struct("f", (zero, Struct("s", (Var("X"),)))).is_ground
+    assert Struct("f", [zero, s_zero]).is_ground
+
+
+def test_the_table_lets_dead_terms_go():
+    t = Struct("gc_probe", (Struct("gc_leaf"), Var("Gc_var")))
+    dead = weakref.ref(t)
+
+    def probes():
+        return [k for k in ast._TERMS
+                if k == "Gc_var" or isinstance(k, tuple) and k[0] in ("gc_probe", "gc_leaf")]
+
+    assert len(probes()) == 3
+    del t
+    gc.collect()
+    assert dead() is None
+    assert probes() == []
+    again = Struct("gc_probe", (Struct("gc_leaf"), Var("Gc_var")))
+    assert len(probes()) == 3 and again.args[1] is Var("Gc_var")
+
+
+def test_a_dead_ref_removes_only_its_own_entry():
+    t = Struct("forget_probe")
+    key = ("forget_probe", ())
+    entry = ast._TERMS[key]
+    ast._forget(weakref.KeyedRef(t, None, key))  # a ref the table no longer holds
+    assert ast._TERMS[key] is entry and entry() is t

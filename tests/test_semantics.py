@@ -363,6 +363,103 @@ def test_pinned_parameter_does_not_sweep_the_universe():
     assert (rep.total, rep.inside, rep.inside_agree) == (U * U, U * 8, U * 8)
 
 
+def test_sweep_descends_the_typed_side_one_position_at_a_time():
+    # the untyped side is decided on a prefix while the typed side is not:
+    # the typed side is evaluated on each longer prefix, and the inside
+    # values failing its filters are counted in bulk, agreeing where the
+    # untyped side is false and violating where it is true
+    one = [
+        # a typed pin, on a term and on a declared parameter
+        ("X = zero", "false", (("X", "term"),)),
+        ("X = zero", "true", (("X", "term"),)),
+        ("X = s(zero)", "false", (("X", "nat"),)),
+        ("X = s(zero)", "true", (("X", "nat"),)),
+        # a typed guard, narrowing a term parameter and a declared one
+        ("nat(X) /\\ ~(X = zero)", "true", (("X", "term"),)),
+        ("nat(X) /\\ ~(X = zero)", "false", (("X", "term"),)),
+        ("fruit(X) /\\ ~(X = apple)", "true", (("X", "nat"),)),
+        ("nat(X) /\\ ~(X = zero)", "true", (("X", "nat"),)),
+        # no typed filter: every inside value is evaluated
+        ("nat(X) \\/ X = apple", "true", (("X", "term"),)),
+        ("~(X = zero)", "false", (("X", "nat"),)),
+    ]
+    two = [
+        ("X = zero /\\ Y = apple", "false", (("X", "term"), ("Y", "fruit"))),
+        ("X = zero /\\ Y = apple", "true", (("X", "nat"), ("Y", "term"))),
+        ("X = zero /\\ fruit(Y) /\\ ~(Y = apple)", "true", (("X", "nat"), ("Y", "term"))),
+        ("nat(X) /\\ Y = s(X)", "true", (("X", "term"), ("Y", "term"))),
+        ("nat(X) /\\ Y = s(X)", "false", (("X", "nat"), ("Y", "nat"))),
+        ("X = Y", "true", (("X", "nat"), ("Y", "nat"))),
+        # the untyped side decided only once the first variable is bound
+        ("X = zero /\\ Y = zero", "X = zero", (("X", "nat"), ("Y", "term"))),
+        ("X = zero /\\ nat(Y)", "~(X = zero)", (("X", "nat"), ("Y", "term"))),
+        ("fruit(Y) /\\ ~(Y = X)", "fruit(X)", (("X", "fruit"), ("Y", "term"))),
+    ]
+    for depth, cases in ((1, one + two), (2, one), (2, two[:2] + two[6:7])):
+        ctx = fixture_context(universe_depth=depth)
+        for typed, untyped, freevars in cases:
+            _check_against_brute_force(ctx, parse_formula(typed), parse_formula(untyped),
+                                       freevars)
+
+
+def test_typed_descent_does_not_build_the_universe(monkeypatch):
+    # with the untyped side false everywhere, a pinned term parameter at
+    # depth 4 (16,317,567 terms) settles without building the universe
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    enumerate_type = env.enumerate_type
+
+    def refuse_the_universe(type_name, depth):
+        if type_name == "term" and depth == 4:
+            raise AssertionError("the depth-4 universe was built")
+        return enumerate_type(type_name, depth)
+    monkeypatch.setattr(env, "enumerate_type", refuse_the_universe)
+    ctx, f, U = EvalContext(env), parse_formula("X = zero"), env.count_terms(4)
+    rep = check_equivalence(ctx, f, parse_formula("false"), [("X", "term")], depth=4)
+    assert (rep.total, rep.inside, rep.inside_agree, rep.violations) == (U, U, U - 1, 1)
+    assert rep.first_violation == {"X": zero}
+    rep = check_equivalence(ctx, f, parse_formula("true"), [("X", "term")], depth=4)
+    assert (rep.total, rep.inside, rep.inside_agree, rep.violations) == (U, U, 1, U - 1)
+    assert rep.first_violation == {"X": next(env.iter_terms(4))}
+
+
+def test_quantifiers_memoize_only_where_their_key_recurs(monkeypatch):
+    # a quantifier with a free name outside the scope it reads keeps its
+    # memo, so its block runs once per budget and values of its free names;
+    # one whose free names cover the scope runs its block on each call
+    runs = []
+    block = _Evaluator._block
+
+    def counted(self, kernel, cls, binders, scope):
+        run = block(self, kernel, cls, binders, scope)
+        if binders:  # a split of the quantifier's own block
+            return run
+
+        def count(binding, budget):
+            runs.append((self.side, kernel, budget, tuple(sorted(binding.items()))))
+            return run(binding, budget)
+        return count
+    monkeypatch.setattr(_Evaluator, "_block", counted)
+    ctx = fixture_context(universe_depth=2)
+    closed = parse_formula("(forall Y: nat . q(Y) => Y = Y) /\\ X = zero")
+    covering = parse_formula("exists Y: nat . X = s(Y)")
+    for typed in (closed, covering):
+        runs.clear()
+        untyped = simplify_checks(transform_formula({"X": "nat"}, typed))
+        _check_against_brute_force(ctx, typed, untyped, (("X", "nat"),))
+        assert runs and len(set(runs)) == len(runs)  # never the same key twice
+        blocks = {(side, kernel, budget) for side, kernel, budget, _ in runs}
+        if typed is closed:
+            assert len(runs) == len(blocks)  # once per budget
+        else:
+            assert len(runs) > 2 * len(blocks)  # once per value of X
+    # the same binding twice: the closed block runs once, the other twice
+    for f, times in ((closed, 1), (covering, 2)):
+        runs.clear()
+        run = _Evaluator(ctx).compile(f, frozenset({"X"}))
+        assert run({"X": zero}, 3) is run({"X": zero}, 3)
+        assert len(runs) == times
+
+
 def _random_term(rng, depth, names):
     """A random term of functors of arity 0 to 3 over ``names``; ground
     when ``names`` is empty."""

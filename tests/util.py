@@ -571,9 +571,20 @@ def reference_match(pattern, value, out: dict) -> bool:
         if seen is None:
             out[pattern.name] = value
             return True
-        return seen == value
+        return reference_term_eq(seen, value)
     if not isinstance(value, Struct):
         return False
     if pattern.functor != value.functor or pattern.arity != value.arity:
         return False
     return all(reference_match(p, v, out) for p, v in zip(pattern.args, value.args))
+
+
+# -- the structural equality that hash-consing turned into identity --
+
+def reference_term_eq(a, b) -> bool:
+    """Structural term equality: the same variable, or the same functor
+    over pairwise equal arguments."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        return isinstance(a, Var) and isinstance(b, Var) and a.name == b.name
+    return (a.functor == b.functor and len(a.args) == len(b.args)
+            and all(reference_term_eq(x, y) for x, y in zip(a.args, b.args)))
