@@ -16,29 +16,26 @@ values are equal exactly when they are one object.  A quantifier memoizes
 its verdicts only where its key can recur: not when its free variables
 cover every name the binding may hold (see ``_Evaluator._quantifier``).
 
-The equivalence checker binds the free variables one at a time, in
-universe order, and evaluates the untyped formula on each prefix.  Once
-that verdict is true or false, or the binding is full, one path settles
-the whole block of completions: its outside bindings from the untyped
-verdict, and its inside bindings in bulk from the untyped and the typed
-verdict; while the typed side is unknown, it binds the inside completions
-one more position at a time and evaluates the typed formula on each longer
-prefix.  A verdict on a prefix holds on every completion, so the counts
-are those of enumerating every binding, and the first violation reported
-is the first violating binding in universe order.
+The equivalence checker makes one descent: it binds the free variables one
+at a time, in universe order, and evaluates the untyped formula on each
+prefix, and the typed one once the untyped verdict is decided.  A verdict
+on a prefix holds on every completion, so where the untyped verdict is
+decided the block's outside completions are counted at once, and where the
+typed one is decided too, or the binding is full, its inside ones; the
+counts are those of enumerating every binding, and the first violation
+reported is the first violating binding in universe order.
 
 A type guard -- a mandatory membership conjunct t(X), or one mandatory in
 every disjunct of a mandatory disjunction -- is false on every value of X
 outside t, and a pin -- a mandatory conjunct X = t or t = X with t ground --
-on every value but t.  So the sweep enumerates only the outside values that
-pass the untyped formula's guards and pins and the inside values that pass
-either formula's; it counts the others in bulk, as outside bindings with
-the untyped formula false and inside bindings where both formulas are
-false.  Where the untyped side is already decided, the inside values that
-fail the typed formula's filters are counted in bulk the same way, as
-agreeing or as violations.  An exists block enumerates only its binder's
-guard type, and a forall block ``forall Y . g(Y) => K`` only the values
-in g.
+on every value but t.  So the descent binds only the values that pass the
+filters of a formula whose verdict is open, and counts the others in bulk:
+while the untyped verdict is open, the outside values failing its filters
+(the untyped formula false) and the inside ones failing both formulas'
+(both false); once it is decided, the inside values failing the typed
+formula's filters (agreeing, or violations where the untyped formula is
+true).  An exists block enumerates only its binder's guard type, and a
+forall block ``forall Y . g(Y) => K`` only the values in g.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
 that really ranges over all of it: a swept variable without a filter, or an
@@ -225,35 +222,28 @@ def _mandatory_conjuncts(kernel: Formula, forbidden: frozenset = frozenset()):
             yield (c, forbidden)
 
 
-def _guard_types(mandatory, name: str, types: TypeEnv) -> list:
-    """The types t of the guards t(name) among the mandatory conjuncts, on
-    the outer variable ``name``: a membership atom, or one that guards every
-    disjunct of a disjunction.  Each guard is false on every value of
-    ``name`` outside t, and so is the kernel."""
-    out = []
+def _filters(mandatory, name: str, types: TypeEnv) -> tuple:
+    """(guards, pins) on the outer variable ``name`` among the mandatory
+    conjuncts: the types t of the guards t(name) -- a membership atom, or
+    one that guards every disjunct of a disjunction -- and the ground terms
+    t of the pins ``name = t`` or ``t = name``.  The kernel is false on
+    every value of ``name`` outside a guard's type and on every value but a
+    pin's term."""
+    guards, pins = [], []
     for c, forbidden in mandatory:
         if name in forbidden:
             continue
         if (isinstance(c, Atom) and len(c.args) == 1 and isinstance(c.args[0], Var)
                 and c.args[0].name == name and c.predicate in types):
-            out.append(c.predicate)
+            guards.append(c.predicate)
+        elif isinstance(c, Eq):
+            pins += [t for v, t in ((c.left, c.right), (c.right, c.left))
+                     if isinstance(v, Var) and v.name == name and ast.ground(t)]
         elif isinstance(c, Or):
-            per_disjunct = [_guard_types(_mandatory_conjuncts(d, forbidden), name, types)
+            per_disjunct = [_filters(_mandatory_conjuncts(d, forbidden), name, types)[0]
                             for d in c.items]
-            out += [t for t in per_disjunct[0] if all(t in g for g in per_disjunct[1:])]
-    return out
-
-
-def _pins(mandatory, name: str) -> list:
-    """The ground terms t of the pins ``name = t`` or ``t = name`` among the
-    mandatory conjuncts, on the outer variable ``name``.  Each pin is false
-    on every other value of ``name``, and so is the kernel."""
-    out = []
-    for c, forbidden in mandatory:
-        if isinstance(c, Eq) and name not in forbidden:
-            out += [t for v, t in ((c.left, c.right), (c.right, c.left))
-                    if isinstance(v, Var) and v.name == name and ast.ground(t)]
-    return out
+            guards += [t for t in per_disjunct[0] if all(t in g for g in per_disjunct[1:])]
+    return guards, pins
 
 
 def _term_value(t: Term):
@@ -584,7 +574,7 @@ class _Evaluator:
     def _narrowed_domain(self, name: str, tname: str, mandatory: list) -> tuple:
         """A guard on the variable restricts its enumeration to the guard's
         type; values outside it would falsify the guarding formula anyway."""
-        guards = _guard_types(mandatory, name, self.ctx.types)
+        guards, _ = _filters(mandatory, name, self.ctx.types)
         if not guards:
             return self.universe(tname)
         return tuple(v for v in self.universe(guards[0]) if self.in_universe(tname, v))
@@ -770,6 +760,34 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
+def _checked_freevars(freevars, f: Formula, g: Formula) -> list:
+    """``freevars`` as a list, once it names every free name of f and g
+    (else UnboundVariableError) and no name twice (else ValueError)."""
+    freevars = list(freevars)
+    if len(dict(freevars)) < len(freevars):
+        raise ValueError(f"a free variable is listed twice in {freevars}")
+    ast.free_variables(And((f, g)), dict(freevars))
+    return freevars
+
+
+@dataclass(frozen=True)
+class _Position:
+    """A variable of the equivalence sweep: its in-type values, and what the
+    descent binds there while the untyped verdict is open and once it is
+    decided, each as (values or None for the whole universe, the number of
+    in-type values it counts in bulk instead)."""
+
+    name: str
+    ordered: list | None  # the in-type values in universe order, None for every value
+    members: set | None  # the same as a set
+    count: int  # their number
+    open: tuple
+    decided: tuple
+
+    def inside(self, value) -> bool:
+        return self.members is None or value in self.members
+
+
 def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
                       freevars, depth: int | None = None) -> EquivalenceReport:
     """Check the typed/untyped equivalence contract over the bounded universe.
@@ -777,23 +795,24 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     For every binding of the free variables over the term universe: if some
     variable falls outside its declared type the untyped formula must be
     false; inside the types both formulas must evaluate alike.  ``unknown``
-    outcomes are reported as inconclusive, not as violations.
+    outcomes are reported as inconclusive, not as violations.  ``freevars``
+    lists every free name of either formula once, with its type.
 
     Each formula has filters on a variable: its type guards and its pins
     (mandatory equations binding the variable to a ground term), false on
-    every value they reject.  A variable's values outside its declared type
-    that fail the untyped formula's filters, and those inside it that fail
-    both formulas' filters, are counted in bulk, never evaluated; so are
-    the inside values that fail the typed formula's filters once the
-    untyped formula is decided.  The universe's size and a ``term``
-    parameter's pool are counted; only a variable that no filter narrows
-    enumerates the whole universe.  ``first_violation`` is the first
-    violating binding in universe order: by the first variable's value, then
-    the second's, and so on, each value ordered as ``iter_terms`` yields it.
+    every value they reject.  One descent binds one variable at a time, and
+    counts a block of completions as soon as the verdicts on its prefix
+    decide it; at each position it binds only the values that pass the
+    filters of a formula still open, and counts the others in bulk, never
+    evaluating them.  The universe's size and a ``term`` parameter's pool
+    are counted; only a variable that no filter narrows enumerates the whole
+    universe.  ``first_violation`` is the first violating binding in
+    universe order: by the first variable's value, then the second's, and so
+    on, each value ordered as ``iter_terms`` yields it.
     """
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
-    freevars = list(freevars)
+    freevars = _checked_freevars(freevars, typed_f, untyped_f)
     names = [n for n, _ in freevars]
     n = len(names)
     scope = frozenset(names)
@@ -806,10 +825,6 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     typed_mandatory = list(_mandatory_conjuncts(typed_f))
     untyped_mandatory = list(_mandatory_conjuncts(untyped_f))
 
-    def universe() -> tuple:
-        # built only where a block enumerates it; already in universe order
-        return types.enumerate_type(UNIVERSAL_TYPE, depth)
-
     def in_universe_order(values) -> list:
         return sorted((v for v in values if types.bounded_member(UNIVERSAL_TYPE, v, depth)),
                       key=types.universe_key)
@@ -818,53 +833,41 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         """The values of ``name`` that pass a side's filters -- its guards
         and its pins -- or None when it has none.  On every other value
         that side is false, whatever the other variables are."""
-        guards, pins = _guard_types(mandatory, name, types), _pins(mandatory, name)
+        guards, pins = _filters(mandatory, name, types)
         if not guards and not pins:
             return None
         pool = pins[:1] if pins else types.enumerate_type(guards[0], depth)
         return {v for v in pool if all(v == p for p in pins)
                 and all(types.bounded_member(g, v, depth) for g in guards)}
 
-    in_counts = []  # each variable's number of in-type values
-    in_sets = []  # its in-type values, or None for every value (a term parameter)
-    in_lists = []  # the same in universe order, or None
-    kept_lists = []  # the values the sweep enumerates at its position, or None for all
-    skipped = []  # (inside, outside) numbers of the values it settles in bulk
-    typed_passes = []  # the values passing the typed side's filters, or None
-    typed_kept = []  # the inside ones in universe order, or None for every inside value
+    positions = []
     for name, tname in freevars:
         if tname == UNIVERSAL_TYPE:
-            members = ordered = None
+            ordered = members = None
             count = U
         else:
             ordered = in_universe_order(types.enumerate_type(tname, depth))
             members, count = set(ordered), len(ordered)
         pass_u = passing(untyped_mandatory, name)
         pass_t = passing(typed_mandatory, name)
-        if pass_u is None or (pass_t is None and members is None):
-            kept, skip = None, (0, 0)  # the whole universe
+        # the inside values passing the typed side's filters, None for all
+        inside_t = (members if pass_t is None else pass_t if members is None
+                    else pass_t & members)
+        decided = ordered if pass_t is None else in_universe_order(inside_t)
+        if pass_u is None or inside_t is None:
+            kept, kept_in = None, count  # the whole universe
         else:
             # an outside value must pass the untyped side's filters, an
             # inside one either side's
-            inside_t = (members if pass_t is None else pass_t if members is None
-                        else pass_t & members)
             kept = in_universe_order(pass_u | inside_t)
             kept_in = len(kept) if members is None else sum(v in members for v in kept)
-            skip = (count - kept_in, U - count - (len(kept) - kept_in))
-        in_counts.append(count)
-        in_sets.append(members)
-        in_lists.append(ordered)
-        kept_lists.append(kept)
-        skipped.append(skip)
-        typed_passes.append(pass_t)
-        typed_kept.append(ordered if pass_t is None else
-                          in_universe_order(pass_t if members is None else pass_t & members))
+        positions.append(_Position(name, ordered, members, count, (kept, count - kept_in),
+                                   (decided, 0 if decided is None else count - len(decided))))
+    # the number of completions at positions i and later inside the types
+    inside_from = [math.prod(p.count for p in positions[i:]) for i in range(n + 1)]
     report = EquivalenceReport(depth=ctx.universe_depth)
     counts = vars(report)
     outside_kind = {FALSE: "outside_false", TRUE: "violations", UNKNOWN: "inconclusive"}
-
-    def inside(j: int, value) -> bool:
-        return in_sets[j] is None or value in in_sets[j]
 
     def tally(k: int, region: str, kind: str):
         for count in ("total", region, kind):
@@ -877,91 +880,81 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
         outside value, which takes its first one; the universe is built
         only as far as that value."""
         out = {**binding, **dict.fromkeys(names[i:], first_term)}
-        if all_in and all(inside(j, first_term) for j in range(i, n)):
-            j = max(j for j in range(i, n) if in_counts[j] < U)
-            out[names[j]] = next(v for v in types.iter_terms(depth) if not inside(j, v))
+        if all_in and all(p.inside(first_term) for p in positions[i:]):
+            p = next(p for p in reversed(positions[i:]) if p.count < U)
+            out[p.name] = next(v for v in types.iter_terms(depth) if not p.inside(v))
         return out
 
     def in_completion(i: int, binding: dict) -> dict:
         """The first completion in universe order with every value at
         positions i and later inside its type."""
-        return {**binding, **{m: first_term if s is None else s[0]
-                              for m, s in zip(names[i:], in_lists[i:])}}
+        return {**binding, **{p.name: first_term if p.ordered is None else p.ordered[0]
+                              for p in positions[i:]}}
 
-    def earliest(*violations):
-        """The first in universe order of some violations (binding, kind)
-        of one block, or None."""
-        return min(filter(None, violations), default=None,
-                   key=lambda v: [types.universe_key(v[0][m]) for m in names])
+    def earliest(a, b):
+        """The first in universe order of two violations (binding, kind),
+        either of them None."""
+        if a is None or b is None:
+            return a or b
+        return min(a, b, key=lambda v: [types.universe_key(v[0][m]) for m in names])
 
-    def sweep(i: int, binding: dict, all_in: bool):
-        """Count the block of the U**(n-i) completions of ``binding`` at
-        positions i and later, and return its first violation in universe
-        order as (binding, kind), or None.  ``all_in`` tells whether the
-        bound values lie in their types."""
-        ru = run_u(binding, budget)
-        if ru is UNKNOWN and i < n:
-            # a value failing the untyped side's filters makes it false on
-            # every completion (Kleene absorption), and an inside value
-            # failing both sides' filters makes both false: no violation,
-            # nothing inconclusive
-            skip_in, skip_out = skipped[i]
-            rest = U ** (n - i - 1)
-            rest_in = math.prod(in_counts[i + 1:]) if all_in else 0
-            tally(skip_in * rest_in, "inside", "inside_agree")
-            tally(skip_out * rest + skip_in * (rest - rest_in), "outside", "outside_false")
-            first = None
-            for value in universe() if kept_lists[i] is None else kept_lists[i]:
-                binding[names[i]] = value
-                found = sweep(i + 1, binding, all_in and inside(i, value))
-                first = first or found
-            binding.pop(names[i], None)
+    def descend(i: int, binding: dict, all_in: bool, ru):
+        """Count the completions of ``binding`` at positions i and later,
+        and return their first violation in universe order as (binding,
+        kind), or None.  ``all_in`` tells whether the bound values lie in
+        their types.  ``ru`` is the untyped verdict on ``binding``, or None
+        while it is open; once it is decided, the outside completions are
+        counted and only the inside ones are left."""
+        # a verdict on a prefix holds on every completion
+        first = None
+        if ru is None:
+            ru = run_u(binding, budget)
+            if ru is UNKNOWN and i < n:
+                ru = None
+            else:
+                rem_in = inside_from[i] if all_in else 0
+                tally(U ** (n - i) - rem_in, "outside", outside_kind[ru])
+                if ru is TRUE and U ** (n - i) > rem_in:
+                    first = (out_completion(i, binding, all_in), "outside-true")
+                if not rem_in:
+                    return first
+        rt = UNKNOWN if ru is None else run_t(binding, budget)
+        if rt is not UNKNOWN or i == n:  # the untyped side is decided on a full binding
+            kind = ("inconclusive" if UNKNOWN in (ru, rt)
+                    else "inside_agree" if ru is rt else "violations")
+            tally(inside_from[i], "inside", kind)
+            if kind == "violations":
+                first = earliest(first, (in_completion(i, binding), "inside-disagree"))
             return first
-        # a partial verdict holds on every completion, so the block settles
-        # in bulk; the untyped side is unknown only on a full binding
-        rem_in = math.prod(in_counts[i:]) if all_in else 0
-        rem_out = U ** (n - i) - rem_in
-        tally(rem_out, "outside", outside_kind[ru])
-        outside = (out_completion(i, binding, all_in), "outside-true") \
-            if ru is TRUE and rem_out else None
-        if not rem_in:
-            return outside
-        return earliest(outside, settle_inside(i, binding, ru, run_t(binding, budget)))
+        # a value failing a side's filters makes that side false on every
+        # completion (Kleene absorption): an inside value skipped while the
+        # untyped side is open fails both sides' filters, one skipped once it
+        # is decided fails the typed side's
+        p = positions[i]
+        values, skip_in = p.open if ru is None else p.decided
+        rest_in = inside_from[i + 1] if all_in else 0
+        tally(skip_in * rest_in, "inside", "violations" if ru is TRUE else "inside_agree")
+        if ru is None and values is not None:
+            # every other completion of a skipped value is outside the types
+            tally((U - len(values)) * U ** (n - i - 1) - skip_in * rest_in,
+                  "outside", "outside_false")
+        elif skip_in and ru is TRUE:
+            kept = set(values)
+            pool = types.iter_terms(depth) if p.ordered is None else p.ordered
+            value = next(v for v in pool if v not in kept)
+            first = earliest(first, (in_completion(i + 1, {**binding, p.name: value}),
+                                     "inside-disagree"))
+        found = None
+        # the universe is built only where a block enumerates it; it is
+        # already in universe order
+        for value in types.enumerate_type(UNIVERSAL_TYPE, depth) if values is None else values:
+            binding[p.name] = value
+            below = descend(i + 1, binding, all_in and p.inside(value), ru)
+            found = found or below
+        binding.pop(p.name, None)
+        return earliest(first, found)
 
-    def settle_inside(i: int, binding: dict, ru: Truth, rt: Truth):
-        """Count the inside completions of ``binding`` at positions i and
-        later, where the untyped side is ``ru`` and the typed side ``rt``,
-        and return their first violation in universe order, or None.  While
-        the typed side is unknown, bind one more position: an inside value
-        failing the typed side's filters makes it false on every
-        completion, so those values are counted in bulk."""
-        if rt is UNKNOWN and i < n:
-            name, passed, kept = names[i], typed_passes[i], typed_kept[i]
-            skipped_first = None
-            if passed is not None:
-                skip = in_counts[i] - len(kept)
-                tally(skip * math.prod(in_counts[i + 1:]), "inside",
-                      "violations" if ru is TRUE else "inside_agree")
-                if skip and ru is TRUE:
-                    pool = types.iter_terms(depth) if in_lists[i] is None else in_lists[i]
-                    value = next(v for v in pool if v not in passed)
-                    skipped_first = (in_completion(i + 1, {**binding, name: value}),
-                                     "inside-disagree")
-            first = None
-            for value in universe() if kept is None else kept:
-                binding[name] = value
-                found = settle_inside(i + 1, binding, ru, run_t(binding, budget))
-                first = first or found
-            binding.pop(name, None)
-            return earliest(skipped_first, first)
-        kind = ("inconclusive" if UNKNOWN in (ru, rt)
-                else "inside_agree" if ru is rt else "violations")
-        tally(math.prod(in_counts[i:]), "inside", kind)
-        if kind != "violations":
-            return None
-        return in_completion(i, binding), "inside-disagree"
-
-    found = sweep(0, {}, True)
+    found = descend(0, {}, True, None)
     if found is not None:
         report.first_violation, report.first_violation_kind = found
     return report
@@ -983,10 +976,11 @@ class AgreementReport:
 
 def check_agreement(ctx: EvalContext, f: Formula, g: Formula, freevars,
                     depth: int | None = None, side: str = TYPED) -> AgreementReport:
-    """Compare two formulas on all bindings drawn from the declared types."""
+    """Compare two formulas on all bindings drawn from the declared types.
+    ``freevars`` lists each free name of either formula once, with its type."""
     if depth is not None:
         ctx = replace(ctx, universe_depth=depth)
-    freevars = list(freevars)
+    freevars = _checked_freevars(freevars, f, g)
     names = [n for n, _ in freevars]
     ev = _Evaluator(ctx, side=side)
     run_f, run_g = ev.compile(f, frozenset(names)), ev.compile(g, frozenset(names))

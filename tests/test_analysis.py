@@ -24,7 +24,7 @@ from tldforge.semantics import check_agreement
 from tldforge.transform import simplify_description, transform_tld
 from tldforge.workspace import load_workspace
 from util import (instantiation_class, reference_determinism, reference_literal_mults,
-                  reference_step, resolve, unify)
+                  reference_step, reinstated_clause, resolve, unify)
 
 D11 = Multiplicity(1, 1)
 D01 = Multiplicity(0, 1)
@@ -243,12 +243,13 @@ def test_elimination_safety_on_the_fixtures(maxprefix_ws, registry):
                                       depth=2, side="untyped")
                 assert rep.ok, (name, ci, rep.first_disagreement)
             for removed in res.removed:
+                # the check back at its body position, inside the clause's
+                # existential over its locals
                 clause = res.eliminated.clauses[removed.clause_index]
-                reinstated = ast.conj([literal_formula(removed.literal),
-                                       body_formula(clause)])
-                rep = check_agreement(ctx, reinstated, body_formula(clause),
+                rep = check_agreement(ctx, body_formula(reinstated_clause(res, removed)),
+                                      body_formula(clause),
                                       freevars, depth=2, side="untyped")
-                assert rep.ok, (name, removed, rep.first_disagreement)
+                assert rep.ok and rep.inconclusive == 0, (name, removed, rep)
 
 
 # -- determinism --------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from fixture_formulas import fixture_cases, fixture_context
 from tldforge import ast
 from tldforge.ast import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Struct, Var
-from tldforge.errors import MissingBindingError, UnknownPredicateError
+from tldforge.errors import MissingBindingError, UnboundVariableError, UnknownPredicateError
 from tldforge.parser import parse_formula, parse_tlds, parse_types
 from tldforge.semantics import (EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
                                 _Evaluator, _term_matcher, _term_value, check_agreement,
@@ -259,6 +259,45 @@ def test_sweep_reports_match_brute_force_on_random_pairs():
                                          rnd_formula(2, ["X", "Y"]), freevars)
         violating += rep.violations > 0
     assert violating >= 100
+
+
+def test_sweep_reports_match_brute_force_on_random_triples():
+    # three variables, so a block's count below a position multiplies the
+    # numbers of values at two later positions; an atom conjoined to the
+    # typed formula may filter a variable, and the untyped formula is a
+    # random one or a transformed one, with type guards on the variables
+    ctx = fixture_context(universe_depth=1)
+    rng = random.Random(15)
+    rnd_formula = _formula_generator(rng, ["nat", "fruit", "term"], ["nat", "fruit"])
+    types = ["nat", "fruit", "term", "list"]
+    names = ["X", "Y", "Z"]
+    violating = 0
+    for k in range(60):
+        freevars = tuple((name, rng.choice(types)) for name in names)
+        typed = And((rnd_formula(0, names), rnd_formula(2, names)))
+        untyped = rnd_formula(2, names)
+        if k % 3:
+            untyped = transform_formula(dict(freevars), typed if k % 3 == 1 else untyped)
+        rep = _check_against_brute_force(ctx, typed, untyped, freevars)
+        violating += rep.violations > 0
+    assert violating >= 20
+
+
+def test_every_free_name_is_listed_once():
+    # an unlisted free name left every binding inconclusive, and a name
+    # listed twice counted every binding once per listing
+    ctx = fixture_context(universe_depth=1)
+    both, one = parse_formula("X = Y"), parse_formula("X = zero")
+    for check in (check_equivalence, check_agreement):
+        for f, g in ((both, both), (one, both), (both, one)):
+            with pytest.raises(UnboundVariableError, match="variable Y"):
+                check(ctx, f, g, [("X", "nat")])
+        with pytest.raises(ValueError, match="listed twice"):
+            check(ctx, one, one, [("X", "nat"), ("X", "nat")])
+        # a listed name that neither formula reads is a dimension of the sweep
+        assert check(ctx, one, one, [("X", "nat"), ("Y", "fruit")]).total > 0
+    rep = check_equivalence(ctx, one, one, [("X", "nat"), ("Y", "fruit")])
+    assert rep.total == 10 * 10 and rep.inside == 1 * 3 and rep.inconclusive == 0
 
 
 def test_sweep_prunes_only_through_guards():

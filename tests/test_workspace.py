@@ -600,6 +600,7 @@ def test_cli_closed_pipe_exits_one_quietly(maxprefix_dir):
          "--manifest", str(maxprefix_dir / "manifest.txt")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # before the interpreter has started, let alone written
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""

@@ -4,6 +4,7 @@ and the slow references that faster code is compared with."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from tldforge import ast
 from tldforge.analysis import (AbstractState, _equal_to_trusted, detect_switch,
@@ -375,6 +376,16 @@ def reference_determinism(prog, d, registry) -> Multiplicity:
     for m in clause_mults[1:]:
         total = total.plus(m)
     return total
+
+
+def reinstated_clause(result, removed):
+    """The ordered clause a removed type check came from, with that check
+    at its body position and the others removed from the clause gone."""
+    ordered = result.ordered.clauses[removed.clause_index]
+    others = {rc.position for rc in result.removed
+              if rc.clause_index == removed.clause_index and rc != removed}
+    return replace(ordered, body=tuple(lit for pos, lit in enumerate(ordered.body)
+                                       if pos not in others))
 
 
 # -- the three-pass normalizer that derive's single walk replaced --
