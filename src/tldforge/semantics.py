@@ -9,8 +9,9 @@ bound, so a true/false verdict is a fact about the bounded universe.
 
 The evaluator compiles each formula once into closures, and each term into
 a closure giving its value under a binding, so no evaluation substitutes
-into a term; it solves determining equations inside exists blocks by
-matching the equation as written against the value of its other side.
+into a term.  Inside exists blocks it solves determining equations, matching
+the equation as written against the value of its other side, and builtin
+calls with one open argument, reading the value there from ``BUILTINS``.
 Every value in a binding is ground, and terms are hash-consed, so two
 values are equal exactly when they are one object.  A quantifier memoizes
 its verdicts only where its key can recur: not when its free variables
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping
@@ -88,88 +90,63 @@ def truth_not(v: Truth) -> Truth:
     return UNKNOWN
 
 
-def _ints(args):
-    vals = [ast.int_value(a) for a in args]
-    return None if any(v is None for v in vals) else vals
-
-
-def _arith3(op):
-    def run(args):
-        vals = _ints(args)
-        if vals is None:
-            return FALSE
-        return TRUE if op(vals[0], vals[1]) == vals[2] else FALSE
-    return run
-
-
-def _cmp2(op):
-    def run(args):
-        vals = _ints(args)
-        if vals is None:
-            return FALSE
-        return TRUE if op(vals[0], vals[1]) else FALSE
-    return run
-
-
-BUILTIN_PREDICATES = {
-    "plus": _arith3(lambda a, b: a + b),
-    "minus": _arith3(lambda a, b: a - b),
-    "times": _arith3(lambda a, b: a * b),
-    "max": _arith3(max),
-    "min": _arith3(min),
-    "lt": _cmp2(lambda a, b: a < b),
-    "le": _cmp2(lambda a, b: a <= b),
-    "gt": _cmp2(lambda a, b: a > b),
-    "ge": _cmp2(lambda a, b: a >= b),
-}
-
 _NO_SOLUTION = object()
 _NOT_DETERMINED = object()
-_INVERTIBLE = ("plus", "minus", "times", "max", "min")
 
 
-def _invert_builtin(name: str, known: list, hole: int):
-    """The unique integer making the builtin true, if exactly one exists.
+def _quotient(factor: int, product: int):
+    """The x with factor * x = product."""
+    if factor == 0:
+        return _NOT_DETERMINED if product == 0 else _NO_SOLUTION
+    return product // factor if product % factor == 0 else _NO_SOLUTION
 
-    ``known`` lists the two ground argument values (ints or None when not an
-    integer literal); ``hole`` is the open position 0..2.  Returns
-    _NO_SOLUTION when nothing can satisfy the call, _NOT_DETERMINED when the
-    solution is not unique or unknown.
-    """
-    if any(v is None for v in known):
-        return _NO_SOLUTION  # ground non-integer arguments never satisfy
-    a, b = known
-    if name == "plus":
-        return (b - a) if hole == 0 else (b - a) if hole == 1 else a + b
-    if name == "minus":
-        # a - b = c, known values in argument order around the hole
-        if hole == 0:
-            return b + a  # X - a = b
-        if hole == 1:
-            return a - b  # a - X = b
-        return a - b
-    if name == "times":
-        if hole == 2:
-            return a * b
-        if a == 0:
-            return _NOT_DETERMINED if b == 0 else _NO_SOLUTION
-        return b // a if b % a == 0 else _NO_SOLUTION
-    if name in ("max", "min"):
-        if hole == 2:
-            return max(a, b) if name == "max" else min(a, b)
-        other, result = a, b
-        if name == "max":
-            if other > result:
-                return _NO_SOLUTION
-            if other == result:
-                return _NOT_DETERMINED  # any value up to the result works
-            return result
-        if other < result:
+
+def _bound(pick):
+    """The x with pick(other, x) = result, for ``pick`` max or min."""
+    def solve(other: int, result: int):
+        if pick(other, result) != result:
             return _NO_SOLUTION
-        if other == result:
-            return _NOT_DETERMINED
-        return result
-    return _NOT_DETERMINED
+        # with the other argument at the result, every x up to it (max) or from it (min)
+        return _NOT_DETERMINED if other == result else result
+    return solve
+
+
+# Each builtin's relation on integer arguments, and per argument the value
+# there given the others in argument order: an int, _NO_SOLUTION or
+# _NOT_DETERMINED, or None where it is never solved.
+BUILTINS = {
+    "plus": (lambda a, b, c: a + b == c,
+             (lambda b, c: c - b, lambda a, c: c - a, operator.add)),
+    "minus": (lambda a, b, c: a - b == c, (operator.add, operator.sub, operator.sub)),
+    "times": (lambda a, b, c: a * b == c, (_quotient, _quotient, operator.mul)),
+    "max": (lambda a, b, c: max(a, b) == c, (_bound(max), _bound(max), max)),
+    "min": (lambda a, b, c: min(a, b) == c, (_bound(min), _bound(min), min)),
+    "lt": (operator.lt, (None, None)),
+    "le": (operator.le, (None, None)),
+    "gt": (operator.gt, (None, None)),
+    "ge": (operator.ge, (None, None)),
+}
+
+
+def _builtin_call(name: str, args) -> Truth:
+    """A call to a predicate without a description, on ground arguments: true
+    exactly when they are integer literals in the builtin's relation."""
+    entry = BUILTINS.get(name)
+    if entry is None:
+        raise UnknownPredicateError(f"no description for predicate {name}/{len(args)}")
+    relation, solve = entry
+    if len(args) != len(solve):
+        raise UnknownPredicateError(
+            f"{name} called with {len(args)} args, defined with {len(solve)}")
+    values = [ast.int_value(a) for a in args]
+    return FALSE if None in values or not relation(*values) else TRUE
+
+
+def _builtin_solution(name: str, hole: int, known):
+    """The value at the open position ``hole`` of a builtin call whose other
+    arguments are the ground terms ``known``."""
+    values = [ast.int_value(v) for v in known]
+    return _NO_SOLUTION if None in values else BUILTINS[name][1][hole](*values)
 
 
 @dataclass(frozen=True)
@@ -412,7 +389,6 @@ class _Evaluator:
                 return TRUE if types.ground_member(name, v) else FALSE
             return member
         defined = self.ctx.predicates.get(name) is not None
-        builtin = BUILTIN_PREDICATES.get(name)
 
         def atom(binding, budget):
             values = []
@@ -424,9 +400,7 @@ class _Evaluator:
             values = tuple(values)
             if defined:
                 return UNKNOWN if budget <= 0 else self._unfold(name, values, budget)
-            if builtin is not None:
-                return builtin(values)
-            raise UnknownPredicateError(f"no description for predicate {name}/{len(values)}")
+            return _builtin_call(name, values)
         return atom
 
     def _unfold(self, name: str, args: tuple, budget: int) -> Truth:
@@ -588,8 +562,8 @@ class _Evaluator:
         the conjunct cannot hold inside the bounded universe, the forced
         values when it determines some, or None.
         """
-        if (isinstance(c, Atom) and c.predicate in _INVERTIBLE and len(c.args) == 3
-                and c.predicate not in self.ctx.predicates):
+        solve = BUILTINS.get(c.predicate, (None, ()))[1] if isinstance(c, Atom) else ()
+        if any(solve) and len(c.args) == len(solve) and c.predicate not in self.ctx.predicates:
             if any(set(ast.term_vars(a)) & forbidden for a in c.args):
                 return None
             args = [_term_value(a) for a in c.args]
@@ -603,10 +577,9 @@ class _Evaluator:
                     return None
                 hole = holes[0]
                 target = targets[hole]
-                if target not in live:
+                if target not in live or solve[hole] is None:
                     return None
-                known = [ast.int_value(v) for i, v in enumerate(values) if i != hole]
-                solved = _invert_builtin(c.predicate, known, hole)
+                solved = _builtin_solution(c.predicate, hole, values[:hole] + values[hole + 1:])
                 if solved is _NOT_DETERMINED:
                     return None
                 if solved is _NO_SOLUTION:
@@ -685,10 +658,7 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
                         f"{g.predicate} called with {len(args)} args, "
                         f"defined with {len(params)}")
                 return run(definition, dict(zip(params, args)), k - 1)
-            builtin = BUILTIN_PREDICATES.get(g.predicate)
-            if builtin is None:
-                raise UnknownPredicateError(g.predicate)
-            return builtin(args)
+            return _builtin_call(g.predicate, args)
         if isinstance(g, And):
             vs = [run(x, b, k) for x in g.items]
             if FALSE in vs:

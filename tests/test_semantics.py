@@ -1,17 +1,19 @@
 import itertools
 import operator
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from fixture_formulas import fixture_cases, fixture_context
-from tldforge import ast
+from tldforge import ast, workspace
 from tldforge.ast import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Struct, Var
 from tldforge.errors import MissingBindingError, UnboundVariableError, UnknownPredicateError
 from tldforge.parser import parse_formula, parse_tlds, parse_types
-from tldforge.semantics import (EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
-                                _Evaluator, _term_matcher, _term_value, check_agreement,
+from tldforge.modes import Mode
+from tldforge.semantics import (BUILTINS, EvalContext, FALSE, TRUE, TYPED, UNKNOWN, UNTYPED,
+                                _builtin_solution, _Evaluator, _NO_SOLUTION,
+                                _NOT_DETERMINED, _term_matcher, _term_value, check_agreement,
                                 check_equivalence, evaluate, evaluate_reference)
 from tldforge.transform import simplify_checks, transform_formula, transform_tld
 from util import reference_match
@@ -79,31 +81,102 @@ def test_missing_binding_raises(ctx):
 
 
 def test_unknown_predicate_raises(ctx):
-    with pytest.raises(UnknownPredicateError):
-        evaluate(ctx, Atom("mystery", (zero, zero)), {})
+    for run in (evaluate, evaluate_reference):
+        with pytest.raises(UnknownPredicateError, match="no description for predicate mystery/2"):
+            run(ctx, Atom("mystery", (zero, zero)), {})
 
 
 def test_wrong_arity_call_raises_in_both_evaluators(ctx):
-    call = Atom("q", (zero, zero))
-    for run in (evaluate, evaluate_reference):
-        with pytest.raises(UnknownPredicateError,
-                           match="q called with 2 args, defined with 1"):
-            run(ctx, call, {})
+    one = Struct("1")
+    for call, message in ((Atom("q", (zero, zero)), "q called with 2 args, defined with 1"),
+                          (Atom("plus", (one, one)), "plus called with 2 args, defined with 3"),
+                          (Atom("lt", (one, one, one)), "lt called with 3 args, defined with 2")):
+        for run in (evaluate, evaluate_reference):
+            with pytest.raises(UnknownPredicateError, match=message):
+                run(ctx, call, {})
+
+
+# each builtin's relation, as Python's operators state it
+RELATIONS = {
+    "plus": lambda a, b, c: a + b == c,
+    "minus": lambda a, b, c: a - b == c,
+    "times": lambda a, b, c: a * b == c,
+    "max": lambda a, b, c: max(a, b) == c,
+    "min": lambda a, b, c: min(a, b) == c,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+SOLVED = [(name, hole) for name, (_, solve) in BUILTINS.items()
+          for hole, entry in enumerate(solve) if entry is not None]
+
+
+def _relation_holds(name, args) -> bool:
+    values = [ast.int_value(a) for a in args]
+    return None not in values and RELATIONS[name](*values)
 
 
 def test_builtin_arithmetic_meanings(ctx):
-    assert evaluate(ctx, Atom("plus", (Struct("1"), Struct("1"), Struct("2"))), {}) is TRUE
-    assert evaluate(ctx, Atom("plus", (Struct("1"), Struct("1"), Struct("1"))), {}) is FALSE
-    assert evaluate(ctx, Atom("max", (Struct("2"), Struct("-1"), Struct("2"))), {}) is TRUE
+    assert set(BUILTINS) == set(RELATIONS)
     nonint = Struct("+", (Struct("1"), Struct("1")))
-    assert evaluate(ctx, Atom("max", (nonint, Struct("1"), Struct("1"))), {}) is FALSE
-    sample = ctx.types.enumerate_type("integer", ctx.universe_depth)
-    comparisons = {"lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
-    for (name, op), a, b in itertools.product(comparisons.items(), sample, sample):
-        expected = TRUE if op(int(a.functor), int(b.functor)) else FALSE
-        for run in (evaluate, evaluate_reference):
-            assert run(ctx, Atom(name, (a, b)), {}) is expected, (name, a, b)
-            assert run(ctx, Atom(name, (a, nonint)), {}) is FALSE
+    sample = [Struct(str(i)) for i in range(-7, 8)]
+    for name, (_, solve) in BUILTINS.items():
+        for args in itertools.product(sample, repeat=len(solve)):
+            expected = TRUE if _relation_holds(name, args) else FALSE
+            assert evaluate(ctx, Atom(name, args), {}) is expected, (name, args)
+            assert evaluate_reference(ctx, Atom(name, args), {}) is expected, (name, args)
+        for i in range(len(solve)):
+            args = tuple(nonint if j == i else Struct("1") for j in range(len(solve)))
+            for run in (evaluate, evaluate_reference):
+                assert run(ctx, Atom(name, args), {}) is FALSE, (name, args)
+
+
+def test_builtin_solutions_match_enumeration():
+    """Each solved position's answer is what enumerating the relation finds:
+    the one value, _NO_SOLUTION for none, _NOT_DETERMINED for two or more."""
+    known = [Struct(str(i)) for i in range(-7, 8)] + [zero]
+    candidates = [Struct(str(x)) for x in range(-60, 61)]
+    for name, hole in SOLVED:
+        for pair in itertools.product(known, repeat=2):
+            found = [int(x.functor) for x in candidates
+                     if _relation_holds(name, pair[:hole] + (x,) + pair[hole:])]
+            expected = (found[0] if len(found) == 1 else
+                        _NO_SOLUTION if not found else _NOT_DETERMINED)
+            assert _builtin_solution(name, hole, pair) == expected, (name, hole, pair)
+
+
+def test_builtin_solver_agrees_with_reference(ctx):
+    """``exists Y: integer`` over a builtin call with Y at a solved position,
+    alone and with ``Y = v`` after or before the call."""
+    shallow = replace(ctx, universe_depth=1)
+    sample = shallow.types.enumerate_type("integer", 1)
+    known = list(sample) + [Struct("3"), Struct("7"), zero]
+    y = Var("Y")
+    checked = 0
+    for name, hole in SOLVED:
+        for pair in itertools.product(known, repeat=2):
+            call = Atom(name, pair[:hole] + (y,) + pair[hole:])
+            kernels = [call] + [And((call, Eq(y, v))) for v in sample] \
+                + [And((Eq(y, v), call)) for v in sample]
+            for kernel in kernels:
+                f = Exists("Y", "integer", kernel)
+                assert evaluate(shallow, f, {}) is evaluate_reference(shallow, f, {}), f
+                checked += 1
+    assert checked == 10_560
+
+
+def test_builtin_spec_matches_the_table():
+    """The .spec preamble declares the table's builtins with their arities, and
+    every position a directionality solves (var -> ground) the table solves."""
+    specs = workspace.builtin_specs()
+    assert {s.name: len(s.params) for s in specs} == \
+        {name: len(solve) for name, (_, solve) in BUILTINS.items()}
+    for spec in specs:
+        for d in spec.directionalities:
+            for i, pair in enumerate(d.modes):
+                if pair == (Mode.var, Mode.ground):
+                    assert (spec.name, i) in SOLVED, (spec.name, i)
 
 
 # -- equivalence checking -------------------------------------------------------
