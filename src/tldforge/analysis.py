@@ -13,8 +13,8 @@ multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import replace
+from typing import Mapping, NamedTuple
 
 from . import ast
 from .ast import Call, Clause, NafNot, Program, Struct, Term, TypeCheck, Unify, Var
@@ -28,8 +28,7 @@ SPLIT_SUGGESTION = "generate separate versions of the procedure for each directi
 RESPEC_SUGGESTION = "change the specification adapting the directionalities"
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(NamedTuple):
     """Everything a body analysis needs to know about the outside world."""
 
     env: TypeEnv
@@ -42,8 +41,9 @@ class Registry:
         return s
 
 
-@dataclass(frozen=True)
-class AbstractState:
+class AbstractState(NamedTuple):
+    """The mode of each clause variable at one point of a literal order."""
+
     # (name, Mode) pairs sorted by name in initial_state, an order abstract_step
     # keeps, so two states of one clause, whatever its body order, compare
     # equal exactly when their modes do
@@ -215,8 +215,9 @@ def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractStat
 # Reordering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReorderFailure:
+class ReorderFailure(NamedTuple):
+    """Why a clause has no executable literal order for a directionality."""
+
     predicate: str
     directionality: Directionality
     reason: str
@@ -364,15 +365,17 @@ def _blocked(clause: Clause, dir: Directionality, registry: Registry,
 # Check elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemovedCheck:
+class RemovedCheck(NamedTuple):
+    """A type check that check elimination took out of a clause body."""
+
     clause_index: int
     position: int  # index in the clause body before removal
     literal: TypeCheck
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(NamedTuple):
+    """A program with its redundant checks removed, and what was removed."""
+
     program: Program
     removed: tuple  # of RemovedCheck
 
@@ -461,8 +464,9 @@ def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
 # Determinism
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchInfo:
+class SwitchInfo(NamedTuple):
+    """A ground-In parameter on whose constructor cases the clauses switch."""
+
     param_index: int
     param_name: str
     positions: tuple  # discriminating literal index per clause
@@ -511,8 +515,9 @@ def detect_switch(prog: Program, dir: Directionality, spec: Spec,
     return None
 
 
-@dataclass(frozen=True)
-class DeterminismResult:
+class DeterminismResult(NamedTuple):
+    """A directionality's computed multiplicity against its declared one."""
+
     computed: Multiplicity
     declared: Multiplicity
     clause_mults: tuple
@@ -581,8 +586,9 @@ def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
 # Whole-procedure orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectionResult:
+class DirectionResult(NamedTuple):
+    """What reorder, check elimination and determinism gave for one directionality."""
+
     directionality: Directionality
     ordered: Program | None
     eliminated: Program | None

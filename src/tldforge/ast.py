@@ -219,16 +219,22 @@ def subst_term(t: Term, binding: Mapping[str, Term]) -> Term:
 
 @dataclass(frozen=True)
 class TrueF:
+    """The formula true."""
+
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class FalseF:
+    """The formula false."""
+
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Eq:
+    """The equation left = right between two terms."""
+
     left: Term
     right: Term
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -236,6 +242,8 @@ class Eq:
 
 @dataclass(frozen=True)
 class Atom:
+    """A predicate applied to terms; with one argument naming a type, a membership check."""
+
     predicate: str
     args: tuple = ()
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -247,6 +255,8 @@ class Atom:
 
 @dataclass(frozen=True)
 class And:
+    """A conjunction of two or more formulas."""
+
     items: tuple
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
@@ -259,6 +269,8 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
+    """A disjunction of two or more formulas."""
+
     items: tuple
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
@@ -271,12 +283,16 @@ class Or:
 
 @dataclass(frozen=True)
 class Not:
+    """The negation of a formula."""
+
     body: "Formula"
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Implies:
+    """The implication left => right."""
+
     left: "Formula"
     right: "Formula"
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -284,6 +300,8 @@ class Implies:
 
 @dataclass(frozen=True)
 class Iff:
+    """The equivalence left <=> right."""
+
     left: "Formula"
     right: "Formula"
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -291,6 +309,8 @@ class Iff:
 
 @dataclass(frozen=True)
 class Exists:
+    """exists var: type_name . body"""
+
     var: str
     type_name: str
     body: "Formula"
@@ -299,6 +319,8 @@ class Exists:
 
 @dataclass(frozen=True)
 class Forall:
+    """forall var: type_name . body"""
+
     var: str
     type_name: str
     body: "Formula"
@@ -525,6 +547,8 @@ class LogicDescription:
 
 @dataclass(frozen=True)
 class Unify:
+    """The clause literal left = right."""
+
     left: Term
     right: Term
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -532,6 +556,8 @@ class Unify:
 
 @dataclass(frozen=True)
 class Call:
+    """A clause literal calling a predicate."""
+
     predicate: str
     args: tuple
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -543,6 +569,8 @@ class Call:
 
 @dataclass(frozen=True)
 class TypeCheck:
+    """A clause literal testing that a term belongs to a type."""
+
     type_name: str
     arg: Term
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
@@ -550,6 +578,8 @@ class TypeCheck:
 
 @dataclass(frozen=True)
 class NafNot:
+    """A clause literal negated as failure."""
+
     literal: "Literal"
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
@@ -593,6 +623,8 @@ def map_literal_terms(lit: Literal, fn) -> Literal:
 
 @dataclass(frozen=True)
 class Clause:
+    """A clause head and its body literals, with where it was derived from."""
+
     predicate: str
     head_args: tuple  # of Term, distinct variables after derivation
     body: tuple  # of Literal, order significant
@@ -611,6 +643,8 @@ class Clause:
 
 @dataclass(frozen=True)
 class Program:
+    """A predicate's clauses, in order."""
+
     predicate: str
     arity: int
     clauses: tuple  # of Clause

@@ -10,7 +10,8 @@ inline, and no type-check literals appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
@@ -107,8 +108,9 @@ _EXACT = {pair: name for name, pairs in _DET_ROWS for pair in pairs}
 _CANONICAL = {name: pairs[0] for name, pairs in _DET_ROWS}
 
 
-@dataclass(frozen=True)
-class DeterminismMapping:
+class DeterminismMapping(NamedTuple):
+    """A multiplicity's Mercury determinism name, and the interval it was widened to."""
+
     name: str
     widened: Multiplicity | None = None  # set when the input had no exact row
 

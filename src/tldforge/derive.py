@@ -12,7 +12,7 @@ derivable fragment and is rejected loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, FalseF, Forall, Formula,
@@ -25,14 +25,16 @@ from .errors import NotDerivableError
 MAX_CLAUSES = 4096
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(NamedTuple):
+    """One clause body of the normal form: its local variables and literals."""
+
     exvars: tuple  # of (name, type_name), clause-local after hoisting
     literals: tuple  # of Literal, order significant
 
 
-@dataclass(frozen=True)
-class NormalizedBody:
+class NormalizedBody(NamedTuple):
+    """A description's body as a disjunction of clause bodies."""
+
     disjuncts: tuple  # of Disjunct
 
 

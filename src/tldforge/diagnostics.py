@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
+    """A 1-based line and column in a named file."""
+
     file: str
     line: int
     col: int
@@ -15,8 +16,9 @@ class SourcePos:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class SourceDiagnostic:
+class SourceDiagnostic(NamedTuple):
+    """One error or warning, printed as ``file:line:col: severity[code]: message``."""
+
     severity: str  # "error" or "warning"
     code: str
     message: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagnostics import SourceDiagnostic, SourcePos, error
 
@@ -104,8 +104,7 @@ def bound_add(a, b):
     return a + b
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(NamedTuple):
     """Declared or computed bounds <Min-Max> on answer substitutions."""
 
     min: object  # each bound is an int, STAR or INF
@@ -138,6 +137,8 @@ class Multiplicity:
 
 @dataclass(frozen=True)
 class Directionality:
+    """One declared mode per parameter, an answer multiplicity and no-share pairs."""
+
     modes: tuple  # of (Mode, Mode) pairs, one per parameter
     mult: Multiplicity
     nosh: frozenset = frozenset()  # of (i, j) 1-based index pairs, i < j

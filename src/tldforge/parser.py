@@ -30,6 +30,8 @@ MAX_NESTING = 100
 
 
 class Token(NamedTuple):
+    """One lexical token and the 1-based line and column where it starts."""
+
     kind: str  # ident, var, int, float, string, op, eof
     text: str
     line: int

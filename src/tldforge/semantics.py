@@ -55,7 +55,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import ast
 from .ast import (And, Atom, Eq, Exists, FalseF, Forall, Formula, Iff, Implies,
@@ -701,6 +701,8 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
 
 @dataclass
 class EquivalenceReport:
+    """The counts of one equivalence check, filled in as the sweep runs."""
+
     depth: int
     total: int = 0
     outside: int = 0
@@ -740,8 +742,7 @@ def _checked_freevars(freevars, f: Formula, g: Formula) -> list:
     return freevars
 
 
-@dataclass(frozen=True)
-class _Position:
+class _Position(NamedTuple):
     """A variable of the equivalence sweep: its in-type values, and what the
     descent binds there while the untyped verdict is open and once it is
     decided, each as (values or None for the whole universe, the number of
@@ -932,6 +933,8 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
 
 @dataclass
 class AgreementReport:
+    """The counts of one agreement check, filled in as the sweep runs."""
+
     depth: int
     total: int = 0
     agree: int = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import ast
 from .ast import Struct, Term, Var
@@ -33,41 +33,41 @@ FLOAT_SAMPLE = (Struct("-1.0"), Struct("0.0"), Struct("1.0"))
 BUILTIN_KINDS = ("integer", "float", "atom", "term")
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
+    """One constructor of a type: a functor over component type names."""
+
     functor: str
     components: tuple = ()  # of type names
-
-    def __post_init__(self):
-        if not isinstance(self.components, tuple):
-            object.__setattr__(self, "components", tuple(self.components))
 
     @property
     def arity(self) -> int:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class Cases:
-    cases: tuple
+class Cases(NamedTuple):
+    """The body of a type defined by its constructors."""
 
-    def __post_init__(self):
-        if not isinstance(self.cases, tuple):
-            object.__setattr__(self, "cases", tuple(self.cases))
+    cases: tuple  # of Case
 
 
 @dataclass(frozen=True)
 class Alias:
+    """The body of a type that names another type."""
+
     target: str
 
 
 @dataclass(frozen=True)
 class Builtin:
+    """The body of a built-in type."""
+
     kind: str  # integer | float | atom | term
 
 
 @dataclass(frozen=True)
 class TypeDef:
+    """A named type, as one definition in a ``.types`` file."""
+
     name: str
     body: Cases | Alias | Builtin
     pos: SourcePos | None = field(default=None, compare=False, repr=False)

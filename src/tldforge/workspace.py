@@ -13,6 +13,7 @@ import importlib.resources
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import typesys
 from .analysis import Registry, analyze_procedure
@@ -42,8 +43,8 @@ def builtin_specs() -> tuple[Spec, ...]:
     """The built-in callee preamble, parsed once per process."""
     global _builtin_specs
     if _builtin_specs is None:
-        text = (importlib.resources.files("tldforge") / "data" / "builtins.spec").read_text()
-        specs, diags = parse_specs(text, "<builtins>")
+        path = importlib.resources.files("tldforge") / "data" / "builtins.spec"
+        specs, diags = parse_specs(path.read_text(encoding="utf-8"), "<builtins>")
         if has_errors(diags):
             raise WorkspaceError("builtin callee registry failed to parse")
         _builtin_specs = tuple(specs)
@@ -52,6 +53,8 @@ def builtin_specs() -> tuple[Spec, ...]:
 
 @dataclass(frozen=True)
 class Workspace:
+    """A loaded and validated workspace: types, specifications and descriptions."""
+
     manifest: Path
     env: TypeEnv
     specs: dict  # name -> Spec, builtins included
@@ -93,8 +96,9 @@ class _DescriptionPairs(Mapping):
         return len(self._tlds)
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
+    """A loaded workspace, or None when an error was reported, with every diagnostic."""
+
     workspace: Workspace | None
     diagnostics: list
 
@@ -103,17 +107,33 @@ class LoadResult:
         return self.workspace is not None
 
 
+def _read_text(path: Path, diags: list) -> str | None:
+    """The file's text, decoded as UTF-8 with universal newlines, or None
+    with an ``encoding`` error at the first byte that does not decode."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        pos = SourcePos(str(path), head.count("\n") + 1, len(head) - head.rfind("\n"))
+        diags.append(error("encoding", f"byte 0x{data[e.start]:02x} is not UTF-8", pos))
+        return None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_workspace(manifest: str | Path) -> LoadResult:
     manifest = Path(manifest)
     diags: list[SourceDiagnostic] = []
     if not manifest.is_file():
         return LoadResult(None, [error("missing-file", f"manifest not found: {manifest}")])
+    manifest_text = _read_text(manifest, diags)
+    if manifest_text is None:
+        return LoadResult(None, diags)
     root = manifest.parent
-    type_files: list[Path] = []
-    spec_files: list[Path] = []
-    tld_files: list[Path] = []
+    # kind -> (path, position of the manifest line naming it) per listed file
+    files: dict = {"types": [], "spec": [], "tld": []}
     out_dir: Path | None = None
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(manifest_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -124,26 +144,25 @@ def load_workspace(manifest: str | Path) -> LoadResult:
             continue
         kind, arg = parts
         path = root / arg.strip()
-        if kind == "types":
-            type_files.append(path)
-        elif kind == "spec":
-            spec_files.append(path)
-        elif kind == "tld":
-            tld_files.append(path)
+        if kind in files:
+            files[kind].append((path, pos))
         elif kind == "out":
             out_dir = path
         else:
             diags.append(error("manifest", f"unknown declaration {kind!r}", pos))
-    missing = [p for p in type_files + spec_files + tld_files if not p.is_file()]
-    for p in missing:
-        diags.append(error("missing-file", f"file not found: {p}"))
+    texts = {}
+    for p, pos in files["types"] + files["spec"] + files["tld"]:
+        if p.is_file():
+            texts[p] = _read_text(p, diags)
+        else:
+            diags.append(error("missing-file", f"file not found: {p}", pos))
     if has_errors(diags):
         return LoadResult(None, diags)
 
     defs = []
     seen_types: dict = {}
-    for p in type_files:
-        file_defs, file_diags = parse_type_defs(p.read_text(), str(p))
+    for p, _ in files["types"]:
+        file_defs, file_diags = parse_type_defs(texts[p], str(p))
         diags.extend(file_diags)
         for d in file_defs:
             if d.name in seen_types:
@@ -157,8 +176,8 @@ def load_workspace(manifest: str | Path) -> LoadResult:
     diags.extend(typesys.check_env(env))
 
     specs: dict = {s.name: s for s in builtin_specs()}
-    for p in spec_files:
-        file_specs, file_diags = parse_specs(p.read_text(), str(p))
+    for p, _ in files["spec"]:
+        file_specs, file_diags = parse_specs(texts[p], str(p))
         diags.extend(file_diags)
         for s in file_specs:
             if s.name in specs:
@@ -173,8 +192,8 @@ def load_workspace(manifest: str | Path) -> LoadResult:
                                        f"{s.name}: unknown parameter type {t}", s.pos))
 
     tlds: dict = {}
-    for p in tld_files:
-        file_tlds, file_diags = parse_tlds(p.read_text(), str(p))
+    for p, _ in files["tld"]:
+        file_tlds, file_diags = parse_tlds(texts[p], str(p))
         diags.extend(file_diags)
         for t in file_tlds:
             if t.predicate in tlds:
@@ -261,6 +280,8 @@ def _called_predicates(tld, env: TypeEnv, diags: list):
 
 @dataclass
 class PipelineResult:
+    """One procedure's run of the pipeline, filled in stage by stage."""
+
     predicate: str
     code: str = ""
     report: str = ""

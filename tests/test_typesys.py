@@ -159,7 +159,7 @@ def _random_env(rng: random.Random) -> TypeEnv:
         cases = [Case(rng.choice(consts))]
         cases += [Case(rng.choice(unary), (rng.choice(pool),))
                   for _ in range(rng.randint(1, 3))]
-        defs.append(TypeDef(name, Cases(cases)))
+        defs.append(TypeDef(name, Cases(tuple(cases))))
         names.append(name)
     defs += [
         TypeDef("ilist", Cases((Case("[]"), Case("[|]", ("integer", "ilist"))))),

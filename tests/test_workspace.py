@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -46,10 +47,43 @@ def test_loads_share_the_builtin_specs(maxprefix_dir):
 
 
 def test_missing_file_reported_with_path(tmp_path):
-    path = write_workspace(tmp_path, manifest="types gone.types\n")
+    # at the manifest line that names it
+    path = write_workspace(tmp_path, manifest="types w.types\n\ntypes gone.types\n")
     result = load_workspace(path)
     assert not result.ok
-    assert any("gone.types" in d.message for d in result.diagnostics)
+    assert [d.format() for d in result.diagnostics] == [
+        f"{path}:3:1: error[missing-file]: file not found: {tmp_path / 'gone.types'}"]
+
+
+NAT_WORKSPACE = {
+    "types": "nat ::= zero | s(nat).\n",
+    "spec": "procedure p(X).\ntype X : nat.\ndir (ground) : <0-1>.\n",
+    "tld": "p(X: nat) <=> X = zero.\n",
+    "manifest": "types w.types\nspec w.spec\ntld w.tld\n"}
+
+
+@pytest.mark.parametrize("kind", ["manifest", "types", "spec", "tld"])
+def test_cli_input_that_is_not_utf8_is_a_positioned_error(tmp_path, capsys, kind):
+    path = write_workspace(tmp_path, **NAT_WORKSPACE)
+    name = path if kind == "manifest" else tmp_path / f"w.{kind}"
+    # an appended comment line whose eighth character is the byte 0xff
+    name.write_bytes(NAT_WORKSPACE[kind].encode() + "# café ".encode() + b"\xff\n")
+    line = NAT_WORKSPACE[kind].count("\n") + 1
+    assert main(["check", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{name}:{line}:8: error[encoding]: byte 0xff is not UTF-8\n")
+
+
+def test_utf8_text_loads_whatever_the_locale_encoding(tmp_path):
+    path = write_workspace(tmp_path, **NAT_WORKSPACE)
+    path.write_bytes("# café\n".encode() + path.read_bytes())
+    (tmp_path / "w.tld").write_bytes("# ∀ X\n".encode() + (tmp_path / "w.tld").read_bytes())
+    result = subprocess.run([sys.executable, "-m", "tldforge.cli", "check", "--manifest",
+                             str(path)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+                                 "PYTHONCOERCECLOCALE": "0"})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("ok: 1 descriptions")
 
 
 def test_mutual_recursion_surfaces_with_position(tmp_path):
