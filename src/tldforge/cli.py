@@ -165,9 +165,13 @@ def _run(args) -> int:
             for w in r.warnings:
                 print(f"warning: {w}", file=sys.stderr)
             if ws.out_dir is not None and args.emit_stage is None:
-                ws.out_dir.mkdir(parents=True, exist_ok=True)
-                ext = ".pl" if args.target == "prolog" else ".m"
-                (ws.out_dir / f"{pred}{ext}").write_text(r.code)
+                path = ws.out_dir / f"{pred}{'.pl' if args.target == 'prolog' else '.m'}"
+                try:
+                    ws.out_dir.mkdir(parents=True, exist_ok=True)
+                    path.write_text(r.code)
+                except OSError as e:
+                    print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+                    return 1
     print("\n".join(outputs), end="")
     return 1 if failed else 0
 

@@ -62,7 +62,7 @@ from .ast import (And, Atom, Eq, Exists, FalseF, Forall, Formula, Iff, Implies,
                   Not, Or, Struct, Term, TrueF, TypedLogicDescription,
                   UNIVERSAL_TYPE, Var)
 from .errors import MissingBindingError, UnknownPredicateError
-from .typesys import TypeEnv
+from .typesys import INTEGER_RANGE, TypeEnv
 
 TYPED = "typed"
 UNTYPED = "untyped"
@@ -582,7 +582,9 @@ class _Evaluator:
                 solved = _builtin_solution(c.predicate, hole, values[:hole] + values[hole + 1:])
                 if solved is _NOT_DETERMINED:
                     return None
-                if solved is _NO_SOLUTION:
+                if solved is _NO_SOLUTION or solved not in INTEGER_RANGE:
+                    # an integer outside the sample is in no type, and may
+                    # have more digits than str() converts
                     return FALSE
                 value = Struct(str(solved))
                 if not self.in_universe(types[target], value):

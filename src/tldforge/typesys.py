@@ -27,7 +27,9 @@ from .ast import Struct, Term, Var
 from .diagnostics import SourceDiagnostic, SourcePos, error, warning
 from .errors import NonGroundTermError, NotStructuralError, UnknownTypeError
 
-INTEGER_SAMPLE = tuple(Struct(str(i)) for i in range(-2, 3))
+# the integers of every bounded universe: no other integer is in any type
+INTEGER_RANGE = range(-2, 3)
+INTEGER_SAMPLE = tuple(Struct(str(i)) for i in INTEGER_RANGE)
 FLOAT_SAMPLE = (Struct("-1.0"), Struct("0.0"), Struct("1.0"))
 
 BUILTIN_KINDS = ("integer", "float", "atom", "term")

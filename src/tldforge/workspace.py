@@ -147,6 +147,10 @@ def load_workspace(manifest: str | Path) -> LoadResult:
         if kind in files:
             files[kind].append((path, pos))
         elif kind == "out":
+            # gen creates the directory: its nearest existing ancestor must be one
+            existing = next(q for q in (path, *path.parents) if q.exists())
+            if not existing.is_dir():
+                diags.append(error("out-dir", f"not a directory: {existing}", pos))
             out_dir = path
         else:
             diags.append(error("manifest", f"unknown declaration {kind!r}", pos))

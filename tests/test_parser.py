@@ -1,14 +1,19 @@
+import dataclasses
+import random
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from tldforge import ast
+import reference_parser
+from tldforge import ast, parser
 from tldforge.ast import (And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or,
                           Struct, Var)
 from tldforge.modes import GROUND, INF, Multiplicity, STAR, VAR
-from tldforge.parser import (MAX_NESTING, ParseError, parse_formula, parse_spec,
-                             parse_specs, parse_term, parse_tld, parse_tlds,
+from tldforge.parser import (MAX_INT_DIGITS, MAX_NESTING, ParseError, parse_formula,
+                             parse_spec, parse_specs, parse_term, parse_tld, parse_tlds,
                              parse_type_defs, parse_types, tokenize)
 from tldforge.printer import format_formula, format_term, format_tld
 from tldforge.typesys import Alias, Case, Cases
@@ -243,6 +248,22 @@ def test_nesting_past_the_limit_is_a_positioned_diagnostic(kind):
     assert body[:offset].count(opener) == MAX_NESTING
 
 
+@pytest.mark.parametrize("prefix", ["", "-", "X - ", "X -"])
+def test_integer_literal_longer_than_the_limit_is_a_positioned_diagnostic(prefix):
+    head = "p(X: integer) <=> X = "
+    # an integer at the limit, and a float past it
+    for literal in ("9" * MAX_INT_DIGITS, "9" * (MAX_INT_DIGITS + 1) + ".5"):
+        tlds, diags = parse_tlds(f"{head}{prefix}{literal}.\n")
+        assert not diags and len(tlds) == 1
+    tlds, diags = parse_tlds(f"{head}{prefix}{'9' * (MAX_INT_DIGITS + 1)}.\n", "big.tld")
+    assert not tlds
+    # at the literal, its sign included when it has one
+    col = len(head) + len(prefix) + 1 - (prefix == "-")
+    assert [d.format() for d in diags] == [
+        f"big.tld:1:{col}: error[number-too-long]: integer literal longer than "
+        f"{MAX_INT_DIGITS} digits"]
+
+
 @pytest.mark.parametrize("body, code, message, col", [
     ("X = zero /\\ (exists Y: nat . Y = X /\\ ) /\\ X = X", "syntax", "expected ')'", 35),
     (NESTINGS["quantifiers"][0](MAX_NESTING + 1), "nesting-too-deep",
@@ -368,3 +389,147 @@ def test_tokenizer_matches_the_reference_loop_on_the_fixtures(maxprefix_dir, gol
     for path in paths:
         text = path.read_text()
         assert _token_outcome(tokenize, text) == _token_outcome(reference_tokenize, text)
+
+
+# -- the parser against the one it replaced -----------------------------------
+
+def _with_positions(x):
+    """``x`` with the ``pos`` of every node drawn into the value: equality
+    skips ``pos`` fields."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,
+                tuple(_with_positions(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, (tuple, list)):
+        return tuple(_with_positions(y) for y in x)
+    return x
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result with every position, or
+    the error it raises."""
+    try:
+        return _with_positions(parse(text, "input"))
+    except (ParseError, reference_parser.ParseError) as e:
+        return (e.message, e.code, tuple(e.token))
+
+
+_PARSERS = {"types": "parse_type_defs", "spec": "parse_specs", "tld": "parse_tlds"}
+
+
+def _assert_parsed_alike(text, formats=_PARSERS):
+    assert _outcome(tokenize, text) == _outcome(reference_parser.tokenize, text)
+    for name in (_PARSERS[f] for f in formats):
+        assert _outcome(getattr(parser, name), text) == \
+            _outcome(getattr(reference_parser, name), text), (name, text)
+
+
+def _limit_nesting(monkeypatch, limit):
+    """Both parsers refuse nesting deeper than ``limit``: a low limit makes
+    short inputs test where each construct opens and closes its levels."""
+    for module in (parser, reference_parser):
+        monkeypatch.setattr(module, "MAX_NESTING", limit)
+
+
+def _texts(directory):
+    return {f"{directory.name}/{path.name}": path.read_text()
+            for path in sorted(directory.iterdir())
+            if path.suffix[1:] in _PARSERS}
+
+
+def test_parser_matches_the_reference_on_the_fixtures(golden_dir, monkeypatch):
+    texts = {"builtins.spec": (Path(parser.__file__).parent / "data" / "builtins.spec").read_text()}
+    for workspace in ("maxprefix", "dnf", "pinned"):
+        texts.update(_texts(golden_dir.parent / workspace))
+    assert len(texts) == 10
+    for limit in (MAX_NESTING, 4, 2, 1):
+        _limit_nesting(monkeypatch, limit)
+        for text in texts.values():
+            _assert_parsed_alike(text)  # each text also as the other two formats
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_parser_matches_the_reference_at_the_nesting_limit(kind):
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        _assert_parsed_alike(f"p(X: nat) <=> {NESTINGS[kind][0](depth)}.\n", ["tld"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_formulas())
+def test_parser_matches_the_reference_on_printed_formulas(f):
+    text = format_formula(f)
+    assert _outcome(parse_formula, text) == _outcome(reference_parser.parse_formula, text)
+    _assert_parsed_alike(f"p(X: nat, Y: term) <=> {text}.\n", ["tld"])
+
+
+def _generated(rng: random.Random) -> dict:
+    """A .types, a .spec and a .tld text drawn from ``rng`` that use every
+    construct of their format."""
+    names = ["zero", "s", "apple", "cons_list", "-infinite", "node"]
+    types = "".join(
+        f"t{i} ::= {rng.choice(names)} | {rng.choice(names)}(t{i}, nat) | [] | [integer | t{i}].\n"
+        f"e{i} ::= enum {{{', '.join(rng.sample(names, 3))}}}.\nb{i} == t{i}.\n"
+        for i in range(3))
+    modes = ["ground", "var", "any", "ngv", "var -> ground", "ngv -> ground"]
+    spec = "".join(
+        f"procedure p{i}(X, Y, Z).\ntype X : t{i}.\ntype Y : integer.\ntype Z : term.\n"
+        f'relation "relation \\"{i}\\"".\nexternal "p{i}_impl".\n'
+        + "".join(f"dir ({', '.join(rng.choices(modes, k=3))}) : "
+                  f"<{rng.choice(['0', '1', '*'])}-{rng.choice(['1', '*', 'inf'])}>"
+                  + rng.choice(["", " : {(1,2)}", " : {(1, 3), (2,3)}"]) + ".\n"
+                  for _ in range(2))
+        for i in range(3))
+    leaves = ["X = zero", "Y = s(X)", "t0(X)", "true", "false", "p1(X, Y, Z)",
+              "Y = [X | Z]", "Z = [1, -2, 3.5]", "Y = X + 1 * (Z - -3)", "X = -infinite",
+              "Y = X * 2 * Z + Z * 3 - 1", "Y = [1, 2 | Z] * s(Z + 1) * (Z - 3) + 1"]
+
+    def formula(depth):
+        if depth == 0:
+            return rng.choice(leaves)
+        a, b = formula(depth - 1), formula(depth - 1)
+        return rng.choice([f"({a} /\\ {b})", f"{a} \\/ {b}", f"({a} => {b})", f"{a} <=> {b}",
+                           f"~{a}", f"exists W: nat . {a}", f"(forall V: term . {b})"])
+    tld = "".join(f"p{i}(X: t{i}, Y: integer, Z: term) <=>\n    {formula(3)}.\n"
+                  for i in range(3))
+    every_leaf = " /\\ ".join(leaves)
+    tld += f"q(X: t0, Y: integer, Z: term) <=> {every_leaf}.\n"
+    return {"generated.types": types, "generated.spec": spec, "generated.tld": tld}
+
+
+_STRING = re.compile(r'"(?:\\.|[^"\\])*"')
+
+
+def _token_spans(text):
+    """The start and end index in ``text`` of each of its tokens; no string
+    in ``text`` spans lines."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    spans = []
+    for t in tokenize(text)[:-1]:
+        start = line_starts[t.line - 1] + t.col - 1
+        spans.append((start, _STRING.match(text, start).end() if t.kind == "string"
+                      else start + len(t.text)))
+    return spans
+
+
+def test_parser_matches_the_reference_on_single_token_mutations(golden_dir, monkeypatch):
+    rng = random.Random(4211)
+    texts = {**_texts(golden_dir.parent / "maxprefix"), **_texts(golden_dir.parent / "dnf"),
+             **_generated(rng)}
+    count = 0
+    for name, text in texts.items():
+        fmt = name.rsplit(".", 1)[1]
+        _assert_parsed_alike(text, [fmt])
+        spans = _token_spans(text)
+        if len(spans) < 2:  # dnf's .types file is a comment
+            continue
+        for _ in range(300):
+            k = rng.randrange(len(spans) - 1)
+            (s, e), (s2, e2) = spans[k], spans[k + 1]
+            mutated = rng.choice([
+                text[:s] + text[e:],  # delete
+                text[:e] + " " + text[s:e] + text[e:],  # duplicate
+                text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:],  # swap
+            ])
+            _limit_nesting(monkeypatch, rng.choice([MAX_NESTING, 4, 2, 1]))
+            _assert_parsed_alike(mutated, [fmt])
+            count += 1
+    assert count >= 2000

@@ -62,6 +62,59 @@ NAT_WORKSPACE = {
     "manifest": "types w.types\nspec w.spec\ntld w.tld\n"}
 
 
+INTEGER_WORKSPACE = {
+    "spec": "procedure p(X).\ntype X : integer.\ndir (ground) : <0-1>.\n",
+    "manifest": "spec w.spec\ntld w.tld\n"}
+
+
+def test_cli_integer_literal_too_long_to_convert_is_a_positioned_error(tmp_path, capsys):
+    path = write_workspace(tmp_path, **INTEGER_WORKSPACE,
+                           tld=f"p(X: integer) <=> plus(X, {'9' * 5000}, 3).\n")
+    assert main(["oracle", "equiv", "--pred", "p", "--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{tmp_path / 'w.tld'}:1:27: error[number-too-long]: "
+                            "integer literal longer than 4300 digits\n")
+
+
+def test_cli_builtin_solution_too_long_to_print_is_outside_every_type(tmp_path, capsys):
+    # times(A, A, Y) solves Y to an integer of 6000 digits
+    big = "9" * 3000
+    path = write_workspace(tmp_path, **INTEGER_WORKSPACE, tld=(
+        f"p(X: integer) <=> exists Y: integer . times({big}, {big}, Y) /\\ X = 1.\n"))
+    assert main(["oracle", "equiv", "--pred", "p", "--manifest", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "checked 42 bindings (37 outside the types, 5 inside)" in captured.out
+    assert "violations: 0, inconclusive: 0" in captured.out
+
+
+@pytest.mark.parametrize("out", ["outfile", "outfile/sub"])
+@pytest.mark.parametrize("command", [["check"], ["gen", "prolog"], ["gen", "mercury"]])
+def test_cli_out_path_under_a_file_is_a_positioned_error(tmp_path, capsys, command, out):
+    path = write_workspace(tmp_path, **{**NAT_WORKSPACE,
+                                        "manifest": NAT_WORKSPACE["manifest"] + f"out {out}\n"})
+    (tmp_path / "outfile").write_text("")
+    assert main(command + ["--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:4:1: error[out-dir]: not a directory: {tmp_path / 'outfile'}\n"
+
+
+def test_cli_file_that_cannot_be_written_is_one_error(tmp_path, capsys):
+    path = write_workspace(tmp_path, **{**NAT_WORKSPACE,
+                                        "manifest": NAT_WORKSPACE["manifest"] + "out gen/out\n"})
+    assert main(["gen", "prolog", "--manifest", str(path)]) == 0
+    assert (tmp_path / "gen" / "out" / "p.pl").read_text() == capsys.readouterr().out
+    (tmp_path / "gen" / "out" / "p.pl").unlink()
+    (tmp_path / "gen" / "out" / "p.pl").mkdir()  # where the file goes
+    assert main(["gen", "prolog", "--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {tmp_path / 'gen' / 'out' / 'p.pl'}: "
+                            "Is a directory\n")
+
+
 @pytest.mark.parametrize("kind", ["manifest", "types", "spec", "tld"])
 def test_cli_input_that_is_not_utf8_is_a_positioned_error(tmp_path, capsys, kind):
     path = write_workspace(tmp_path, **NAT_WORKSPACE)
@@ -399,7 +452,7 @@ def test_cli_dnf_matches_golden(golden_dir, capsys, command, golden):
 
 @pytest.mark.parametrize("workspace, golden", [
     ("dnf", "dnf6"), ("maxprefix", "max_prefix")])
-@pytest.mark.parametrize("stage", ["normalized", "derived"])
+@pytest.mark.parametrize("stage", ["tld", "untyped", "normalized", "derived"])
 def test_cli_stage_dumps_match_golden(golden_dir, capsys, workspace, golden, stage):
     manifest = golden_dir.parent / workspace / "manifest.txt"
     assert main(["derive", "--emit-stage", stage, "--manifest", str(manifest)]) == 0

@@ -15,8 +15,7 @@ from tldforge.ast import (And, Atom, Call, Eq, Exists, FalseF, Forall, Formula, 
 from tldforge.derive import MAX_CLAUSES, Disjunct, NormalizedBody
 from tldforge.errors import NotCallableError, NotDerivableError
 from tldforge.modes import GROUND, NOVAR, VAR, Multiplicity, bound_key
-from tldforge.parser import (_SINGLE, _TWO_CHAR_PLUS, ParseError, Token, _Stream,
-                             _parse_term, tokenize)
+from tldforge.parser import _SINGLE, _TWO_CHAR_PLUS, ParseError, Token, _Parser, tokenize
 
 
 def walk(t, subst):
@@ -66,33 +65,29 @@ def read_prolog(text: str):
     Grammar: term (':-' goal (',' goal)*)? '.' where a goal is '!',
     '\\+' goal, or a term optionally equated with another term.
     """
-    s = _Stream(tokenize(text, "<emitted>"), "<emitted>")
+    p = _Parser(tokenize(text, "<emitted>"), "<emitted>")
     clauses = []
-    while s.peek().kind != "eof":
-        head = _parse_term(s)
-        body = []
-        if s.accept(":-"):
-            body.append(_read_goal(s))
-            while s.accept(","):
-                body.append(_read_goal(s))
-        s.expect(".")
+    while p.tags[p.i] != "eof":
+        head = p.term()
+        body = p.sequence(lambda: _read_goal(p)) if p.accept(":-") else []
+        p.expect(".")
         clauses.append((head, body))
     return clauses
 
 
-def _read_goal(s):
-    if s.accept("!"):
+def _read_goal(p):
+    if p.accept("!"):
         return ("cut",)
-    if s.accept("\\+"):
-        if s.accept("("):
-            inner = _read_goal(s)
-            s.expect(")")
+    if p.accept("\\+"):
+        if p.accept("("):
+            inner = _read_goal(p)
+            p.expect(")")
         else:
-            inner = _read_goal(s)
+            inner = _read_goal(p)
         return ("naf", inner)
-    left = _parse_term(s)
-    if s.accept("="):
-        return ("=", left, _parse_term(s))
+    left = p.term()
+    if p.accept("="):
+        return ("=", left, p.term())
     return ("call", left)
 
 
