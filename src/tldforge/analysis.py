@@ -153,9 +153,6 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
     raise TypeError(f"not a literal: {lit!r}")
 
 
-_UNSEEN = object()
-
-
 class _LiteralStep:
     """One literal's mode rule, compiled: its variables, its callee, and
     the result for each tuple of their modes met so far."""
@@ -167,7 +164,8 @@ class _LiteralStep:
         self.names = ast.literal_vars(lit)
         self.spec = registry.spec_of(lit.predicate) if isinstance(lit, Call) else None
         # modes of ``names`` -> (post-modes, or None when unchanged,
-        # multiplicity), or None when the literal cannot run
+        # multiplicity), or, when the literal cannot run, a function giving
+        # the reason
         self.results: dict = {}
 
     def apply(self, state: tuple, where: tuple):
@@ -175,17 +173,17 @@ class _LiteralStep:
         variable with the literal's variables at positions ``where``; None
         when the literal cannot run there."""
         local = tuple([state[i] for i in where])
-        r = self.results.get(local, _UNSEEN)
-        if r is _UNSEEN:
+        r = self.results.get(local)
+        if r is None:
             modes = dict(zip(self.names, local))
             out = _mode_rule(self.lit, modes, self.spec)
             if isinstance(out, Multiplicity):
                 post = tuple([modes[n] for n in self.names])
                 r = (None if post == local else post, out)
             else:
-                r = None
+                r = out
             self.results[local] = r
-        if r is None:
+        if r.__class__ is not tuple:  # the literal cannot run
             return None
         post, mult = r
         if post is None:
@@ -194,6 +192,13 @@ class _LiteralStep:
         for i, m in zip(where, post):
             new[i] = m
         return tuple(new), mult
+
+    def why(self, state: tuple, where: tuple) -> str | None:
+        """Why the literal cannot run on a state, as for ``apply``; None
+        when it can."""
+        if self.apply(state, where) is not None:
+            return None
+        return self.results[tuple([state[i] for i in where])]()
 
 
 def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractState:
@@ -204,10 +209,10 @@ def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractStat
         if n not in index:
             raise NotCallableError(f"variable {n} is not in scope")
     modes = tuple(m for _, m in state.modes)
-    r = step.apply(modes, tuple(index[n] for n in step.names))
+    where = tuple(index[n] for n in step.names)
+    r = step.apply(modes, where)
     if r is None:
-        why = _mode_rule(lit, state.mode_map(), step.spec)
-        raise NotCallableError(why())
+        raise NotCallableError(step.why(modes, where))
     return AbstractState(tuple(zip(index, r[0])))
 
 
@@ -330,34 +335,34 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
 
     if not search(start, tuple(range(len(body)))):
         which = f" ({clause.provenance})" if clause.provenance else ""
-        stuck = AbstractState(tuple(zip(names, deepest[1])))
+        blocked = _blocked(clause, dir, names, bound, deepest[1], deepest[2])
         return ReorderFailure(clause.predicate, dir,
                               "no literal permutation satisfies the directionality"
-                              + which, _blocked(clause, dir, registry, stuck, deepest[2]))
+                              + which, blocked)
     if mults is not None:
         mults.extend(m for _, m in path)
     return replace(clause, body=tuple(body[i] for i, _ in path))
 
 
-def _blocked(clause: Clause, dir: Directionality, registry: Registry,
-             state: AbstractState, remaining: tuple) -> tuple:
-    """Why the search stopped at ``state`` with the literals ``remaining``
-    unscheduled: none of them is callable there, or, when every literal
-    ran, some head parameter misses its out-mode."""
+def _blocked(clause: Clause, dir: Directionality, names: list, bound: list,
+             state: tuple, remaining: tuple) -> tuple:
+    """Why the search stopped at ``state``, a mode per name of ``names``,
+    with the literals ``remaining`` unscheduled: none of them is callable
+    there, or, when every literal ran, some head parameter misses its
+    out-mode.  ``bound`` is as ``_bind`` gives it."""
     if not remaining:
-        modes = state.mode_map()
+        modes = dict(zip(names, state))
         return tuple(f"every literal ran, but head parameter {arg.name} ends "
                      f"{modes[arg.name].name} where its out-mode is {m_out.name}"
                      for arg, (_, m_out) in zip(clause.head_args, dir.modes)
                      if isinstance(arg, Var) and not modes[arg.name].leq(m_out))
     out = []
     for i in remaining:
-        lit = clause.body[i]
-        try:
-            abstract_step(state, lit, registry)
-        except NotCallableError as e:
+        why = bound[i][0].why(state, bound[i][1])
+        if why is not None:
+            lit = clause.body[i]
             where = f" at {lit.pos}" if lit.pos else ""
-            out.append(f"{format_literal(lit)}{where} never became callable: {e}")
+            out.append(f"{format_literal(lit)}{where} never became callable: {why}")
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagnostics import SourcePos
 from .errors import NonGroundSubstituteError, UnboundVariableError
@@ -248,10 +248,6 @@ class Atom:
     args: tuple = ()
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-
 
 @dataclass(frozen=True)
 class And:
@@ -261,8 +257,6 @@ class And:
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.items, tuple):
-            object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) < 2:
             raise ValueError("And needs at least two conjuncts")
 
@@ -275,8 +269,6 @@ class Or:
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.items, tuple):
-            object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) < 2:
             raise ValueError("Or needs at least two disjuncts")
 
@@ -372,14 +364,40 @@ def subformulas(f: Formula):
     return ()
 
 
+def walk(f: Formula):
+    """The nodes of a formula in preorder, ``f`` first."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        children = subformulas(g)
+        if children:
+            stack.extend(reversed(children))
+
+
+def with_subformulas(f: Formula, children: tuple) -> Formula:
+    """A node of ``f``'s kind, with ``f``'s ``pos``, over ``children``, new
+    direct subformulas in the order ``subformulas`` gives them; a leaf
+    comes back as it is."""
+    if isinstance(f, (And, Or)):
+        return type(f)(children, f.pos)
+    if isinstance(f, Not):
+        return Not(*children, f.pos)
+    if isinstance(f, (Implies, Iff)):
+        return type(f)(*children, f.pos)
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, f.type_name, *children, f.pos)
+    if isinstance(f, (TrueF, FalseF, Eq, Atom)):
+        return f
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def formula_size(f: Formula) -> int:
-    return 1 + sum(formula_size(g) for g in subformulas(f))
+    return sum(1 for _ in walk(f))
 
 
 def has_quantifier(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return True
-    return any(has_quantifier(g) for g in subformulas(f))
+    return any(isinstance(g, (Exists, Forall)) for g in walk(f))
 
 
 def free_names(f: Formula) -> tuple[str, ...]:
@@ -407,25 +425,10 @@ def free_names(f: Formula) -> tuple[str, ...]:
 
 
 def all_names(f: Formula) -> frozenset:
-    """Every variable name occurring in the formula, free or bound."""
-    out: set = set()
-
-    def walk(g: Formula):
-        if isinstance(g, Eq):
-            out.update(term_vars(g.left))
-            out.update(term_vars(g.right))
-        elif isinstance(g, Atom):
-            for a in g.args:
-                out.update(term_vars(a))
-        elif isinstance(g, (Exists, Forall)):
-            out.add(g.var)
-            walk(g.body)
-        else:
-            for child in subformulas(g):
-                walk(child)
-
-    walk(f)
-    return frozenset(out)
+    """Every variable name occurring in the formula, free or bound: the
+    free names and the binders' names."""
+    return frozenset(free_names(f)).union(
+        g.var for g in walk(f) if isinstance(g, (Exists, Forall)))
 
 
 def free_variables(f: Formula, env: Mapping[str, str] | None = None) -> tuple[tuple[str, str], ...]:
@@ -471,27 +474,13 @@ def fresh_name(base: str, used: set) -> str:
 def _substitute(f: Formula, binding: dict) -> Formula:
     if not binding:
         return f
-    if isinstance(f, (TrueF, FalseF)):
-        return f
     if isinstance(f, Eq):
         return Eq(subst_term(f.left, binding), subst_term(f.right, binding), pos=f.pos)
     if isinstance(f, Atom):
         return Atom(f.predicate, tuple(subst_term(a, binding) for a in f.args), pos=f.pos)
-    if isinstance(f, And):
-        return And(tuple(_substitute(g, binding) for g in f.items), pos=f.pos)
-    if isinstance(f, Or):
-        return Or(tuple(_substitute(g, binding) for g in f.items), pos=f.pos)
-    if isinstance(f, Not):
-        return Not(_substitute(f.body, binding), pos=f.pos)
-    if isinstance(f, Implies):
-        return Implies(_substitute(f.left, binding), _substitute(f.right, binding), pos=f.pos)
-    if isinstance(f, Iff):
-        return Iff(_substitute(f.left, binding), _substitute(f.right, binding), pos=f.pos)
-    if isinstance(f, (Exists, Forall)):
-        inner = {k: v for k, v in binding.items() if k != f.var}
-        body = _substitute(f.body, inner)
-        return type(f)(f.var, f.type_name, body, pos=f.pos)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (Exists, Forall)) and f.var in binding:
+        binding = {k: v for k, v in binding.items() if k != f.var}
+    return with_subformulas(f, tuple(_substitute(g, binding) for g in subformulas(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +497,6 @@ class TypedLogicDescription:
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.params, tuple):
-            object.__setattr__(self, "params", tuple(self.params))
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {self.predicate}")
@@ -522,17 +509,12 @@ class TypedLogicDescription:
         return dict(self.params)
 
 
-@dataclass(frozen=True)
-class LogicDescription:
+class LogicDescription(NamedTuple):
     """p(X1, ..., Xn) <=> definition, over untyped first order logic."""
 
     predicate: str
     params: tuple  # of name
     definition: Formula
-
-    def __post_init__(self):
-        if not isinstance(self.params, tuple):
-            object.__setattr__(self, "params", tuple(self.params))
 
     @property
     def arity(self) -> int:
@@ -561,10 +543,6 @@ class Call:
     predicate: str
     args: tuple
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
 
 
 @dataclass(frozen=True)
@@ -630,12 +608,6 @@ class Clause:
     body: tuple  # of Literal, order significant
     provenance: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.head_args, tuple):
-            object.__setattr__(self, "head_args", tuple(self.head_args))
-        if not isinstance(self.body, tuple):
-            object.__setattr__(self, "body", tuple(self.body))
-
     @property
     def arity(self) -> int:
         return len(self.head_args)
@@ -650,8 +622,6 @@ class Program:
     clauses: tuple  # of Clause
 
     def __post_init__(self):
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(self.clauses))
         for c in self.clauses:
             if c.predicate != self.predicate or c.arity != self.arity:
                 raise ValueError("clause head does not match program predicate")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -19,21 +21,36 @@ from .workspace import (STAGE_NAMES, load_workspace, run_oracle, run_pipeline,
                         suggest_skeleton)
 
 
-def _positive_int(text: str) -> int:
+_NUMERAL = re.compile(r"\s*([+-]?)\d+\s*")
+
+
+def _shown(text: str) -> str:
+    """A rejected argument as a usage error echoes it: its first 20 characters."""
+    text = text.strip()
+    return text if len(text) <= 20 else f"{text[:20]}..."
+
+
+def _positive_int(text: str, most: float = math.inf) -> int:
+    """``text`` as an integer from 1 to ``most``."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        numeral = _NUMERAL.fullmatch(text)
+        if numeral is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)!r}") from None
+        # int() refuses a numeral of more than a few thousand digits
+        value = -math.inf if numeral[1] == "-" else math.inf
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_shown(text)}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {_shown(text)}")
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"too large: {_shown(text)}")
     return value
 
 
 def _depth(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_DEPTH:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEPTH}, got {value}")
-    return value
+    return _positive_int(text, MAX_DEPTH)
 
 
 @functools.cache  # built on first use, then shared by every main() call

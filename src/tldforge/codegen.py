@@ -18,9 +18,9 @@ from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
                   Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
 from .analysis import Registry, SPLIT_SUGGESTION, SwitchInfo, runs_as_written
 from .analysis import abstract_step  # noqa: F401  perfbench's tracer counts calls here
-from .errors import MultipleOrdersError
+from .errors import MultipleOrdersError, NotDerivableError
 from .modes import GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
-from .printer import format_literal, format_term
+from .printer import format_clause, format_term
 
 ARITHMETIC_BUILTINS = {"+": "plus", "-": "minus", "*": "times"}
 
@@ -163,18 +163,6 @@ MERCURY_MODE_TO_DIRECTION = {
 # Prolog emission
 # ---------------------------------------------------------------------------
 
-def _prolog_clause(clause: Clause, name: str, cut_after: int | None) -> str:
-    head_args = ", ".join(format_term(a) for a in clause.head_args)
-    head = f"{name}({head_args})" if clause.head_args else name
-    if not clause.body:
-        return f"{head}."
-    parts = [format_literal(lit) for lit in clause.body]
-    if cut_after is not None:
-        parts.insert(cut_after + 1, "!")
-    body = ",\n    ".join(parts)
-    return f"{head} :-\n    {body}."
-
-
 def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list,
                               emitted_dir_index: int) -> list[int]:
     """Indices of declared directionalities that cannot execute the emitted
@@ -228,7 +216,7 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
             cut_at = None
             if sw is not None and i < len(p.clauses) - 1:
                 cut_at = sw.positions[i]
-            chunks.append(_prolog_clause(clause, name, cut_at))
+            chunks.append(format_clause(clause, name, cut_at))
             chunks.append("")
 
     emit_one(prog, prog.predicate,
@@ -252,7 +240,7 @@ def _strip_exists(f):
     return f
 
 
-def _mercury_goal(f) -> str:
+def _mercury_goal(f, pred: str) -> str:
     if isinstance(f, ast.TrueF):
         return "true"
     if isinstance(f, ast.FalseF):
@@ -264,17 +252,21 @@ def _mercury_goal(f) -> str:
             return f.predicate
         return f"{f.predicate}({', '.join(format_term(a) for a in f.args)})"
     if isinstance(f, Not):
-        return f"not ({_mercury_goal(_strip_exists(f.body))})"
+        return f"not ({_mercury_goal(_strip_exists(f.body), pred)})"
     if isinstance(f, And):
-        return ", ".join(_mercury_goal(g) for g in f.items)
+        return ", ".join(_mercury_goal(g, pred) for g in f.items)
     if isinstance(f, Or):
-        return "( " + " ; ".join(_mercury_goal(_strip_exists(g)) for g in f.items) + " )"
+        goals = (_mercury_goal(_strip_exists(g), pred) for g in f.items)
+        return "( " + " ; ".join(goals) + " )"
     if isinstance(f, Implies):
-        return f"( {_mercury_goal(f.left)} => {_mercury_goal(f.right)} )"
+        return f"( {_mercury_goal(f.left, pred)} => {_mercury_goal(f.right, pred)} )"
     if isinstance(f, Iff):
-        return f"( {_mercury_goal(f.left)} <=> {_mercury_goal(f.right)} )"
+        return f"( {_mercury_goal(f.left, pred)} <=> {_mercury_goal(f.right, pred)} )"
     if isinstance(f, Forall):
-        return f"all [{f.var}] ({_mercury_goal(f.body)})"
+        return f"all [{f.var}] ({_mercury_goal(f.body, pred)})"
+    if isinstance(f, Exists):
+        raise NotDerivableError(f"{pred}: the Mercury backend cannot print the "
+                                f"existential over {f.var} at {f.pos}")
     raise TypeError(f"cannot print goal: {f!r}")
 
 
@@ -372,18 +364,18 @@ def emit_mercury(tld: TypedLogicDescription, spec: Spec,
     body = _strip_exists(tld.definition)
     if isinstance(body, Or):
         lines.append(f"{head} :-")
-        lines.append("(   " + _format_goal_block(body.items[0], used))
+        lines.append("(   " + _format_goal_block(body.items[0], used, tld.predicate))
         for disjunct in body.items[1:]:
             lines.append(";")
-            lines.append("    " + _format_goal_block(disjunct, used))
+            lines.append("    " + _format_goal_block(disjunct, used, tld.predicate))
         lines.append(").")
     else:
         goals = _rewrite_constants(_disjunct_goals(body), used)
-        text = ",\n    ".join(_mercury_goal(g) for g in goals)
+        text = ",\n    ".join(_mercury_goal(g, tld.predicate) for g in goals)
         lines.append(f"{head} :-\n    {text}.")
     return "\n".join(lines) + "\n", warnings
 
 
-def _format_goal_block(disjunct, used: set) -> str:
+def _format_goal_block(disjunct, used: set, pred: str) -> str:
     goals = _rewrite_constants(_disjunct_goals(disjunct), used)
-    return ",\n    ".join(_mercury_goal(g) for g in goals)
+    return ",\n    ".join(_mercury_goal(g, pred) for g in goals)

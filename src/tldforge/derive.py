@@ -102,13 +102,8 @@ def _first_pos(f: Formula):
     form, in preorder.  Negations, binders and truth values do not survive
     into it, and connectives carry no position unless an equivalence or an
     implication expanded into them; their leaves do."""
-    if isinstance(f, (Eq, Atom, And, Or, Implies, Iff)) and f.pos:
-        return f.pos
-    for g in ast.subformulas(f):
-        pos = _first_pos(g)
-        if pos:
-            return pos
-    return None
+    return next((g.pos for g in ast.walk(f)
+                 if isinstance(g, (Eq, Atom, And, Or, Implies, Iff)) and g.pos), None)
 
 
 def _check_count(count: int, what: str, f: Formula):

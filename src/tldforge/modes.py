@@ -144,12 +144,6 @@ class Directionality:
     nosh: frozenset = frozenset()  # of (i, j) 1-based index pairs, i < j
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.modes, tuple):
-            object.__setattr__(self, "modes", tuple(self.modes))
-        if not isinstance(self.nosh, frozenset):
-            object.__setattr__(self, "nosh", frozenset(self.nosh))
-
     @property
     def arity(self) -> int:
         return len(self.modes)
@@ -176,12 +170,6 @@ class Spec:
     external: str = ""
     directionalities: tuple = ()
     pos: SourcePos | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        for attr in ("params", "param_types", "directionalities"):
-            v = getattr(self, attr)
-            if not isinstance(v, tuple):
-                object.__setattr__(self, attr, tuple(v))
 
     @property
     def arity(self) -> int:

@@ -106,10 +106,17 @@ def format_literal(lit) -> str:
     raise TypeError(f"not a literal: {lit!r}")
 
 
-def format_clause(c: Clause) -> str:
-    head = c.predicate if not c.head_args else \
-        f"{c.predicate}({', '.join(format_term(a) for a in c.head_args)})"
+def format_clause(c: Clause, name: str | None = None,
+                  cut_after: int | None = None) -> str:
+    """The clause as Prolog text, with ``name`` in place of its predicate
+    when given, and a cut after the body literal at index ``cut_after``."""
+    name = c.predicate if name is None else name
+    head = name if not c.head_args else \
+        f"{name}({', '.join(format_term(a) for a in c.head_args)})"
     if not c.body:
         return f"{head}."
-    body = ",\n    ".join(format_literal(lit) for lit in c.body)
+    parts = [format_literal(lit) for lit in c.body]
+    if cut_after is not None:
+        parts.insert(cut_after + 1, "!")
+    body = ",\n    ".join(parts)
     return f"{head} :-\n    {body}."

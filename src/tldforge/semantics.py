@@ -174,7 +174,7 @@ class EvalContext:
 def _description(entry, side: str):
     """The definition and parameter names of the description that ``side``
     unfolds for an ``EvalContext.predicates`` entry."""
-    if isinstance(entry, tuple):
+    if type(entry) is tuple:  # a pair: a LogicDescription is a NamedTuple
         entry = entry[0] if side == TYPED else entry[1]
     if isinstance(entry, TypedLogicDescription):
         return entry.definition, tuple(n for n, _ in entry.params)

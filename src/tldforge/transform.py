@@ -148,15 +148,8 @@ def simplify_checks(f: Formula) -> Formula:
                     continue
                 items.append(p)
         return ast.disj(items)
-    if isinstance(f, Not):
-        return Not(simplify_checks(f.body), pos=f.pos)
-    if isinstance(f, Implies):
-        return Implies(simplify_checks(f.left), simplify_checks(f.right), pos=f.pos)
-    if isinstance(f, Iff):
-        return Iff(simplify_checks(f.left), simplify_checks(f.right), pos=f.pos)
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, f.type_name, simplify_checks(f.body), pos=f.pos)
-    return f
+    children = ast.subformulas(f)
+    return ast.with_subformulas(f, tuple(map(simplify_checks, children))) if children else f
 
 
 def simplify_description(ld: LogicDescription) -> LogicDescription:

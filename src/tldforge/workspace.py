@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import typesys
 from .analysis import Registry, analyze_procedure
-from .ast import Atom, Exists, Forall, Var, subformulas
+from .ast import UNIVERSAL_TYPE, Atom, Exists, Forall, Var, subformulas
 from .codegen import emit_mercury, emit_prolog, flatten_program
 from .derive import derive_clauses, normalize, normalized_formula
 from .diagnostics import SourceDiagnostic, SourcePos, error, has_errors, warning
@@ -224,6 +224,8 @@ def load_workspace(manifest: str | Path) -> LoadResult:
             diags.append(error("unresolved-ref",
                                f"{name}: specification arity {spec.arity} but "
                                f"description arity {tld.arity}", tld.pos))
+        else:
+            diags.extend(_param_mismatches(spec, tld, env))
         for callee, arity, arg_types in _called_predicates(tld, env, diags):
             callee_spec = specs.get(callee)
             if callee_spec is None:
@@ -249,6 +251,24 @@ def load_workspace(manifest: str | Path) -> LoadResult:
     if has_errors(diags):
         return LoadResult(None, diags)
     return LoadResult(Workspace(manifest, env, specs, tlds, out_dir), diags)
+
+
+def _param_mismatches(spec: Spec, tld, env: TypeEnv) -> list:
+    """A description's parameters against its specification's, position by
+    position: the names must be the same, and two known types other than
+    ``term`` should be."""
+    names = tuple(n for n, _ in tld.params)
+    if names != spec.params:
+        return [error("spec-mismatch",
+                      f"{tld.predicate}: description parameters ({', '.join(names)}) "
+                      f"differ from the specification's ({', '.join(spec.params)})",
+                      tld.pos)]
+    return [warning("spec-mismatch",
+                    f"{tld.predicate}: parameter {n} is {got} in the description "
+                    f"but {declared} in the specification", tld.pos)
+            for (n, got), declared in zip(tld.params, spec.param_types)
+            if got != declared and got in env and declared in env
+            and UNIVERSAL_TYPE not in (got, declared) and not env.same_type(got, declared)]
 
 
 def _called_predicates(tld, env: TypeEnv, diags: list):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tldforge import ast
+from tldforge.diagnostics import SourcePos
 from tldforge.ast import (And, Atom, Eq, Exists, Or, Struct, Var, free_names,
                           free_variables, rename_free, substitute)
 from tldforge.errors import NonGroundSubstituteError, UnboundVariableError
@@ -146,6 +147,68 @@ def test_substitution_removes_exactly_the_bound_names(f, binding):
     applicable = {k: v for k, v in binding.items() if k in free_before}
     after = substitute(f, applicable)
     assert set(free_names(after)) == free_before - set(applicable)
+
+
+# one formula of each kind, each node positioned
+KIND_TEXTS = {
+    "TrueF": "true",
+    "FalseF": "false",
+    "Eq": "X = s(Y)",
+    "Atom": "q(X, zero)",
+    "And": "X = zero /\\ q(X) /\\ true",
+    "Or": "X = zero \\/ false \\/ ~q(X)",
+    "Not": "~(X = zero \\/ q(Y))",
+    "Implies": "q(X) => (X = zero <=> ~q(Y))",
+    "Iff": "q(X) <=> (exists Z: nat . X = s(Z))",
+    "Exists": "exists Y: nat . X = s(Y) /\\ q(Y)",
+    "Forall": "forall Y: nat . q(Y) => X = Y",
+}
+
+
+def _positioned(f):
+    """``f`` with every connective the parser leaves unpositioned at 9:9."""
+    children = tuple(map(_positioned, ast.subformulas(f)))
+    if isinstance(f, (And, Or)):
+        return type(f)(children, SourcePos("<formula>", 9, 9))
+    return ast.with_subformulas(f, children)
+
+
+def _preorder(f) -> list:
+    return [f] + [g for child in ast.subformulas(f) for g in _preorder(child)]
+
+
+@pytest.mark.parametrize("kind", KIND_TEXTS)
+def test_walk_and_with_subformulas_cover_every_formula_kind(kind):
+    f = _positioned(parse_formula(KIND_TEXTS[kind]))
+    assert type(f).__name__ == kind and f.pos is not None
+    nodes = list(ast.walk(f))
+    assert len(nodes) == len(_preorder(f)) == ast.formula_size(f)
+    assert all(a is b for a, b in zip(nodes, _preorder(f)))
+    rebuilt = ast.with_subformulas(f, ast.subformulas(f))
+    assert type(rebuilt) is type(f) and rebuilt == f and rebuilt.pos == f.pos
+    if ast.subformulas(f):
+        new = ast.with_subformulas(f, tuple(ast.TRUE for _ in ast.subformulas(f)))
+        assert type(new) is type(f) and new.pos == f.pos
+        assert ast.subformulas(new) == tuple(ast.TRUE for _ in ast.subformulas(f))
+
+
+@given(formulas())
+def test_walk_is_the_recursive_preorder(f):
+    assert list(ast.walk(f)) == _preorder(f)
+    assert ast.with_subformulas(f, ast.subformulas(f)) == f
+
+
+def test_with_subformulas_refuses_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula"):
+        ast.with_subformulas(zero, ())
+    with pytest.raises(TypeError, match="not a formula"):
+        substitute(zero, {"X": zero})
+
+
+def test_all_names_are_the_free_names_and_the_binders():
+    f = parse_formula("exists Y: nat . X = s(Y) /\\ (forall W: nat . q(W)) /\\ ~q(V)")
+    assert ast.all_names(f) == {"X", "Y", "W", "V"}
+    assert ast.has_quantifier(f) and not ast.has_quantifier(parse_formula("q(X)"))
 
 
 def test_positions_do_not_affect_equality():

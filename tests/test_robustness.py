@@ -74,10 +74,9 @@ def workspaces(draw):
     return types, spec, tld
 
 
-# gen mercury is left out: it still raises TypeError on an existential inside
-# a conjunction (see ROADMAP.md)
 _COMMANDS = st.sampled_from([["check"], ["transform"], ["derive"], ["analyze"],
-                             ["gen", "prolog"], ["oracle", "equiv", "--pred", "p"]])
+                             ["gen", "prolog"], ["gen", "mercury"],
+                             ["oracle", "equiv", "--pred", "p"]])
 
 
 @seed(12)

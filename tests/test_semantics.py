@@ -64,6 +64,17 @@ def test_predicate_unfolding_and_budget(ctx):
     assert evaluate(looping, Atom("loop", (zero,)), {}) is UNKNOWN
 
 
+def test_a_bare_untyped_description_unfolds_on_both_sides():
+    # an untyped description is a NamedTuple, not a (typed, untyped) pair
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    tlds, _ = parse_tlds("q(X: nat) <=> X = zero.")
+    c = EvalContext(env, {"q": transform_tld(tlds[0])}, universe_depth=2, unfold_depth=2)
+    for side in (TYPED, UNTYPED):
+        assert evaluate(c, Atom("q", (zero,)), {}, side=side) is TRUE
+        assert evaluate_reference(c, Atom("q", (Struct("s", (zero,)),)), {},
+                                  side=side) is FALSE
+
+
 def test_unknown_is_viral_except_absorption(ctx):
     env, _ = parse_types("nat ::= zero | s(nat).")
     tlds, _ = parse_tlds("loop(X: nat) <=> loop(X).")

@@ -211,6 +211,90 @@ def test_universal_annotations_do_not_warn(maxprefix_dir):
     assert not [d for d in result.diagnostics if d.code == "call-site-type"]
 
 
+MISMATCH_SPEC = ("procedure p(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+                 "dir (ground, var -> ground) : <0-1>.\n")
+MISMATCH_TYPES = "nat ::= zero | s(nat).\nletter ::= a | b.\nnumber == nat.\n"
+
+
+def test_cli_description_parameters_named_apart_from_the_spec_are_an_error(tmp_path,
+                                                                          capsys):
+    # elimination trusts the spec's parameter names: with A, B the trusted
+    # check nat(A) was kept, with X, Y it is removed
+    path = write_workspace(tmp_path, types=MISMATCH_TYPES, spec=MISMATCH_SPEC,
+                           tld="p(A: nat, B: nat) <=> B = s(A).\n")
+    for command in (["check"], ["gen", "prolog"]):
+        assert main([*command, "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{tmp_path / 'w.tld'}:1:1: error[spec-mismatch]: p: "
+                                "description parameters (A, B) differ from the "
+                                "specification's (X, Y)\n")
+
+
+@pytest.mark.parametrize("params, warned", [
+    ("X: letter, Y: nat", "parameter X is letter in the description but nat in "
+                          "the specification"),
+    ("X: nat, Y: number", None),  # an alias of the spec's type
+    ("X: term, Y: nat", None),  # as in a re-fed untyped dump
+])
+def test_description_parameter_types_are_checked_against_the_spec(tmp_path, params,
+                                                                  warned):
+    path = write_workspace(tmp_path, types=MISMATCH_TYPES, spec=MISMATCH_SPEC,
+                           tld=f"p({params}) <=> Y = s(X).\n")
+    result = load_workspace(path)
+    assert result.ok
+    assert [d.format() for d in result.diagnostics] == (
+        [f"{tmp_path / 'w.tld'}:1:1: warning[spec-mismatch]: p: {warned}"] if warned else [])
+
+
+# each case: the files that differ from NAT_WORKSPACE, and the first line
+# of stderr with ``{dir}`` for the workspace directory; x.types, beside them,
+# is listed only by the dup-type case
+LOAD_ERRORS = {
+    "malformed-manifest-line": (
+        {"manifest": "types w.types\nspec\nspec w.spec\ntld w.tld\n"},
+        "{dir}/manifest.txt:2:1: error[manifest]: malformed manifest line: 'spec'"),
+    "unknown-declaration": (
+        {"manifest": "types w.types\nspecs w.spec\ntld w.tld\n"},
+        "{dir}/manifest.txt:2:1: error[manifest]: unknown declaration 'specs'"),
+    "dup-type-across-files": (
+        {"manifest": "types w.types\ntypes x.types\nspec w.spec\ntld w.tld\n"},
+        "{dir}/x.types:2:1: error[dup-type]: type nat already defined in {dir}/w.types"),
+    "dup-spec": (
+        {"spec": NAT_WORKSPACE["spec"] + "procedure p(Y).\ntype Y : nat.\n"},
+        "{dir}/w.spec:4:1: error[dup-spec]: procedure p is specified twice"),
+    "dup-tld": (
+        {"tld": "p(X: nat) <=> X = zero.\np(X: nat) <=> X = s(zero).\n"},
+        "{dir}/w.tld:2:1: error[dup-tld]: p is described twice"),
+    "unknown-spec-parameter-type": (
+        {"spec": "procedure p(X).\ntype X : nosuch.\ndir (ground) : <0-1>.\n"},
+        "{dir}/w.spec:1:1: error[unknown-type]: p: unknown parameter type nosuch"),
+    "unknown-description-parameter-type": (
+        {"tld": "p(X: nosuch) <=> X = zero.\n"},
+        "{dir}/w.tld:1:1: error[unknown-type]: p: unknown parameter type nosuch"),
+    "spec-description-arity": (
+        {"tld": "p(X: nat, Y: nat) <=> X = Y.\n"},
+        "{dir}/w.tld:1:1: error[unresolved-ref]: p: specification arity 1 but "
+        "description arity 2"),
+    "callee-arity": (
+        {"spec": NAT_WORKSPACE["spec"] + "procedure q(Y).\ntype Y : nat.\n",
+         "tld": "p(X: nat) <=> q(X, X).\n"},
+        "{dir}/w.tld:1:1: error[unresolved-ref]: p calls q/2, but its specification "
+        "has arity 1"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_ERRORS)
+def test_cli_load_error_is_a_positioned_diagnostic(tmp_path, capsys, case):
+    files, first = LOAD_ERRORS[case]
+    write_workspace(tmp_path, **{**NAT_WORKSPACE, **files})
+    (tmp_path / "x.types").write_text("letter ::= a.\nnat ::= zero.\n")
+    assert main(["check", "--manifest", str(tmp_path / "manifest.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == first.format(dir=tmp_path)
+
+
 def test_pipeline_failure_carries_both_suggestions(tmp_path):
     path = write_workspace(
         tmp_path,
@@ -498,6 +582,19 @@ def test_cli_one_failing_procedure_does_not_abort_the_others(tmp_path, capsys):
         assert "good" in captured.out
 
 
+def test_cli_mercury_existential_in_a_conjunction_is_a_positioned_error(golden_dir,
+                                                                       capsys):
+    # gen prolog accepts it; gen mercury reports p and still prints q
+    manifest = golden_dir.parent / "mercury_exists" / "manifest.txt"
+    assert main(["gen", "prolog", "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    assert main(["gen", "mercury", "--manifest", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(":- pred q(nat).")
+    assert captured.err == ("error: p: the Mercury backend cannot print the existential "
+                            f"over Z at {manifest.parent / 'exists.tld'}:2:36\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_cli_oracle_depth_below_one_is_a_usage_error(maxprefix_dir, depth, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -590,6 +687,30 @@ def test_cli_depth_at_the_limit_runs(tmp_path, capsys):
     assert main(["oracle", "equiv", "--pred", "p", "--manifest", str(path),
                  "--depth", str(MAX_DEPTH)]) == 0
     assert capsys.readouterr().out.startswith(f"depth {MAX_DEPTH}: checked ")
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--depth", HUGE, f"must be at most {MAX_DEPTH}, got {'9' * 20}..."),
+    ("--depth", "-" + HUGE, f"must be at least 1, got -{'9' * 19}..."),
+    ("--depth", "x" * 5000, f"not an integer: '{'x' * 20}...'"),
+    ("--dir-index", HUGE, f"too large: {'9' * 20}..."),
+    ("--dir-index", " 0 ", "must be at least 1, got 0"),
+], ids=["depth-huge", "depth-huge-negative", "depth-long-text", "dir-index-huge",
+        "dir-index-zero"])
+def test_cli_integer_argument_error_echoes_a_short_argument(tmp_path, capsys, option,
+                                                           value, message):
+    path = write_workspace(tmp_path, **ONE_NAT, tld="p(X: nat) <=> X = zero.\n")
+    command = (["oracle", "equiv", "--pred", "p"] if option == "--depth"
+               else ["gen", "prolog"])
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--manifest", str(path), f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {option}: {message}")
+    assert len(err) < 400
 
 
 def test_cli_unsatisfiable_procedure_fails_in_prolog(tmp_path, capsys):
