@@ -13,12 +13,13 @@ multiplies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from typing import Mapping, NamedTuple
 
 from . import ast
 from .ast import Call, Clause, NafNot, Program, Struct, Term, TypeCheck, Unify, Var
-from .errors import NotCallableError, UnknownCalleeError
+from .errors import NotCallableError, ReorderLimitError, UnknownCalleeError
 from .modes import (Directionality, GROUND, Mode, Multiplicity, NOVAR,
                     Spec, VAR, bound_key)
 from .printer import format_literal
@@ -26,6 +27,14 @@ from .typesys import Cases, TypeEnv
 
 SPLIT_SUGGESTION = "generate separate versions of the procedure for each directionality"
 RESPEC_SUGGESTION = "change the specification adapting the directionalities"
+
+# the most (state, unscheduled literals) pairs without a completion that the
+# search of one clause may meet; past it, the reorder stops with a
+# ``reorder-limit`` error instead of searching on
+MAX_REORDER_STEPS = 10000
+# a literal with more variables is not tested for monotonicity, which runs
+# its mode rule 2**n times
+MAX_MONOTONE_VARS = 8
 
 
 class Registry(NamedTuple):
@@ -106,10 +115,15 @@ def _unify_update(modes: dict, left: Term, right: Term):
 
 
 def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality | None:
+    # a loop, not all() over a generator: the monotonicity test runs this
+    # up to 2**n times per call literal
     for d in spec.directionalities:
         if d.arity != len(arg_modes):
             continue
-        if all(m.leq(m_in) for m, (m_in, _) in zip(arg_modes, d.modes)):
+        for m, (m_in, _) in zip(arg_modes, d.modes):
+            if not m.atoms <= m_in.atoms:
+                break
+        else:
             return d
     return None
 
@@ -154,10 +168,11 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
 
 
 class _LiteralStep:
-    """One literal's mode rule, compiled: its variables, its callee, and
-    the result for each tuple of their modes met so far."""
+    """One literal's mode rule, compiled: its variables, its callee, the
+    result for each tuple of their modes met so far, and whether it is
+    monotone, once asked."""
 
-    __slots__ = ("lit", "names", "spec", "results")
+    __slots__ = ("lit", "names", "spec", "results", "monotone")
 
     def __init__(self, lit, registry: Registry):
         self.lit = lit
@@ -167,22 +182,24 @@ class _LiteralStep:
         # multiplicity), or, when the literal cannot run, a function giving
         # the reason
         self.results: dict = {}
+        self.monotone: bool | None = None
+
+    def _run(self, local: tuple):
+        """Run the mode rule at modes ``local`` of ``names`` and record the result."""
+        modes = dict(zip(self.names, local))
+        out = _mode_rule(self.lit, modes, self.spec)
+        if isinstance(out, Multiplicity):
+            post = tuple([modes[n] for n in self.names])
+            out = (None if post == local else post, out)
+        self.results[local] = out
+        return out
 
     def apply(self, state: tuple, where: tuple):
         """(post-state, multiplicity) of the literal on a state, a mode per
         variable with the literal's variables at positions ``where``; None
         when the literal cannot run there."""
         local = tuple([state[i] for i in where])
-        r = self.results.get(local)
-        if r is None:
-            modes = dict(zip(self.names, local))
-            out = _mode_rule(self.lit, modes, self.spec)
-            if isinstance(out, Multiplicity):
-                post = tuple([modes[n] for n in self.names])
-                r = (None if post == local else post, out)
-            else:
-                r = out
-            self.results[local] = r
+        r = self.results.get(local) or self._run(local)
         if r.__class__ is not tuple:  # the literal cannot run
             return None
         post, mult = r
@@ -199,6 +216,38 @@ class _LiteralStep:
         if self.apply(state, where) is not None:
             return None
         return self.results[tuple([state[i] for i in where])]()
+
+    def is_monotone(self) -> bool:
+        """Whether, with every variable ground or var, (a) the literal runs
+        at every raise of modes it runs at, and (b) its post-modes there are
+        those at the lower modes, raised alike, all ground or var: its effect
+        does not depend on when it runs.  Decided from the mode rule at the
+        2**n mode tuples of its n variables, up to the first counterexample;
+        more than MAX_MONOTONE_VARS variables count as not monotone."""
+        if self.monotone is None:
+            n = len(self.names)
+            self.monotone = n <= MAX_MONOTONE_VARS and all(
+                self._raised_alike(low) for low in itertools.product((GROUND, VAR), repeat=n))
+        return self.monotone
+
+    def _post(self, local: tuple):
+        """The post-modes at modes ``local``, or None where the literal cannot run."""
+        r = self.results.get(local) or self._run(local)
+        return (r[0] or local) if r.__class__ is tuple else None
+
+    def _raised_alike(self, low: tuple) -> bool:
+        """(a) and (b) of ``is_monotone`` between modes ``low`` and each
+        modes one variable above them.  The rest follows: both compose."""
+        post = self._post(low)
+        if post is None:
+            return True
+        if not all(p is GROUND or (p is VAR and m is VAR) for p, m in zip(post, low)):
+            return False  # outside the fragment, or lower than before
+        for i, m in enumerate(low):
+            if m is VAR and self._post(low[:i] + (GROUND,) + low[i + 1:]) != \
+                    post[:i] + (GROUND,) + post[i + 1:]:
+                return False
+        return True
 
 
 def abstract_step(state: AbstractState, lit, registry: Registry) -> AbstractState:
@@ -292,22 +341,63 @@ def runs_as_written(clause: Clause, dir: Directionality, registry: Registry,
 
 def reorder(clause: Clause, dir: Directionality, registry: Registry,
             mults: list | None = None, steps: dict | None = None):
-    """A body permutation executable under the directionality.
+    """The lexicographically first body permutation executable under the
+    directionality, in up to three steps.
 
-    Deterministic: greedily take the leftmost callable unscheduled literal,
-    with full backtracking when the greedy run sticks, so the result is the
-    lexicographically first executable permutation.  Subtrees already proven
-    to fail are remembered by (state, unscheduled literals) and not searched
-    again, which bounds the search by n * 2**n steps when the state depends
-    only on which literals ran.  Returns the reordered clause, or a
-    ReorderFailure naming the clause and carrying the two standard
-    suggestions (split per directionality, or respecify).  When ``mults``
-    is given, it receives the answer multiplicity of each literal of the
-    returned order at its place there.  ``steps`` maps each literal to its
-    compiled mode step; the reorders of one analysis share it.
+    1. A greedy pass runs the leftmost callable unscheduled literal until
+       none is left or none can run, in at most n**2 literal applications.
+       If every literal ran and the head reaches its out-modes, that order
+       is the first.
+    2. Otherwise a monotone clause has no order, and the pass's stuck state
+       is the search's deepest prefix: every head in-mode is ground or var
+       and every literal is monotone (``_LiteralStep.is_monotone``), so no
+       order reaches a state the pass did not, and every order that runs
+       every literal ends where the pass did.
+    3. Any other clause is searched depth first with backtracking,
+       remembering the (state, unscheduled literals) pairs proven to have
+       no completion.  Past MAX_REORDER_STEPS of them it raises
+       ReorderLimitError, naming the literals that are not monotone.
+
+    Returns the reordered clause, or a ReorderFailure naming the clause and
+    carrying the two standard suggestions (split per directionality, or
+    respecify).  When ``mults`` is given, it receives the answer
+    multiplicity of each literal of the returned order at its place there.
+    ``steps`` maps each literal to its compiled mode step; the reorders of
+    one analysis share it.
     """
     body = clause.body
     names, start, bound = _bind(clause, dir, registry, {} if steps is None else steps)
+    state, remaining, path = start, list(range(len(body))), []
+    while remaining:  # the greedy pass
+        for k, i in enumerate(remaining):
+            step, where = bound[i]
+            r = step.apply(state, where)
+            if r is not None:
+                state = r[0]
+                path.append((i, r[1]))
+                del remaining[k]
+                break
+        else:
+            break
+    if remaining or not _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir):
+        which = f" ({clause.provenance})" if clause.provenance else ""
+        path = None  # a monotone clause has no order: the saturation verdict
+        if any(_non_monotone(clause, start, bound)):
+            path, state, remaining = _search(clause, dir, names, start, bound, which)
+        if path is None:
+            return ReorderFailure(clause.predicate, dir,
+                                  "no literal permutation satisfies the directionality"
+                                  + which, _blocked(clause, dir, names, bound, state, remaining))
+    if mults is not None:
+        mults.extend(m for _, m in path)
+    return replace(clause, body=tuple(body[i] for i, _ in path))
+
+
+def _search(clause: Clause, dir: Directionality, names: list, start: tuple,
+            bound: list, which: str) -> tuple:
+    """Step 3 of ``reorder``: the first order as (literal index,
+    multiplicity) pairs, or None, with the state and the unscheduled
+    literals of the longest prefix reached."""
     failed: set = set()  # (state, remaining) pairs with no completion
     path: list = []  # (literal index, multiplicity) of the literals scheduled so far
     deepest: list = [-1, None, ()]  # the longest prefix: length, state, remaining
@@ -331,17 +421,27 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
                 return True
             path.pop()
             failed.add((nxt, rest))
+            if len(failed) > MAX_REORDER_STEPS:
+                raise ReorderLimitError(
+                    f"reorder-limit: the clause of {clause.predicate}{which} has no "
+                    f"literal order for {dir} within {MAX_REORDER_STEPS} dead ends of "
+                    "the search; it is searched because these are not monotone: "
+                    + ", ".join(_non_monotone(clause, start, bound)))
         return False
 
-    if not search(start, tuple(range(len(body)))):
-        which = f" ({clause.provenance})" if clause.provenance else ""
-        blocked = _blocked(clause, dir, names, bound, deepest[1], deepest[2])
-        return ReorderFailure(clause.predicate, dir,
-                              "no literal permutation satisfies the directionality"
-                              + which, blocked)
-    if mults is not None:
-        mults.extend(m for _, m in path)
-    return replace(clause, body=tuple(body[i] for i, _ in path))
+    found = search(start, tuple(range(len(clause.body))))
+    return path if found else None, deepest[1], deepest[2]
+
+
+def _non_monotone(clause: Clause, start: tuple, bound: list):
+    """What keeps a clause from being monotone, lazily: its head in-modes
+    unless each is ground or var, then each literal that is not monotone,
+    with its position.  ``start`` and ``bound`` are as ``_bind`` gives them."""
+    if not all(m is GROUND or m is VAR for m in start):
+        yield "the head in-modes"
+    for lit, (step, _) in zip(clause.body, bound):
+        if not step.is_monotone():
+            yield f"{format_literal(lit)}{f' at {lit.pos}' if lit.pos else ''}"
 
 
 def _blocked(clause: Clause, dir: Directionality, names: list, bound: list,

@@ -1,8 +1,9 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 diagnostics with errors or a failed stage,
-2 usage error.  Diagnostics print as ``file:line:col: severity[code]:
-message`` on stderr; generated code goes to stdout.
+2 usage error, 3 internal error (an exception no stage reports itself).
+Diagnostics print as ``file:line:col: severity[code]: message`` on stderr;
+generated code goes to stdout.
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
         # goes nowhere, so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except Exception as e:  # a defect: one line instead of a traceback
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
     return code
 
 

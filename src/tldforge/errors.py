@@ -41,6 +41,10 @@ class NotCallableError(ForgeError):
     """A literal cannot execute in the current abstract state."""
 
 
+class ReorderLimitError(ForgeError):
+    """A reorder search passed its step limit without deciding the clause."""
+
+
 class UnknownCalleeError(ForgeError):
     """A called predicate has no registered specification."""
 

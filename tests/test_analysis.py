@@ -11,18 +11,20 @@ from tldforge.analysis import (AbstractState, Registry, ReorderFailure,
                                abstract_step, analyze_determinism,
                                analyze_procedure, detect_switch,
                                eliminate_checks, initial_state, reorder,
-                               runs_as_written, _outs_satisfied)
+                               runs_as_written, _LiteralStep, _outs_satisfied)
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
+from tldforge.diagnostics import SourcePos
 from tldforge.derive import body_formula, derive_clauses, literal_formula
 from tldforge.codegen import flatten_program
-from tldforge.errors import NotCallableError, UnknownCalleeError
+from tldforge.errors import NotCallableError, ReorderLimitError, UnknownCalleeError
 from tldforge.modes import (ALL_MODES, ANY, Directionality, GROUND, Mode,
                             Multiplicity, NOVAR, Spec, VAR)
-from tldforge.parser import parse_types
+from tldforge.parser import parse_specs, parse_types
 from tldforge.semantics import check_agreement
 from tldforge.transform import simplify_description, transform_tld
-from tldforge.workspace import load_workspace
+from tldforge.workspace import builtin_specs, load_workspace
+from reference_reorder import reorder as reference_reorder
 from util import (instantiation_class, reference_determinism, reference_literal_mults,
                   reference_step, reinstated_clause, resolve, unify)
 
@@ -444,6 +446,41 @@ def _runs_as_written(clause, d, registry):
     return _outs_satisfied(state, clause, d)
 
 
+TRAP_SPECS = ("procedure src(A, B).\ntype A : integer.\ntype B : integer.\n"
+              "dir (ground, var -> ground) : <1-1>.\n\n"
+              "procedure split(A, B, C).\ntype A : integer.\ntype B : integer.\n"
+              "type C : integer.\n"
+              "dir (ground, var -> ground, var -> ground) : <1-1>.\n"
+              "dir (ground, ground, var -> ground) : <0-1>.\n\n")
+
+# callees beyond the builtins: an r-like generator, the perfbench chain
+# trap's src (callable only while its second argument is free) and split,
+# and flip, which grounds its second argument only while its first is free
+SEARCH_SPECS = """
+procedure r(A).
+type A : integer.
+dir (var -> ground) : <0-*>.
+dir (ground) : <0-1>.
+
+procedure t(A).
+type A : integer.
+dir (ground) : <0-1>.
+
+procedure flip(A, B).
+type A : integer.
+type B : integer.
+dir (var -> var, var -> ground) : <0-1>.
+dir (ground, var -> var) : <0-1>.
+""" + TRAP_SPECS
+
+
+@pytest.fixture(scope="module")
+def search_registry(registry):
+    specs, diags = parse_specs(SEARCH_SPECS, "<search>")
+    assert not diags, diags
+    return Registry(registry.env, {**registry.specs, **{s.name: s for s in specs}})
+
+
 NAMES = ("X", "Y", "Z", "W")
 HEAD_MODES = ((GROUND, GROUND), (VAR, GROUND), (VAR, VAR), (VAR, ANY),
               (Mode.from_name("ngv"), ANY))
@@ -455,10 +492,12 @@ def clauses_and_dirs(draw):
     var = st.sampled_from(names).map(Var)
     const = st.sampled_from((Struct("a"), Struct("3")))
     call = st.one_of(
-        st.tuples(st.sampled_from(("plus", "times")), var, st.one_of(var, const), var)
+        st.tuples(st.sampled_from(("plus", "times", "split")), var,
+                  st.one_of(var, const), var)
         .map(lambda t: Call(t[0], t[1:])),
-        st.tuples(st.sampled_from(("gt", "lt")), var, st.one_of(var, const))
-        .map(lambda t: Call(t[0], t[1:])))
+        st.tuples(st.sampled_from(("gt", "lt", "src", "flip")), var, st.one_of(var, const))
+        .map(lambda t: Call(t[0], t[1:])),
+        var.map(lambda v: Call("r", (v,))))
     # constants and f(...) terms on either side, f(X) = f(Y) among them
     side = st.one_of(var, const, var.map(lambda v: Struct("f", (v,))))
     unify = st.tuples(side, side).map(lambda t: Unify(*t))
@@ -470,69 +509,162 @@ def clauses_and_dirs(draw):
     return Clause("p", head, tuple(body)), Directionality(modes, D01)
 
 
-@settings(max_examples=150, deadline=None)
+X, Y, Z, W = map(Var, NAMES)
+
+
+@settings(max_examples=300, deadline=None)
 @given(clauses_and_dirs())
 # the state after both literals depends on their order: X = f(Y) first
 # leaves X non-ground, so a failure must not be remembered by subset alone
-@example((Clause("p", (Var("X"), Var("Y")),
-                 (Unify(Var("X"), Struct("f", (Var("Y"),))), Unify(Var("Y"), Struct("a")))),
+@example((Clause("p", (X, Y), (Unify(X, Struct("f", (Y,))), Unify(Y, Struct("a")))),
           Directionality(((VAR, GROUND), (VAR, GROUND)), D01)))
-def test_reorder_is_the_first_valid_permutation(registry, case):
+# the greedy pass runs Y = V while both are free and Y stays free; only the
+# search finds plus first
+@example((Clause("p", (X, Y), (Unify(Y, Z), Call("plus", (X, Struct("7"), Z)))),
+          Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)))
+# the chain trap: split first leaves src uncallable, so the search must
+# backtrack to run src before split
+@example((Clause("p", (X, W), (Call("split", (X, Z, W)), Call("src", (X, Z)))),
+          Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)))
+# the same with no order at all: the failure is the search's deepest prefix
+@example((Clause("p", (X, W), (Call("split", (X, Z, W)), Call("src", (X, Z)),
+                               TypeCheck("integer", Y))),
+          Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)))
+# a monotone clause with no order: r grounds X, t(Y) never runs
+@example((Clause("p", (Y,), (TypeCheck("integer", X), Call("r", (X,)),
+                             Call("t", (Y,)), Unify(Y, Struct("3")))),
+          Directionality(((VAR, GROUND),), D01)))
+def test_reorder_is_the_first_valid_permutation(search_registry, case):
     clause, d = case
     mults: list = []
-    out = reorder(clause, d, registry, mults)
-    expected = _first_valid_permutation(clause, d, registry)
+    out = reorder(clause, d, search_registry, mults)
+    # the search that the greedy pass and the saturation verdict replace:
+    # the same order, multiplicities and failure, reason and blocked literals
+    ref_mults: list = []
+    assert out == reference_reorder(clause, d, search_registry, ref_mults)
+    assert mults == ref_mults
+    expected = _first_valid_permutation(clause, d, search_registry)
     if expected is None:
         assert isinstance(out, ReorderFailure)
         return
     assert out.body == tuple(clause.body[i] for i in expected)
     # the recorded multiplicities are those the determinism analysis
     # computed by walking the returned order again
-    assert mults == reference_literal_mults(out, d, registry)
+    assert mults == reference_literal_mults(out, d, search_registry)
 
 
 @settings(max_examples=150, deadline=None)
 @given(clauses_and_dirs(), st.lists(st.sampled_from(ALL_MODES), min_size=4, max_size=4))
-def test_abstract_step_is_the_reference_step(registry, case, modes):
+def test_abstract_step_is_the_reference_step(search_registry, case, modes):
     # the compiled step applied once gives the reference's post-state, or
     # fails with the reference's message
     clause, _ = case
     state = AbstractState.make(dict(zip(NAMES, modes)))
     for lit in clause.body:
         try:
-            expected = reference_step(state, lit, registry)
+            expected = reference_step(state, lit, search_registry)
         except NotCallableError as e:
             with pytest.raises(NotCallableError) as exc:
-                abstract_step(state, lit, registry)
+                abstract_step(state, lit, search_registry)
             assert str(exc.value) == str(e)
             continue
-        assert abstract_step(state, lit, registry) == expected
+        assert abstract_step(state, lit, search_registry) == expected
 
 
-def test_failing_reorder_visits_each_subset_once(registry, monkeypatch):
-    # eight literals, all callable in any order, none binding the output Y
+def _probe(g: int) -> Clause:
+    """g generators r(Ci), each with its check, and a t(Z) that never runs:
+    a monotone clause of 2g + 3 literals with no order."""
+    cs = [Var(f"C{i}") for i in range(g)]
+    body = ([TypeCheck("integer", Z)] + [TypeCheck("integer", c) for c in cs]
+            + [Call("r", (c,)) for c in cs] + [Call("t", (Z,)), Unify(X, Struct("3"))])
+    return Clause("p", (X,), tuple(body), provenance="disjunct 1 of 1")
+
+
+def test_failing_monotone_reorder_applies_at_most_n_squared_literals(
+        search_registry, monkeypatch):
     import tldforge.analysis as analysis
-    steps = 0
+    count = 0
     original = analysis._LiteralStep.apply
 
     def counting(self, state, where):
-        nonlocal steps
-        steps += 1
+        nonlocal count
+        count += 1
         return original(self, state, where)
 
     monkeypatch.setattr(analysis._LiteralStep, "apply", counting)
-    X = Var("X")
+    # eight literals, all callable in any order, none binding the output Y
     body = (Call("gt", (X, Struct("1"))), Call("plus", (X, Struct("2"), Var("V0"))),
             Call("lt", (X, Struct("3"))), Call("times", (X, Struct("4"), Var("V1"))),
             Call("ge", (X, Struct("5"))), Call("le", (X, Struct("6"))),
             Call("gt", (X, Struct("7"))), TypeCheck("integer", X))
-    clause = Clause("p", (X, Var("Y")), body, provenance="disjunct 1 of 1")
-    d = Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)
-    out = reorder(clause, d, registry)
-    assert isinstance(out, ReorderFailure)
-    assert out.reason == ("no literal permutation satisfies the directionality "
-                          "(disjunct 1 of 1)")
-    assert 0 < steps <= 8 * 2 ** 8
+    cases = [(Clause("p", (X, Y), body, provenance="disjunct 1 of 1"),
+              Directionality(((GROUND, GROUND), (VAR, GROUND)), D01))]
+    cases += [(_probe(g), Directionality(((VAR, GROUND),), D01)) for g in (3, 12, 40)]
+    for clause, d in cases:
+        count = 0
+        out = reorder(clause, d, search_registry)
+        n = len(clause.body)
+        assert isinstance(out, ReorderFailure)
+        assert out.reason == ("no literal permutation satisfies the directionality "
+                              "(disjunct 1 of 1)")
+        assert 0 < count <= n * n, (n, count)
+        if n < 10:
+            assert out == reference_reorder(clause, d, search_registry)
+    assert [b.split(" never")[0] for b in out.blocked] == ["integer(Z)", "t(Z)"]
+
+
+def test_the_builtins_are_monotone():
+    specs = builtin_specs()
+    assert len(specs) == 9
+    reg = Registry(None, {s.name: s for s in specs})
+    for s in specs:
+        args = tuple(Var(f"A{i}") for i in range(s.arity))
+        assert _LiteralStep(Call(s.name, args), reg).is_monotone(), s.name
+
+
+def test_monotone_literals(search_registry):
+    def monotone(lit):
+        return _LiteralStep(lit, search_registry).is_monotone()
+
+    assert monotone(Call("r", (X,)))
+    assert monotone(Call("t", (X,)))
+    assert monotone(Call("plus", (X, Struct("7"), X)))
+    assert monotone(TypeCheck("integer", Struct("f", (X, Y))))
+    assert monotone(NafNot(Call("lt", (X, Y))))
+    assert monotone(Unify(X, Struct("s", (Struct("zero"),))))
+    assert monotone(Unify(Struct("f", (X, Struct("1"))), Struct("f", (Struct("2"), Y))))
+    # with X free it grounds Y, with X ground it leaves Y free: its effect
+    # depends on when it runs
+    assert not monotone(Call("flip", (X, Y)))
+    # callable only while its second argument is free
+    assert not monotone(Call("src", (X, Y)))
+    # run while both are free, it leaves X free; run later, it grounds X
+    assert not monotone(Unify(X, Y))
+    assert not monotone(Unify(Struct("f", (X,)), Struct("f", (Y,))))
+    # X = f(Y) leaves X neither ground nor var
+    assert not monotone(Unify(X, Struct("f", (Y,))))
+
+
+def test_a_variable_variable_unification_disqualifies_a_clause(search_registry,
+                                                                monkeypatch):
+    import tldforge.analysis as analysis
+    monkeypatch.setattr(analysis, "MAX_REORDER_STEPS", 0)
+    d = Directionality(((VAR, GROUND),), D01)
+    probe = _probe(2)
+    # monotone: decided by the greedy pass, with no search step at all
+    assert isinstance(reorder(probe, d, search_registry), ReorderFailure)
+    # X = Z leaves X free before Z is ground, so only a search decides the
+    # clause, and at a limit of 0 it stops at its first dead end
+    clause = replace(probe, body=probe.body[:-1] + (Unify(X, Z, SourcePos("w.tld", 3, 5)),))
+    with pytest.raises(ReorderLimitError) as exc:
+        reorder(clause, d, search_registry)
+    assert str(exc.value) == (
+        "reorder-limit: the clause of p (disjunct 1 of 1) has no literal order for "
+        "(var -> ground) : <0-1> within 0 dead ends of the search; it is searched "
+        "because these are not monotone: X = Z at w.tld:3:5")
+    # so do head in-modes outside ground and var
+    with pytest.raises(ReorderLimitError, match="not monotone: the head in-modes$"):
+        reorder(probe, Directionality(((ANY, GROUND),), D01), search_registry)
 
 
 # -- analyze_procedure against the references on generated workspaces ---------------
@@ -542,12 +674,6 @@ DNF_PARTS = ("(lt(X, {c}) \\/ ge(X, {c}))", "(le(X, {c}) \\/ gt(X, {c}))",
 DNF_TAILS = ("plus(X, {c}, V) /\\ Y = V", "Y = V /\\ plus(X, {c}, V)")
 DNF_DIRS = ("(ground, var -> ground) : <0-*>", "(ground, ground) : <0-*>",
             "(var -> ground, ground) : <0-*>")
-TRAP_SPECS = ("procedure src(A, B).\ntype A : integer.\ntype B : integer.\n"
-              "dir (ground, var -> ground) : <1-1>.\n\n"
-              "procedure split(A, B, C).\ntype A : integer.\ntype B : integer.\n"
-              "type C : integer.\n"
-              "dir (ground, var -> ground, var -> ground) : <1-1>.\n"
-              "dir (ground, ground, var -> ground) : <0-1>.\n\n")
 
 
 def _dnf_workspace(rng):

@@ -471,6 +471,38 @@ def test_reorder_failure_names_the_unreached_out_mode(tmp_path, capsys):
     assert why in captured.err
 
 
+def test_a_monotone_clause_without_an_order_is_decided_by_one_pass(maxprefix_dir, capsys):
+    # 40 generators and a t(Z) that never runs: the search took seconds at 10
+    fixture = maxprefix_dir.parent / "reorder_probe"
+    assert main(["analyze", "--manifest", str(fixture / "manifest.txt"), "--pred", "p"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert (f"t(Z) at {fixture / 'probe.tld'}:85:5 never became callable: "
+            "no directionality of t/1 accepts argument modes (var)") in err
+
+
+def test_a_search_past_its_limit_is_one_positioned_error(maxprefix_dir, capsys):
+    fixture = maxprefix_dir.parent / "reorder_limit"
+    assert main(["analyze", "--manifest", str(fixture / "manifest.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: reorder-limit: the clause of p (disjunct 1 of 1) has no literal order "
+        "for (var -> ground) : <0-*> within 10000 dead ends of the search; it is "
+        f"searched because these are not monotone: Y = V at {fixture / 'probe.tld'}:40:5\n")
+    # the other procedures are still analysed
+    assert captured.out.startswith("procedure r/1\n")
+
+
+def test_an_internal_error_is_one_line_and_exit_3(maxprefix_dir, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("a defect\nover two lines")
+
+    monkeypatch.setattr(cli, "_run", broken)
+    assert main(["check", "--manifest", str(maxprefix_dir / "manifest.txt")]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError('a defect\\nover two lines')\n")
+
+
 def test_cli_parser_is_built_once_and_reused(maxprefix_dir, capsys):
     manifest = str(maxprefix_dir / "manifest.txt")
     argv = ["gen", "prolog", "--manifest", manifest]
