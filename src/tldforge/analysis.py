@@ -75,7 +75,7 @@ def term_mode(modes: dict, t: Term) -> Mode:
     ``t`` is in ``modes``."""
     if isinstance(t, Var):
         return modes[t.name]
-    if all(modes[n] == GROUND for n in ast.term_vars(t)):
+    if t.is_ground or all(modes[n] == GROUND for n in ast.term_vars(t)):
         return GROUND
     return NOVAR  # a compound is never a free variable
 
@@ -150,7 +150,7 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
         for arg, (_, m_out) in zip(lit.args, d.modes):
             if isinstance(arg, Var):
                 modes[arg.name] = m_out
-            elif m_out == GROUND:
+            elif m_out == GROUND and not arg.is_ground:
                 for n in ast.term_vars(arg):
                     modes[n] = GROUND
         return d.mult
@@ -342,21 +342,23 @@ def runs_as_written(clause: Clause, dir: Directionality, registry: Registry,
 def reorder(clause: Clause, dir: Directionality, registry: Registry,
             mults: list | None = None, steps: dict | None = None):
     """The lexicographically first body permutation executable under the
-    directionality, in up to three steps.
+    directionality, found by one depth-first search that tries the
+    unscheduled literals leftmost first.
 
-    1. A greedy pass runs the leftmost callable unscheduled literal until
-       none is left or none can run, in at most n**2 literal applications.
-       If every literal ran and the head reaches its out-modes, that order
-       is the first.
-    2. Otherwise a monotone clause has no order, and the pass's stuck state
-       is the search's deepest prefix: every head in-mode is ground or var
-       and every literal is monotone (``_LiteralStep.is_monotone``), so no
-       order reaches a state the pass did not, and every order that runs
-       every literal ends where the pass did.
-    3. Any other clause is searched depth first with backtracking,
-       remembering the (state, unscheduled literals) pairs proven to have
-       no completion.  Past MAX_REORDER_STEPS of them it raises
-       ReorderLimitError, naming the literals that are not monotone.
+    Its first descent is the greedy pass: it runs the leftmost callable
+    literal until none is left or none can run, in at most n**2 literal
+    applications, and an order that needs no backtracking ends there.  At
+    the first dead end, a monotone clause has no order, and the pass's
+    stuck state is the deepest prefix of any order: every head in-mode is
+    ground or var and every literal is monotone
+    (``_LiteralStep.is_monotone``), so no order reaches a state the pass
+    did not, and every order that runs every literal ends where the pass
+    did.  Any other clause backtracks from there, remembering the (state,
+    unscheduled literals) pairs proven to have no completion; past
+    MAX_REORDER_STEPS of them it raises ReorderLimitError, naming the
+    literals that are not monotone.  The search keeps its path on an
+    explicit stack, so its depth does not depend on Python's recursion
+    limit.
 
     Returns the reordered clause, or a ReorderFailure naming the clause and
     carrying the two standard suggestions (split per directionality, or
@@ -367,70 +369,48 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
     """
     body = clause.body
     names, start, bound = _bind(clause, dir, registry, {} if steps is None else steps)
-    state, remaining, path = start, list(range(len(body))), []
-    while remaining:  # the greedy pass
-        for k, i in enumerate(remaining):
-            step, where = bound[i]
-            r = step.apply(state, where)
-            if r is not None:
-                state = r[0]
-                path.append((i, r[1]))
-                del remaining[k]
-                break
-        else:
-            break
-    if remaining or not _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir):
-        which = f" ({clause.provenance})" if clause.provenance else ""
-        path = None  # a monotone clause has no order: the saturation verdict
-        if any(_non_monotone(clause, start, bound)):
-            path, state, remaining = _search(clause, dir, names, start, bound, which)
-        if path is None:
-            return ReorderFailure(clause.predicate, dir,
-                                  "no literal permutation satisfies the directionality"
-                                  + which, _blocked(clause, dir, names, bound, state, remaining))
-    if mults is not None:
-        mults.extend(m for _, m in path)
-    return replace(clause, body=tuple(body[i] for i, _ in path))
-
-
-def _search(clause: Clause, dir: Directionality, names: list, start: tuple,
-            bound: list, which: str) -> tuple:
-    """Step 3 of ``reorder``: the first order as (literal index,
-    multiplicity) pairs, or None, with the state and the unscheduled
-    literals of the longest prefix reached."""
+    state, remaining, k = start, list(range(len(body))), 0
+    # (literal index, multiplicity, state before it, its place in remaining)
+    # of the literals scheduled so far
+    path: list = []
     failed: set = set()  # (state, remaining) pairs with no completion
-    path: list = []  # (literal index, multiplicity) of the literals scheduled so far
-    deepest: list = [-1, None, ()]  # the longest prefix: length, state, remaining
-
-    def search(state: tuple, remaining: tuple) -> bool:
-        if len(path) > deepest[0]:
-            deepest[:] = len(path), state, remaining
-        if not remaining:
-            return _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir)
-        for k, i in enumerate(remaining):
-            step, where = bound[i]
+    deepest = None  # the longest prefix's length, state and remaining, once a dead end is met
+    while remaining or not _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir):
+        for k in range(k, len(remaining)):
+            step, where = bound[remaining[k]]
             r = step.apply(state, where)
-            if r is None:
-                continue
-            nxt, mult = r
-            rest = remaining[:k] + remaining[k + 1:]
-            if failed and (nxt, rest) in failed:
-                continue
-            path.append((i, mult))
-            if search(nxt, rest):
-                return True
-            path.pop()
-            failed.add((nxt, rest))
+            if r is not None and not (
+                    failed and (r[0], tuple(remaining[:k] + remaining[k + 1:])) in failed):
+                break
+        else:  # a dead end
+            which = f" ({clause.provenance})" if clause.provenance else ""
+            if deepest is None:  # the first, where the greedy pass stops
+                deepest = len(path), state, tuple(remaining)
+                # with no literal to undo, or in a monotone clause, there
+                # is no order: the saturation verdict
+                backtracks = bool(path) and any(_non_monotone(clause, start, bound))
+            if not (backtracks and path):
+                return ReorderFailure(clause.predicate, dir,
+                                      "no literal permutation satisfies the directionality"
+                                      + which, _blocked(clause, dir, names, bound, *deepest[1:]))
+            failed.add((state, tuple(remaining)))
             if len(failed) > MAX_REORDER_STEPS:
                 raise ReorderLimitError(
                     f"reorder-limit: the clause of {clause.predicate}{which} has no "
                     f"literal order for {dir} within {MAX_REORDER_STEPS} dead ends of "
                     "the search; it is searched because these are not monotone: "
                     + ", ".join(_non_monotone(clause, start, bound)))
-        return False
-
-    found = search(start, tuple(range(len(clause.body))))
-    return path if found else None, deepest[1], deepest[2]
+            i, _, state, k = path.pop()
+            remaining.insert(k, i)
+            k += 1
+            continue
+        path.append((remaining.pop(k), r[1], state, k))
+        state, k = r[0], 0
+        if deepest is not None and len(path) > deepest[0]:
+            deepest = len(path), state, tuple(remaining)
+    if mults is not None:
+        mults.extend(m for _, m, _, _ in path)
+    return replace(clause, body=tuple(body[i] for i, _, _, _ in path))
 
 
 def _non_monotone(clause: Clause, start: tuple, bound: list):

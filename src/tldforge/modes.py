@@ -31,6 +31,10 @@ class Mode(enum.Enum):
     noground = frozenset({V, N})
     any = frozenset({G, V, N})
 
+    # members are singletons compared by identity: hash them so too, in C,
+    # not through the Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
     def __init__(self, atoms: frozenset):
         self.atoms = atoms
 

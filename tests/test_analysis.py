@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 from dataclasses import replace
@@ -512,6 +513,24 @@ def clauses_and_dirs(draw):
 X, Y, Z, W = map(Var, NAMES)
 
 
+@contextlib.contextmanager
+def _counting_applies():
+    """A one-element list that counts the ``_LiteralStep.apply`` calls made
+    in the block."""
+    original = _LiteralStep.apply
+    count = [0]
+
+    def counting(self, state, where):
+        count[0] += 1
+        return original(self, state, where)
+
+    _LiteralStep.apply = counting
+    try:
+        yield count
+    finally:
+        _LiteralStep.apply = original
+
+
 @settings(max_examples=300, deadline=None)
 @given(clauses_and_dirs())
 # the state after both literals depends on their order: X = f(Y) first
@@ -537,12 +556,16 @@ X, Y, Z, W = map(Var, NAMES)
 def test_reorder_is_the_first_valid_permutation(search_registry, case):
     clause, d = case
     mults: list = []
-    out = reorder(clause, d, search_registry, mults)
-    # the search that the greedy pass and the saturation verdict replace:
-    # the same order, multiplicities and failure, reason and blocked literals
+    with _counting_applies() as applied:
+        out = reorder(clause, d, search_registry, mults)
+    # the search that the saturation verdict and the limit cut short: the
+    # same order, multiplicities and failure, reason and blocked literals
     ref_mults: list = []
-    assert out == reference_reorder(clause, d, search_registry, ref_mults)
+    with _counting_applies() as ref_applied:
+        assert out == reference_reorder(clause, d, search_registry, ref_mults)
     assert mults == ref_mults
+    # the greedy pass is the search's first descent, never walked twice
+    assert applied[0] <= ref_applied[0]
     expected = _first_valid_permutation(clause, d, search_registry)
     if expected is None:
         assert isinstance(out, ReorderFailure)
@@ -665,6 +688,17 @@ def test_a_variable_variable_unification_disqualifies_a_clause(search_registry,
     # so do head in-modes outside ground and var
     with pytest.raises(ReorderLimitError, match="not monotone: the head in-modes$"):
         reorder(probe, Directionality(((ANY, GROUND),), D01), search_registry)
+
+
+def test_a_long_clause_stops_at_the_limit_not_at_the_recursion_limit(search_registry):
+    # Y = V is not monotone, so the search backtracks from the pass's dead
+    # end after 1,201 literals; its path is a list, not the Python stack
+    body = ((Unify(Y, Var("V")),) + tuple(Call("gt", (X, Struct(str(c)))) for c in range(1200))
+            + (Call("t", (Z,)),))
+    clause = Clause("p", (X, Y), body, provenance="disjunct 1 of 1")
+    d = Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)
+    with pytest.raises(ReorderLimitError, match="not monotone: Y = V$"):
+        reorder(clause, d, search_registry)
 
 
 # -- analyze_procedure against the references on generated workspaces ---------------

@@ -493,6 +493,19 @@ def test_a_search_past_its_limit_is_one_positioned_error(maxprefix_dir, capsys):
     assert captured.out.startswith("procedure r/1\n")
 
 
+def test_a_long_clause_past_the_limit_is_one_positioned_error(maxprefix_dir, capsys):
+    # Y = V, 1,200 tests gt(X, c) and a t(Z) that never runs: the search
+    # backtracks from 1,201 literals deep and stops at its limit
+    fixture = maxprefix_dir.parent / "reorder_deep"
+    assert main(["analyze", "--manifest", str(fixture / "manifest.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: reorder-limit: the clause of p (disjunct 1 of 1) has no literal order "
+        "for (ground, var -> ground) : <0-*> within 10000 dead ends of the search; it "
+        f"is searched because these are not monotone: Y = V at {fixture / 'probe.tld'}:7:5\n")
+    assert captured.out.startswith("procedure t/1\n")
+
+
 def test_an_internal_error_is_one_line_and_exit_3(maxprefix_dir, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("a defect\nover two lines")
