@@ -325,6 +325,22 @@ def _bind(clause: Clause, dir: Directionality, registry: Registry, steps: dict) 
     return names, tuple(modes[n] for n in names), bound
 
 
+def picked_callee_dirs(clause: Clause, dir: Directionality, registry: Registry) -> list:
+    """Per body literal, in the written order, the index of the callee
+    directionality a call picks from the modes before it, by the rule that
+    ``_mode_rule`` applies; None for any other literal, or a call that
+    cannot run."""
+    modes = _start_modes(clause, dir, map(ast.literal_vars, clause.body))
+    picks = []
+    for lit in clause.body:
+        spec = registry.spec_of(lit.predicate) if isinstance(lit, Call) else None
+        d = None if spec is None else \
+            _pick_callee_dir(spec, [term_mode(modes, a) for a in lit.args])
+        picks.append(None if d is None else spec.directionalities.index(d))
+        _mode_rule(lit, modes, spec)
+    return picks
+
+
 def runs_as_written(clause: Clause, dir: Directionality, registry: Registry,
                     steps: dict | None = None) -> bool:
     """Whether the body runs in its written order under the directionality

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ForgeError
-from .semantics import MAX_DEPTH
+from .typesys import MAX_DEPTH
 from .workspace import (STAGE_NAMES, load_workspace, run_oracle, run_pipeline,
                         suggest_skeleton)
 

@@ -16,10 +16,11 @@ from typing import NamedTuple
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
                   Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
-from .analysis import Registry, SPLIT_SUGGESTION, SwitchInfo, runs_as_written
+from .analysis import (Registry, SPLIT_SUGGESTION, picked_callee_dirs,
+                       runs_as_written)
 from .analysis import abstract_step  # noqa: F401  perfbench's tracer counts calls here
 from .errors import MultipleOrdersError, NotDerivableError
-from .modes import GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
+from .modes import Directionality, GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
 from .printer import format_clause, format_term
 
 ARITHMETIC_BUILTINS = {"+": "plus", "-": "minus", "*": "times"}
@@ -179,9 +180,21 @@ def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list
             and not all(runs_as_written(c, d, registry, steps) for c in prog.clauses)]
 
 
+def _versioned_calls(clause: Clause, dir: Directionality, registry: Registry,
+                     versioned: set, dir_index: int) -> Clause:
+    """The clause with each call to a procedure in ``versioned`` naming the
+    version of the callee directionality it picks: the unsuffixed one for
+    ``dir_index``, ``name__dK`` for directionality K otherwise."""
+    body = list(clause.body)
+    for i, k in enumerate(picked_callee_dirs(clause, dir, registry)):
+        if k is not None and k != dir_index and body[i].predicate in versioned:
+            body[i] = replace(body[i], predicate=f"{body[i].predicate}__d{k + 1}")
+    return replace(clause, body=tuple(body))
+
+
 def emit_prolog(spec: Spec, analysis: list, registry: Registry,
                 dir_index: int = 0, cuts: bool = False,
-                split: bool = False) -> str:
+                split: bool = False, described=()) -> str:
     """Clause text for one directionality's analysed program (the first by
     default), read from ``analysis``, the per-directionality results of
     ``analyze_procedure``, none of them failed.
@@ -189,7 +202,11 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
     With ``cuts``, a cut follows the discriminating literal of the switch
     the determinism analysis verified.  With multiple inconsistent
     directionalities and no ``split``, this raises MultipleOrdersError; with
-    ``split``, later directionalities become suffixed procedures.
+    ``split``, the other directionalities become suffixed procedures, each
+    with its own cuts, and a call to the procedure itself or to one of
+    ``described`` (the procedures emitted from descriptions) with more
+    than one directionality names the version of the directionality it
+    picks.
     """
     dir_programs = [r.eliminated for r in analysis]
     prog = dir_programs[dir_index]
@@ -203,8 +220,11 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
                 f"{spec.name}: the emitted literal order does not satisfy "
                 f"directionality {which}; {SPLIT_SUGGESTION}")
     chunks: list[str] = []
+    versioned = {n for n in (spec.name, *described) if split and n in registry.specs
+                 and len(registry.specs[n].directionalities) > 1}
 
-    def emit_one(p: Program, name: str, sw: SwitchInfo | None):
+    def emit_one(k: int, name: str):
+        p = dir_programs[k]
         if not p.clauses:
             # a clause that fails, so that a call fails instead of raising
             # an existence error
@@ -212,19 +232,22 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
             chunks.extend([f"% {name}/{p.arity} has no clauses: "
                            "the definition is unsatisfiable.", f"{head} :- fail.", ""])
             return
+        sw = analysis[k].determinism.switch if cuts else None
         for i, clause in enumerate(p.clauses):
+            if versioned:
+                clause = _versioned_calls(clause, analysis[k].directionality, registry,
+                                          versioned, dir_index)
             cut_at = None
             if sw is not None and i < len(p.clauses) - 1:
                 cut_at = sw.positions[i]
             chunks.append(format_clause(clause, name, cut_at))
             chunks.append("")
 
-    emit_one(prog, prog.predicate,
-             analysis[dir_index].determinism.switch if cuts else None)
+    emit_one(dir_index, prog.predicate)
     if split:
-        for k, p in enumerate(dir_programs):
+        for k in range(len(dir_programs)):
             if k != dir_index:
-                emit_one(p, f"{prog.predicate}__d{k + 1}", None)
+                emit_one(k, f"{prog.predicate}__d{k + 1}")
     while chunks and chunks[-1] == "":
         chunks.pop()
     return "\n".join(chunks) + "\n"

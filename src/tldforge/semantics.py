@@ -62,15 +62,10 @@ from .ast import (And, Atom, Eq, Exists, FalseF, Forall, Formula, Iff, Implies,
                   Not, Or, Struct, Term, TrueF, TypedLogicDescription,
                   UNIVERSAL_TYPE, Var)
 from .errors import MissingBindingError, UnknownPredicateError
-from .typesys import INTEGER_RANGE, TypeEnv
+from .typesys import INTEGER_RANGE, MAX_DEPTH, TypeEnv
 
 TYPED = "typed"
 UNTYPED = "untyped"
-
-# the deepest universe an evaluation context accepts: with the built-in binary
-# list constructor in every signature the universe's size squares per layer,
-# already about 10^116 terms at depth 8
-MAX_DEPTH = 8
 
 
 class Truth(enum.Enum):

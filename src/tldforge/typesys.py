@@ -27,6 +27,10 @@ from .ast import Struct, Term, Var
 from .diagnostics import SourceDiagnostic, SourcePos, error, warning
 from .errors import NonGroundTermError, NotStructuralError, UnknownTypeError
 
+# the deepest universe an evaluation context accepts: with the built-in binary
+# list constructor in every signature the universe's size squares per layer,
+# already about 10^116 terms at depth 8
+MAX_DEPTH = 8
 # the integers of every bounded universe: no other integer is in any type
 INTEGER_RANGE = range(-2, 3)
 INTEGER_SAMPLE = tuple(Struct(str(i)) for i in INTEGER_RANGE)

@@ -16,22 +16,51 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import typesys
-from .analysis import Registry, analyze_procedure
 from .ast import UNIVERSAL_TYPE, Atom, Exists, Forall, Var, subformulas
-from .codegen import emit_mercury, emit_prolog, flatten_program
-from .derive import derive_clauses, normalize, normalized_formula
 from .diagnostics import SourceDiagnostic, SourcePos, error, has_errors, warning
 from .errors import WorkspaceError
 from .modes import Spec, check_directionality
 from .parser import parse_specs, parse_tlds, parse_type_defs
 from .printer import (format_clause, format_formula, format_ld, format_literal,
                       format_tld)
-from .semantics import EvalContext, check_equivalence
-from .transform import simplify_description, transform_tld
 from .typesys import TypeEnv
 
 STAGE_NAMES = ("tld", "untyped", "simplified", "normalized", "derived",
                "ordered", "eliminated")
+
+# The stage modules and the names bound here from each.  A command that only
+# loads a workspace (check, skeleton) never runs a stage, so they are imported
+# together by the first call that needs one of them, not at start-up.
+_STAGES = {
+    "analysis": ("Registry", "analyze_procedure"),
+    "codegen": ("emit_mercury", "emit_prolog", "flatten_program"),
+    "derive": ("derive_clauses", "normalize", "normalized_formula"),
+    "semantics": ("EvalContext", "check_equivalence"),
+    "transform": ("simplify_description", "transform_tld"),
+}
+_stages_loaded = False
+
+
+def _load_stages() -> None:
+    """Import the stage modules on the first call.  A name already bound
+    here, such as a replacement a caller installed, is kept."""
+    global _stages_loaded
+    if _stages_loaded:
+        return
+    bound = globals()
+    for module, names in _STAGES.items():
+        stage = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(stage, name))
+    _stages_loaded = True
+
+
+def __getattr__(name: str):
+    # a stage name looked up before any stage ran
+    if not _stages_loaded and any(name in names for names in _STAGES.values()):
+        _load_stages()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # a module global rather than functools.cache: perfbench/tracing.py reads the
@@ -63,9 +92,11 @@ class Workspace:
 
     @property
     def registry(self) -> Registry:
+        _load_stages()
         return Registry(self.env, self.specs)
 
     def eval_context(self, universe_depth: int = 2, unfold_depth: int = 4) -> EvalContext:
+        _load_stages()
         return EvalContext(self.env, _DescriptionPairs(self.tlds),
                            universe_depth, unfold_depth)
 
@@ -365,6 +396,7 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
     if stage is not None and stage not in STAGE_NAMES:
         raise WorkspaceError(f"unknown stage {stage!r}; "
                              f"choose from {', '.join(STAGE_NAMES)}")
+    _load_stages()
     result = PipelineResult(predicate)
     type_names = frozenset(ws.env.defs)
     registry = ws.registry
@@ -385,7 +417,7 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
     if stage == "normalized":
         return dump(format_formula(normalized_formula(nb)) + "\n")
     prog = flatten_program(derive_clauses(ld, type_names, nb))
-    del nb  # flattening copied every literal; free the originals before analysis
+    del nb  # free before analysis what of the normal form the program does not share
     if stage == "derived":
         return dump(_format_clauses(prog))
 
@@ -417,7 +449,8 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
         return result
 
     if target == "prolog":
-        result.code = emit_prolog(spec, analysis, registry, dir_index, cuts, split)
+        result.code = emit_prolog(spec, analysis, registry, dir_index, cuts, split,
+                                  ws.tlds)
     elif target == "mercury":
         text, warnings = emit_mercury(tld, spec, analysis)
         result.code = text
@@ -433,6 +466,7 @@ def run_oracle(ws: Workspace, predicate: str, depth: int = 2,
     tld = ws.tlds.get(predicate)
     if tld is None:
         raise WorkspaceError(f"no description for {predicate}")
+    _load_stages()
     ctx = ws.eval_context(universe_depth=depth, unfold_depth=unfold_depth)
     ld = ctx.predicates[predicate][1]
     return check_equivalence(ctx, tld.definition, ld.definition, list(tld.params))

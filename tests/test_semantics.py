@@ -843,3 +843,67 @@ def test_partial_verdicts_hold_on_every_completion():
             full = {**binding, hole: value}
             assert evaluate_reference(ctx, f, full, side=side) is verdict, (f, full)
     assert decided >= 500
+
+
+# -- the three-valued paths against the slow oracle -----------------------------
+
+# loop is true at zero and unknown elsewhere, whatever the budget; even and
+# odd are decided up to a depth the budget reaches
+RECURSIVE = """
+loop(X: nat) <=> X = zero \\/ loop(X).
+even(X: nat) <=> X = zero \\/ exists Y: nat . X = s(Y) /\\ odd(Y).
+odd(X: nat) <=> exists Y: nat . X = s(Y) /\\ even(Y).
+"""
+
+
+@pytest.fixture(scope="module")
+def recursive_ctx():
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    tlds, diags = parse_tlds(RECURSIVE)
+    assert not diags
+    return EvalContext(env, {t.predicate: (t, transform_tld(t)) for t in tlds},
+                       universe_depth=2, unfold_depth=4)
+
+
+@pytest.mark.parametrize("text", [
+    "exists Y: nat . loop(Y) /\\ ~(Y = zero)",
+    "exists Y: nat . loop(Y) /\\ Y = s(zero)",
+    "forall Y: nat . loop(Y)",
+    "forall Y: nat . loop(Y) \\/ Y = s(s(zero))",
+    "forall Y: nat . even(Y) \\/ odd(Y)",
+    "exists Y: nat . even(Y) /\\ odd(Y)",
+    "exists Y: nat . odd(Y) /\\ ~loop(Y)",
+    "loop(s(zero)) <=> even(s(zero))",
+    "odd(s(zero)) <=> ~even(s(zero))",
+    "forall Y: nat . even(Y) <=> ~odd(Y)",
+    "~loop(s(zero))",
+    "~(exists Y: nat . odd(Y) /\\ loop(Y))",
+])
+def test_unknown_verdicts_match_the_reference_at_every_budget(recursive_ctx, text):
+    f = parse_formula(text)
+    verdicts = set()
+    # the untyped side unfolds to binders over all 63 terms of depth 2, which
+    # the slow oracle enumerates once per unfolding: 63^budget bindings
+    for side, budgets in ((TYPED, range(1, 5)), (UNTYPED, range(1, 3))):
+        for budget in budgets:
+            ctx = replace(recursive_ctx, unfold_depth=budget)
+            fast = evaluate(ctx, f, {}, side=side)
+            assert fast is evaluate_reference(ctx, f, {}, side=side), (budget, side)
+            verdicts.add(fast)
+    # every formula is undecided at some budget: the UNKNOWN paths ran
+    assert UNKNOWN in verdicts
+
+
+def test_agreement_counts_inconclusive_bindings_as_brute_force_does(recursive_ctx):
+    f, g = parse_formula("loop(X)"), parse_formula("even(X) \\/ odd(X)")
+    ctx = replace(recursive_ctx, universe_depth=3, unfold_depth=2)
+    rep = check_agreement(ctx, f, g, [("X", "nat")])
+    tally = {"agree": 0, "disagree": 0, "inconclusive": 0}
+    for value in ctx.types.enumerate_type("nat", ctx.universe_depth):
+        va, vb = (evaluate_reference(ctx, h, {"X": value}) for h in (f, g))
+        tally["inconclusive" if UNKNOWN in (va, vb) else
+              "agree" if va is vb else "disagree"] += 1
+    assert (rep.agree, rep.disagree, rep.inconclusive) == \
+        (tally["agree"], tally["disagree"], tally["inconclusive"])
+    assert rep.total == sum(tally.values()) == 3
+    assert rep.inconclusive == 2 and rep.agree == 1 and rep.ok

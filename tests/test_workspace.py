@@ -814,9 +814,84 @@ def test_cli_dir_index_two_demands_splitting(maxprefix_dir, capsys):
                  "--split", "--pred", "max_prefix_gen"])
     captured = capsys.readouterr()
     assert code == 0
-    first_clause = captured.out.split("\n\n")[0]
-    assert first_clause.splitlines()[1].strip() == "integer(M),"
+    clauses = captured.out.split("\n\n")
+    assert clauses[0].splitlines()[1].strip() == "integer(M),"
     assert "max_prefix_gen__d1" in captured.out
+    # the recursive call leaves M1 free, so it picks directionality 1, which
+    # the unsuffixed procedure does not emit here
+    assert "    max_prefix_gen__d1(T, M1, A1)," in clauses[1].splitlines()
+    assert "max_prefix_gen(T, M1, A1)" not in captured.out
+
+
+def test_cli_split_calls_name_the_version_the_analysis_picked(maxprefix_dir, capsys):
+    code = main(["gen", "prolog", "--manifest", str(maxprefix_dir / "manifest.txt"),
+                 "--split"])
+    out = capsys.readouterr().out
+    assert code == 0
+    clauses = out.split("\n\n")
+    # max(...) and plus(...) are builtins: never suffixed
+    assert clauses[1].splitlines()[3:] == ["    max_prefix_gen(T, M1, A1),",
+                                           "    max(A1, M1, M)."]
+    assert clauses[3].splitlines()[4] == "    max_prefix_gen(T, M1, A1),"
+    assert clauses[4:] == [
+        "max_prefix(L, M) :-\n    max_prefix_gen(L, M, -infinite).",
+        "max_prefix__d2(L, M) :-\n    integer(M),\n"
+        "    max_prefix_gen__d2(L, M, -infinite).\n"]
+
+
+SWITCH_WORKSPACE = {
+    "types": "nat ::= zero | s(nat).\n",
+    "spec": "procedure sw(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+            "dir (ground, var -> ground) : <0-1>.\ndir (ground, ground) : <0-1>.\n",
+    "tld": "sw(X: nat, Y: nat) <=> X = zero /\\ Y = zero\n"
+           "    \\/ exists Z: nat . X = s(Z) /\\ Y = s(zero).\n"}
+
+
+def test_cli_split_cuts_every_version(tmp_path, capsys):
+    # each directionality verifies its own switch on X
+    path = write_workspace(tmp_path, **SWITCH_WORKSPACE)
+    assert main(["gen", "prolog", "--manifest", str(path), "--split", "--cuts"]) == 0
+    assert capsys.readouterr().out == (
+        "sw(X, Y) :-\n    X = zero,\n    !,\n    Y = zero,\n    nat(Y).\n\n"
+        "sw(X, Y) :-\n    X = s(Z),\n    Y = s(zero),\n    nat(Y).\n\n"
+        "sw__d2(X, Y) :-\n    nat(Y),\n    X = zero,\n    !,\n    Y = zero.\n\n"
+        "sw__d2(X, Y) :-\n    nat(Y),\n    X = s(Z),\n    Y = s(zero).\n")
+
+
+# p has two directionalities and calls ext, which has a specification only
+EXTERNAL_WORKSPACE = {
+    "types": "nat ::= zero | s(nat).\n",
+    "spec": "procedure p(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+            "dir (ground, var -> ground) : <1-1>.\ndir (ground, ground) : <0-1>.\n"
+            "procedure ext(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+            'external "ext_impl".\n'
+            "dir (ground, var -> ground) : <1-1>.\ndir (ground, ground) : <0-1>.\n",
+    "tld": "p(X: nat, Y: nat) <=> ext(X, Y).\n"}
+
+
+SKELETON = ("# skeleton for p; replace each #hole with the case's formula\n"
+            "p(X: nat, Y: nat) <=>\n"
+            "       X = zero /\\ #hole\n"
+            "    \\/ exists N: nat . X = s(N) /\\ #hole\n"
+            "    .\n")
+
+
+@pytest.mark.parametrize("argv, manifest, code, out, err", [
+    (["skeleton", "--pred", "p", "X"], None, 0, SKELETON, ""),
+    # ext has no description: its calls are never suffixed
+    (["gen", "prolog", "--split"], None, 0,
+     "p(X, Y) :-\n    ext(X, Y).\n\np__d2(X, Y) :-\n    nat(Y),\n    ext(X, Y).\n", ""),
+    (["oracle", "equiv", "--pred", "ext"], None, 1, "", "error: no description for ext\n"),
+    (["gen", "prolog", "--dir-index", "3"], None, 1, "", "error: p has no directionality 3\n"),
+    (["skeleton", "--pred", "q", "X"], None, 1, "", "error: no specification for q\n"),
+    (["skeleton", "--pred", "p", "Z"], None, 1, "", "error: p has no parameter Z\n"),
+    (["analyze"], "types w.types\nspec w.spec\n", 1, "",
+     "nothing to do: the workspace has no descriptions\n"),
+])
+def test_cli_command_paths(tmp_path, capsys, argv, manifest, code, out, err):
+    path = write_workspace(tmp_path, **EXTERNAL_WORKSPACE, manifest=manifest)
+    assert main([*argv, "--manifest", str(path)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_entry_point_runs_as_module(maxprefix_dir):
@@ -826,6 +901,77 @@ def test_cli_entry_point_runs_as_module(maxprefix_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
+
+
+STAGE_MODULES = {"analysis", "codegen", "derive", "semantics", "transform"}
+
+# runs its arguments as a command line, then prints the exit code and the
+# tldforge modules loaded
+_LOADED_PROBE = """
+import sys
+from tldforge.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m.removeprefix("tldforge.") for m in sys.modules
+                  if m.startswith("tldforge.")))
+"""
+
+
+def _fresh_interpreter(code: str, *args) -> list:
+    """The last line a fresh interpreter prints running ``code``, split."""
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_check_starts_without_the_stage_modules(maxprefix_dir):
+    manifest = str(maxprefix_dir / "manifest.txt")
+    code, *loaded = _fresh_interpreter(_LOADED_PROBE, "check", "--manifest", manifest)
+    assert code == "0"
+    assert set(loaded) == {"ast", "cli", "diagnostics", "errors", "modes", "parser",
+                           "printer", "typesys", "workspace"}
+    code, *loaded = _fresh_interpreter(_LOADED_PROBE, "gen", "prolog", "--manifest", manifest)
+    assert code == "0" and STAGE_MODULES <= set(loaded)
+    # the package's names resolve on first access, from a fresh start too
+    names = _fresh_interpreter("from tldforge import reorder, EvalContext\n"
+                               "print(reorder.__module__, EvalContext.__module__)")
+    assert names == ["tldforge.analysis", "tldforge.semantics"]
+    import tldforge
+    assert tldforge.__all__ == [
+        "And", "Atom", "Call", "Clause", "Eq", "Exists", "FALSE", "FalseF",
+        "Forall", "Formula", "Iff", "Implies", "LogicDescription", "NafNot",
+        "Not", "Or", "Program", "Struct", "Term", "TRUE", "TrueF", "TypeCheck",
+        "TypedLogicDescription", "Unify", "Var", "free_variables", "substitute",
+        "AbstractState", "Registry", "ReorderFailure", "abstract_step",
+        "analyze_determinism", "analyze_procedure", "eliminate_checks", "reorder",
+        "emit_mercury", "emit_prolog", "flatten_arithmetic",
+        "mult_to_mercury_determinism", "NormalizedBody", "derive_clauses",
+        "normalize", "Directionality", "Mode", "Multiplicity", "Spec",
+        "check_directionality", "parse_formula", "parse_spec", "parse_specs",
+        "parse_term", "parse_tld", "parse_tlds", "parse_types", "EvalContext",
+        "Truth", "check_agreement", "check_equivalence", "evaluate",
+        "evaluate_reference", "check_of", "simplify_checks", "transform_formula",
+        "transform_tld", "TypeDef", "TypeEnv", "check_env", "Workspace",
+        "load_workspace", "run_oracle", "run_pipeline", "suggest_skeleton",
+    ]
+    assert all(getattr(tldforge, name) is not None for name in tldforge.__all__)
+
+
+def test_a_stage_name_bound_before_the_stages_load_is_kept(maxprefix_dir):
+    # a tracer or a test may replace a stage function before any stage ran
+    code = """
+import sys
+import tldforge.workspace as workspace
+calls = []
+def counting(*args):
+    calls.append(args)
+    return sys.modules["tldforge.derive"].normalize(*args)
+workspace.normalize = counting
+ws = workspace.load_workspace(sys.argv[1]).workspace
+workspace.run_pipeline(ws, "max_prefix", stage="normalized")
+print(len(calls), workspace.normalize is counting, workspace.derive_clauses.__module__)
+"""
+    assert _fresh_interpreter(code, str(maxprefix_dir / "manifest.txt")) == [
+        "1", "True", "tldforge.derive"]
 
 
 @pytest.mark.parametrize("kind", sorted(NESTINGS))
