@@ -493,14 +493,50 @@ def trusted_params(spec: Spec) -> dict:
     return out
 
 
+def _bound_struct(lit):
+    """(variable, constructor term) of a unification of the two, else None."""
+    if isinstance(lit, Unify):
+        if isinstance(lit.left, Var) and isinstance(lit.right, Struct):
+            return lit.left, lit.right
+        if isinstance(lit.right, Var) and isinstance(lit.left, Struct):
+            return lit.right, lit.left
+    return None
+
+
+def _case_of(env: TypeEnv, tname: str, t: Struct):
+    """The constructor case of type ``tname``, after alias resolution, with
+    ``t``'s functor and arity; None if there is none."""
+    d = env.resolve(tname) if tname in env else None
+    if d is None or not isinstance(d.body, Cases):
+        return None
+    return next((c for c in d.body.cases
+                 if c.functor == t.functor and c.arity == t.arity), None)
+
+
+def _built_of(env: TypeEnv, tname: str, t: Term, facts: dict) -> bool:
+    """Whether every ground instance of ``t`` is in type ``tname`` given the
+    type ``facts`` of its variables: a ground member, or a case of the type
+    whose arguments are built of the case's component types."""
+    if isinstance(t, Var):
+        return any(env.same_type(f, tname) for f in facts.get(t.name, ()))
+    if t.is_ground:
+        return tname in env and env.ground_member(tname, t)
+    case = _case_of(env, tname, t)
+    return case is not None and all(
+        _built_of(env, c, a, facts) for c, a in zip(case.components, t.args))
+
+
 def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
                      level: str = "paper-compat") -> EliminationResult:
     """Drop type checks already established at their body position.
 
-    Facts arise from exactly three sources: trusted head parameters,
+    Facts arise from exactly four sources: trusted head parameters,
     constructor decomposition through a unification with a known-typed
-    variable, and callee success.  Facts never flow across variable-variable
-    unifications, and a kept check establishes nothing.
+    variable, callee success, and a unification of the checked variable
+    with a constructor term built of the checked type (``_built_of``, its
+    variables read through the facts they have at the check).  Facts never
+    flow across variable-variable unifications, and a kept check
+    establishes nothing.
     """
     if level == "none":
         return EliminationResult(prog, ())
@@ -512,6 +548,7 @@ def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
     removed = []
     for ci, clause in enumerate(prog.clauses):
         facts: dict = {}
+        terms: dict = {}  # variable -> the constructor terms it was unified with
 
         def add_fact(name, tname):
             bucket = facts.setdefault(name, [])
@@ -524,37 +561,27 @@ def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
         kept = []
         for pos, lit in enumerate(clause.body):
             if isinstance(lit, TypeCheck) and isinstance(lit.arg, Var):
-                have = facts.get(lit.arg.name, [])
-                if any(env.same_type(t, lit.type_name) for t in have):
+                name, tname = lit.arg.name, lit.type_name
+                if any(env.same_type(f, tname) for f in facts.get(name, ())) or any(
+                        _built_of(env, tname, t, facts) for t in terms.get(name, ())):
                     removed.append(RemovedCheck(ci, pos, lit))
                     continue
                 kept.append(lit)
                 continue
-            if isinstance(lit, Unify):
-                var, other = None, None
-                if isinstance(lit.left, Var) and isinstance(lit.right, Struct):
-                    var, other = lit.left, lit.right
-                elif isinstance(lit.right, Var) and isinstance(lit.left, Struct):
-                    var, other = lit.right, lit.left
-                if var is not None:
-                    for tname in facts.get(var.name, []):
-                        d = env.resolve(tname) if tname in env else None
-                        if d is None or not isinstance(d.body, Cases):
-                            continue
-                        case = next((c for c in d.body.cases
-                                     if c.functor == other.functor
-                                     and c.arity == other.arity), None)
-                        if case is None:
-                            continue
-                        for sub, comp in zip(other.args, case.components):
-                            if isinstance(sub, Var):
-                                add_fact(sub.name, comp)
-            elif isinstance(lit, Call):
+            if isinstance(lit, Call):
                 callee = registry.specs.get(lit.predicate)
                 if callee is not None:
                     for arg, ptype in zip(lit.args, callee.param_types):
                         if isinstance(arg, Var):
                             add_fact(arg.name, ptype)
+            elif (bound := _bound_struct(lit)) is not None:
+                var, term = bound
+                terms.setdefault(var.name, []).append(term)
+                for tname in facts.get(var.name, []):
+                    case = _case_of(env, tname, term)
+                    for sub, comp in zip(term.args, case.components if case else ()):
+                        if isinstance(sub, Var):
+                            add_fact(sub.name, comp)
             kept.append(lit)
         clauses.append(replace(clause, body=tuple(kept)))
     return EliminationResult(Program(prog.predicate, prog.arity, tuple(clauses)),
@@ -592,26 +619,19 @@ def detect_switch(prog: Program, dir: Directionality, spec: Spec,
             continue
         name = head_var.name
         positions = []
-        functors = []
+        functors = set()
         for clause in prog.clauses:
-            pos = None
             for k, lit in enumerate(clause.body):
-                if isinstance(lit, Unify):
-                    if (isinstance(lit.left, Var) and lit.left.name == name
-                            and isinstance(lit.right, Struct)):
-                        pos, f = k, (lit.right.functor, lit.right.arity)
-                        break
-                    if (isinstance(lit.right, Var) and lit.right.name == name
-                            and isinstance(lit.left, Struct)):
-                        pos, f = k, (lit.left.functor, lit.left.arity)
-                        break
-            if pos is None:
+                bound = _bound_struct(lit)
+                if bound is not None and bound[0].name == name:
+                    positions.append(k)
+                    functors.add((bound[1].functor, bound[1].arity))
+                    break
+            else:
                 break
-            positions.append(pos)
-            functors.append(f)
         else:
-            cases = {(c.functor, c.arity) for c in d.body.cases}
-            if len(set(functors)) == len(functors) and set(functors) == cases:
+            if len(functors) == len(positions) and functors == {
+                    (c.functor, c.arity) for c in d.body.cases}:
                 return SwitchInfo(i, name, tuple(positions))
     return None
 

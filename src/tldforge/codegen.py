@@ -180,15 +180,21 @@ def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list
             and not all(runs_as_written(c, d, registry, steps) for c in prog.clauses)]
 
 
+def _version_name(name: str, k: int, dir_index: int) -> str:
+    """The name of directionality ``k``'s version of a procedure with more
+    than one: unsuffixed for ``dir_index``, ``name__dK`` for directionality
+    K otherwise."""
+    return name if k == dir_index else f"{name}__d{k + 1}"
+
+
 def _versioned_calls(clause: Clause, dir: Directionality, registry: Registry,
                      versioned: set, dir_index: int) -> Clause:
     """The clause with each call to a procedure in ``versioned`` naming the
-    version of the callee directionality it picks: the unsuffixed one for
-    ``dir_index``, ``name__dK`` for directionality K otherwise."""
+    version of the callee directionality it picks."""
     body = list(clause.body)
     for i, k in enumerate(picked_callee_dirs(clause, dir, registry)):
-        if k is not None and k != dir_index and body[i].predicate in versioned:
-            body[i] = replace(body[i], predicate=f"{body[i].predicate}__d{k + 1}")
+        if k is not None and body[i].predicate in versioned:
+            body[i] = replace(body[i], predicate=_version_name(body[i].predicate, k, dir_index))
     return replace(clause, body=tuple(body))
 
 
@@ -206,11 +212,13 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
     with its own cuts, and a call to the procedure itself or to one of
     ``described`` (the procedures emitted from descriptions) with more
     than one directionality names the version of the directionality it
-    picks.
+    picks.  A procedure with ``dir_index`` past its directionalities is
+    emitted, under ``split``, as every version its callers name: its only
+    one unsuffixed, or each suffixed.
     """
     dir_programs = [r.eliminated for r in analysis]
-    prog = dir_programs[dir_index]
-    if len(spec.directionalities) > 1 and not split:
+    n = len(dir_programs)
+    if n > 1 and not split:
         bad = check_order_compatibility(spec, registry, dir_programs, dir_index)
         if bad:
             which = ", ".join(
@@ -243,11 +251,8 @@ def emit_prolog(spec: Spec, analysis: list, registry: Registry,
             chunks.append(format_clause(clause, name, cut_at))
             chunks.append("")
 
-    emit_one(dir_index, prog.predicate)
-    if split:
-        for k in range(len(dir_programs)):
-            if k != dir_index:
-                emit_one(k, f"{prog.predicate}__d{k + 1}")
+    for k in sorted(range(n), key=lambda k: k != dir_index) if split else [dir_index]:
+        emit_one(k, spec.name if n == 1 else _version_name(spec.name, k, dir_index))
     while chunks and chunks[-1] == "":
         chunks.pop()
     return "\n".join(chunks) + "\n"

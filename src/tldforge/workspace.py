@@ -391,7 +391,10 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
         raise WorkspaceError(f"{predicate} needs both a specification and a description")
     if not spec.directionalities:
         raise WorkspaceError(f"{predicate} declares no directionalities")
-    if not 0 <= dir_index < len(spec.directionalities):
+    # under --split, a procedure with fewer directionalities is emitted as
+    # the versions its callers name
+    if dir_index < 0 or (dir_index >= len(spec.directionalities) and not (
+            split and target == "prolog" and stage is None)):
         raise WorkspaceError(f"{predicate} has no directionality {dir_index + 1}")
     if stage is not None and stage not in STAGE_NAMES:
         raise WorkspaceError(f"unknown stage {stage!r}; "
@@ -440,11 +443,10 @@ def run_pipeline(ws: Workspace, predicate: str, target: str | None = "prolog",
             + "; or ".join(f.suggestions))
         return result
 
-    chosen = analysis[dir_index]
     if stage == "ordered":
-        return dump(_format_clauses(chosen.ordered))
+        return dump(_format_clauses(analysis[dir_index].ordered))
     if stage == "eliminated":
-        return dump(_format_clauses(chosen.eliminated))
+        return dump(_format_clauses(analysis[dir_index].eliminated))
     if target is None:
         return result
 

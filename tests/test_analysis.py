@@ -12,7 +12,8 @@ from tldforge.analysis import (AbstractState, Registry, ReorderFailure,
                                abstract_step, analyze_determinism,
                                analyze_procedure, detect_switch,
                                eliminate_checks, initial_state, reorder,
-                               runs_as_written, _LiteralStep, _outs_satisfied)
+                               runs_as_written, trusted_params, _LiteralStep,
+                               _outs_satisfied)
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
 from tldforge.diagnostics import SourcePos
@@ -22,6 +23,7 @@ from tldforge.errors import NotCallableError, ReorderLimitError, UnknownCalleeEr
 from tldforge.modes import (ALL_MODES, ANY, Directionality, GROUND, Mode,
                             Multiplicity, NOVAR, Spec, VAR)
 from tldforge.parser import parse_specs, parse_types
+from tldforge.printer import format_literal
 from tldforge.semantics import check_agreement
 from tldforge.transform import simplify_description, transform_tld
 from tldforge.workspace import builtin_specs, load_workspace
@@ -230,13 +232,153 @@ def test_alias_equivalence_counts_for_removal():
     assert len(result.removed) == 1
 
 
-def test_elimination_safety_on_the_fixtures(maxprefix_ws, registry):
+BUILT_ENV = parse_types("nat ::= zero | s(nat).\nnat2 == nat.\n"
+                        "fruit ::= enum {orange, apple}.\n"
+                        "nat_list ::= [] | [nat | nat_list].\n")[0]
+
+
+def _built_spec(name, params):
+    """A specification of ``params``, (name, type) pairs, with one
+    directionality: the first ground in, so trusted, the others var -> ground."""
+    modes = ((GROUND, GROUND),) + ((VAR, GROUND),) * (len(params) - 1)
+    return Spec(name, tuple(n for n, _ in params), tuple(t for _, t in params),
+                directionalities=(Directionality(modes, D01),))
+
+
+BUILT_SPECS = {"dbl": _built_spec("dbl", (("X", "nat"), ("Y", "nat"))),
+               "n": _built_spec("n", (("X", "nat"),)),
+               "nl": _built_spec("nl", (("L", "nat_list"),)),
+               "fr": _built_spec("fr", (("F", "fruit"),))}
+
+
+def _after_elimination(*body):
+    """The body of p(X, Y), X: nat trusted and Y: nat an output, after check
+    elimination; calls go to dbl, n, nl and fr."""
+    spec = _built_spec("p", (("X", "nat"), ("Y", "nat")))
+    reg = Registry(BUILT_ENV, {**BUILT_SPECS, "p": spec})
+    clause = Clause("p", (Var("X"), Var("Y")), body)
+    return eliminate_checks(Program("p", 2, (clause,)), spec, reg).program.clauses[0].body
+
+
+def _s(t):
+    return Struct("s", (t,))
+
+
+@pytest.mark.parametrize("body", [
+    (Unify(Var("Y"), Struct("zero")), TypeCheck("nat", Var("Y"))),
+    (Unify(Struct("22"), Var("K")), TypeCheck("integer", Var("K"))),
+    (Unify(Var("S"), Struct("apple")), TypeCheck("fruit", Var("S"))),
+    (Unify(Var("Y"), _s(Struct("zero"))), TypeCheck("nat2", Var("Y"))),
+    # the dbl recursion: the call types Y1, before or after the unification
+    (Call("dbl", (Var("X1"), Var("Y1"))), Unify(Var("Y"), _s(_s(Var("Y1")))),
+     TypeCheck("nat", Var("Y"))),
+    (Unify(Var("Y"), _s(_s(Var("Y1")))), Call("dbl", (Var("X1"), Var("Y1"))),
+     TypeCheck("nat", Var("Y"))),
+    (Call("n", (Var("H"),)), Call("nl", (Var("T"),)),
+     Unify(Var("L"), ast.cons(Var("H"), Var("T"))), TypeCheck("nat_list", Var("L"))),
+    # X is trusted, so Z is a nat, and so is s(Z)
+    (Unify(Var("X"), _s(Var("Z"))), Unify(Var("Y"), _s(Var("Z"))),
+     TypeCheck("nat", Var("Y"))),
+])
+def test_a_check_after_a_term_built_of_its_type_is_removed(body):
+    assert _after_elimination(*body) == body[:-1]
+
+
+@pytest.mark.parametrize("body", [
+    (Unify(Var("Y"), Struct("orange")), TypeCheck("nat", Var("Y"))),
+    (Unify(Var("Y"), Struct("22")), TypeCheck("nat", Var("Y"))),
+    (Unify(Var("Y"), _s(Var("W"))), TypeCheck("nat", Var("Y"))),
+    (Call("fr", (Var("W"),)), Unify(Var("Y"), _s(Var("W"))), TypeCheck("nat", Var("Y"))),
+    (Call("n", (Var("H"),)), Unify(Var("L"), ast.cons(Var("H"), Var("T"))),
+     TypeCheck("nat_list", Var("L"))),
+    (Unify(Var("Y"), Struct("f", (Struct("zero"),))), TypeCheck("nat", Var("Y"))),
+    # a variable-variable chain establishes nothing
+    (Unify(Var("V"), Struct("zero")), Unify(Var("Y"), Var("V")),
+     TypeCheck("nat", Var("Y"))),
+    # a unification after the check proves nothing at the check
+    (TypeCheck("nat", Var("Y")), Unify(Var("Y"), Struct("zero"))),
+    # the check on the recursion's output comes before the call types Y1
+    (Unify(Var("Y"), _s(_s(Var("Y1")))), TypeCheck("nat", Var("Y")),
+     Call("dbl", (Var("X1"), Var("Y1")))),
+])
+def test_a_check_after_a_term_not_built_of_its_type_stays(body):
+    assert _after_elimination(*body) == body
+
+
+# each a compile-typical template: enum constants, integer literals, nat
+# terms and lists built of typed parts
+TYPICAL_WORKSPACE = {
+    "types": "nat ::= zero | s(nat).\nfruit ::= enum {orange, apple, banana}.\n"
+             "integer_list ::= [] | [integer | integer_list].\n"
+             "nat_list ::= [] | [nat | nat_list].\n",
+    "spec": "procedure classify(X, S, P).\ntype X : integer.\ntype S : fruit.\n"
+            "type P : nat.\ndir (ground, var -> ground, var -> ground) : <0-*>.\n"
+            "procedure dbl(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+            "dir (ground, var -> ground) : <1-1>.\ndir (ground, ground) : <0-1>.\n"
+            "procedure code(C, K).\ntype C : fruit.\ntype K : integer.\n"
+            "dir (ground, var -> ground) : <1-1>.\n"
+            "dir (var -> ground, ground) : <0-1>.\ndir (ground, ground) : <0-1>.\n"
+            "procedure len(L, N).\ntype L : nat_list.\ntype N : integer.\n"
+            "dir (ground, var -> ground) : <1-1>.\ndir (ground, ground) : <0-1>.\n"
+            "procedure ilen(L, N).\ntype L : integer_list.\ntype N : integer.\n"
+            "dir (ground, var -> ground) : <1-1>.\n"
+            "procedure wrap(X, Y).\ntype X : integer.\ntype Y : nat.\n"
+            "dir (ground, var -> ground) : <0-1>.\n",
+    "tld": "classify(X: integer, S: fruit, P: nat) <=> (lt(X, 1) /\\ S = orange \\/ "
+           "ge(X, 1) /\\ S = apple) /\\ (X = 0 /\\ P = zero \\/ gt(X, 0) /\\ "
+           "P = s(zero) \\/ lt(X, 0) /\\ P = s(s(zero))).\n"
+           "dbl(X: nat, Y: nat) <=> X = zero /\\ Y = zero \\/ exists X1: nat . "
+           "exists Y1: nat . X = s(X1) /\\ dbl(X1, Y1) /\\ Y = s(s(Y1)).\n"
+           "code(C: fruit, K: integer) <=> C = orange /\\ K = 2 \\/ "
+           "C = apple /\\ K = 0 \\/ C = banana /\\ K = 1.\n"
+           "len(L: nat_list, N: integer) <=> L = [] /\\ N = 0 \\/ exists T: nat_list . "
+           "exists N1: integer . L = [H | T] /\\ len(T, N1) /\\ plus(N1, 1, N).\n"
+           "ilen(L: integer_list, N: integer) <=> L = [] /\\ N = 0 \\/ "
+           "exists T: integer_list . exists N1: integer . L = [H | T] /\\ "
+           "ilen(T, N1) /\\ plus(N1, 1, N).\n"
+           # no term is built of nat: W has an integer fact, V none: a check
+           # removed here by mistake shows in the safety test
+           "wrap(X: integer, Y: nat) <=> (exists W: integer . plus(X, 1, W) /\\ Y = s(W)) "
+           "\\/ (exists V: integer . V = X /\\ Y = s(V)) \\/ X = 0 /\\ Y = orange.\n"}
+
+
+@pytest.fixture(scope="module")
+def typical_ws(tmp_path_factory):
+    d = tmp_path_factory.mktemp("typical")
+    for ext in ("types", "spec", "tld"):
+        (d / f"w.{ext}").write_text(TYPICAL_WORKSPACE[ext])
+    (d / "manifest.txt").write_text("types w.types\nspec w.spec\ntld w.tld\n")
+    loaded = load_workspace(d / "manifest.txt")
+    assert loaded.ok, [x.format() for x in loaded.diagnostics]
+    return loaded.workspace
+
+
+def test_typical_templates_keep_only_the_checks_nothing_before_proves(typical_ws):
+    kept = {name: [format_literal(lit) for res in analyze_procedure(
+                derived_program(typical_ws, name), typical_ws.specs[name],
+                typical_ws.registry)
+            for c in res.eliminated.clauses for lit in c.body if isinstance(lit, TypeCheck)]
+            for name in typical_ws.tlds}
+    # what stays is a check placed before the literal that would prove it
+    # (a ground input that is not trusted is tested first), and wrap's
+    assert kept == {"classify": [], "dbl": ["nat(Y)", "nat(Y)"], "code": [
+        "fruit(C)", "fruit(C)", "fruit(C)", "integer(K)", "integer(K)", "integer(K)",
+        "fruit(C)", "integer(K)", "fruit(C)", "integer(K)", "fruit(C)", "integer(K)"],
+        "len": ["integer(N)", "integer(N)"], "ilen": [],
+        "wrap": ["nat(Y)", "integer(V)", "nat(Y)", "nat(Y)"]}
+
+
+def test_elimination_safety_on_the_fixtures(maxprefix_ws, typical_ws):
     # reinstating any removed check must not change bounded evaluation over
-    # well-typed inputs
-    ctx = maxprefix_ws.eval_context(universe_depth=2, unfold_depth=4)
-    for name in ("max_prefix_gen", "max_prefix"):
-        spec = maxprefix_ws.specs[name]
-        results = analyze_procedure(derived_program(maxprefix_ws, name), spec, registry)
+    # well-typed inputs, nor, when the check is on a parameter that is not
+    # trusted, over every term as that parameter: only a trusted parameter's
+    # check is removed on the strength of its declared type
+    for ws, name in [(w, n) for w in (maxprefix_ws, typical_ws) for n in w.tlds]:
+        registry = ws.registry
+        ctx = ws.eval_context(universe_depth=2, unfold_depth=4)
+        spec = ws.specs[name]
+        results = analyze_procedure(derived_program(ws, name), spec, registry)
+        trusted = trusted_params(spec)
         freevars = list(zip(spec.params, spec.param_types))
         for res in results:
             for ci, clause in enumerate(res.eliminated.clauses):
@@ -249,9 +391,12 @@ def test_elimination_safety_on_the_fixtures(maxprefix_ws, registry):
                 # the check back at its body position, inside the clause's
                 # existential over its locals
                 clause = res.eliminated.clauses[removed.clause_index]
+                checked = removed.literal.arg.name
                 rep = check_agreement(ctx, body_formula(reinstated_clause(res, removed)),
                                       body_formula(clause),
-                                      freevars, depth=2, side="untyped")
+                                      [(p, ast.UNIVERSAL_TYPE if p == checked and p not in trusted
+                                        else t) for p, t in freevars],
+                                      depth=2, side="untyped")
                 assert rep.ok and rep.inconclusive == 0, (name, removed, rep)
 
 

@@ -601,8 +601,10 @@ def test_cli_analyze_reports_orders_the_emitter_would_refuse(tmp_path, capsys):
     code = main(["analyze", "--manifest", str(path)])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert "order (clause 1): fruit(C), C = orange, K = 1, integer(K)" in captured.out
-    assert "order (clause 1): integer(K), C = orange, fruit(C), K = 1" in captured.out
+    # K = 1 and C = orange build members of the checked types, so the
+    # checks after them are gone
+    assert "order (clause 1): fruit(C), C = orange, K = 1\n" in captured.out
+    assert "order (clause 1): integer(K), C = orange, K = 1\n" in captured.out
     assert captured.err == ""
     # the emitter refuses, naming the directionality and where it is declared
     assert main(["gen", "prolog", "--manifest", str(path)]) == 1
@@ -852,10 +854,50 @@ def test_cli_split_cuts_every_version(tmp_path, capsys):
     path = write_workspace(tmp_path, **SWITCH_WORKSPACE)
     assert main(["gen", "prolog", "--manifest", str(path), "--split", "--cuts"]) == 0
     assert capsys.readouterr().out == (
-        "sw(X, Y) :-\n    X = zero,\n    !,\n    Y = zero,\n    nat(Y).\n\n"
-        "sw(X, Y) :-\n    X = s(Z),\n    Y = s(zero),\n    nat(Y).\n\n"
+        "sw(X, Y) :-\n    X = zero,\n    !,\n    Y = zero.\n\n"
+        "sw(X, Y) :-\n    X = s(Z),\n    Y = s(zero).\n\n"
         "sw__d2(X, Y) :-\n    nat(Y),\n    X = zero,\n    !,\n    Y = zero.\n\n"
         "sw__d2(X, Y) :-\n    nat(Y),\n    X = s(Z),\n    Y = s(zero).\n")
+
+
+def test_cli_an_output_built_of_its_type_is_det(golden_dir, capsys):
+    # Y = zero and Y = s(zero) build nats, so no nat(Y) is left to fail
+    manifest = golden_dir.parent / "built_outputs" / "manifest.txt"
+    assert main(["analyze", "--manifest", str(manifest), "--pred", "sw"]) == 0
+    captured = capsys.readouterr()
+    assert ("    order (clause 1): X = zero, Y = zero\n"
+            "    order (clause 2): X = s(Z), Y = s(zero)\n") in captured.out
+    assert "computed multiplicity: <1-1> (declared <1-1>) [ok]\n" in captured.out
+    assert captured.err == ""
+    assert main(["gen", "mercury", "--manifest", str(manifest), "--pred", "sw"]) == 0
+    captured = capsys.readouterr()
+    assert ":- mode sw(in, out) is det.\n" in captured.out
+    assert captured.err == ""
+    assert main(["gen", "prolog", "--manifest", str(manifest), "--pred", "dbl"]) == 0
+    assert capsys.readouterr().out == (
+        "dbl(X, Y) :-\n    X = zero,\n    Y = zero.\n\n"
+        "dbl(X, Y) :-\n    X = s(X1),\n    dbl(X1, Y1),\n    Y = s(s(Y1)).\n")
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_cli_split_emits_every_version_its_calls_name(golden_dir, capsys, k):
+    # p has three directionalities and calls q, which has two: at
+    # --dir-index 3, q's versions are both suffixed, and both emitted; r
+    # has one, always emitted unsuffixed
+    manifest = golden_dir.parent / "split_versions" / "manifest.txt"
+    assert main(["gen", "prolog", "--manifest", str(manifest), "--split",
+                 "--dir-index", k]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # a clause head starts a line, and each body literal is a line of its own
+    defined = set(re.findall(r"^([a-z]\w*)\(", captured.out, re.M))
+    called = set(re.findall(r"^    ([a-z]\w*)\(", captured.out, re.M))
+    ws = load_workspace(manifest).workspace
+    assert "q" in {c.split("__")[0] for c in called}
+    assert called - set(ws.env.defs) <= defined, captured.out
+    assert {"p", "p__d1", "p__d2", "p__d3"} - {f"p__d{k}"} == {
+        d for d in defined if d.startswith("p")}
+    assert "r" in defined
 
 
 # p has two directionalities and calls ext, which has a specification only
