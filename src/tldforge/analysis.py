@@ -13,6 +13,7 @@ multiplies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 from typing import Mapping, NamedTuple
@@ -484,22 +485,17 @@ class EliminationResult(NamedTuple):
 def trusted_params(spec: Spec) -> dict:
     """Parameters whose In mode is ground in every declared directionality
     assume their declared type on entry."""
-    out = {}
-    if not spec.directionalities:
-        return out
-    for i, (p, t) in enumerate(zip(spec.params, spec.param_types)):
-        if all(d.modes[i][0] == GROUND for d in spec.directionalities):
-            out[p] = t
-    return out
+    return {p: t for i, (p, t) in enumerate(zip(spec.params, spec.param_types))
+            if spec.directionalities
+            and all(d.modes[i][0] == GROUND for d in spec.directionalities)}
 
 
 def _bound_struct(lit):
     """(variable, constructor term) of a unification of the two, else None."""
     if isinstance(lit, Unify):
-        if isinstance(lit.left, Var) and isinstance(lit.right, Struct):
-            return lit.left, lit.right
-        if isinstance(lit.right, Var) and isinstance(lit.left, Struct):
-            return lit.right, lit.left
+        for var, term in ((lit.left, lit.right), (lit.right, lit.left)):
+            if isinstance(var, Var) and isinstance(term, Struct):
+                return var, term
     return None
 
 
@@ -513,77 +509,92 @@ def _case_of(env: TypeEnv, tname: str, t: Struct):
                  if c.functor == t.functor and c.arity == t.arity), None)
 
 
-def _built_of(env: TypeEnv, tname: str, t: Term, facts: dict) -> bool:
-    """Whether every ground instance of ``t`` is in type ``tname`` given the
-    type ``facts`` of its variables: a ground member, or a case of the type
-    whose arguments are built of the case's component types."""
+def _built_of(env: TypeEnv, tname: str, t: Term, types) -> bool:
+    """Whether every ground instance of ``t`` is in type ``tname`` given
+    ``types``, the types a variable is known to have: a ground member, or a
+    case of the type whose arguments are built of the case's component types."""
     if isinstance(t, Var):
-        return any(env.same_type(f, tname) for f in facts.get(t.name, ()))
+        return any(env.same_type(f, tname) for f in types(t.name))
     if t.is_ground:
         return tname in env and env.ground_member(tname, t)
     case = _case_of(env, tname, t)
     return case is not None and all(
-        _built_of(env, c, a, facts) for c, a in zip(case.components, t.args))
+        _built_of(env, c, a, types) for c, a in zip(case.components, t.args))
+
+
+def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
+                  links: bool) -> set:
+    """The positions of the checks ``t(V)`` in the body that the facts
+    before them prove, ``V`` or a constructor term ``V`` was unified with
+    being built of ``t`` (``_built_of``).  One forward pass learns each
+    variable's types from ``given`` (head parameter -> type), callee success,
+    constructor decomposition through nested cases, checks that ran and,
+    with ``links``, variable-variable unifications, which merge the two
+    variables' classes of shared facts and terms."""
+    env, specs = registry
+    facts = {n: {t: None} for n, t in given.items()}  # variable -> its types, as keys
+    terms: dict = {}  # variable -> the constructor terms it was unified with
+    classes: dict = {}  # variable -> its class, a list its members share
+
+    def known(table: dict, name: str):  # a list when name has class-mates
+        return [x for n in classes[name] for x in table.get(n, ())] \
+            if name in classes else table.get(name, ())
+
+    types = functools.partial(known, facts)
+
+    def learn(t: Term, tname: str):
+        if t.__class__ is not Var:
+            case = _case_of(env, tname, t)
+            for sub, comp in zip(t.args, case.components if case else ()):
+                learn(sub, comp)
+        else:
+            facts.setdefault(t.name, {})[tname] = None
+
+    proved = set()
+    for pos, lit in enumerate(clause.body):
+        if lit.__class__ is Call:
+            callee = specs.get(lit.predicate)
+            for arg, ptype in zip(lit.args, callee.param_types if callee else ()):
+                if not arg.is_ground:
+                    learn(arg, ptype)
+        elif lit.__class__ is TypeCheck and lit.arg.__class__ is Var:
+            if _built_of(env, lit.type_name, lit.arg, types) or any(
+                    _built_of(env, lit.type_name, t, types) for t in known(terms, lit.arg.name)):
+                proved.add(pos)
+            learn(lit.arg, lit.type_name)
+        elif (bound := _bound_struct(lit)) is not None:
+            var, term = bound
+            terms.setdefault(var.name, []).append(term)
+            for tname in list(types(var.name)):
+                learn(term, tname)
+        elif links and lit.__class__ is Unify and lit.right.__class__ is Var:
+            # two variables, since _bound_struct found no constructor term
+            a, b = (classes.get(n, [n]) for n in (lit.left.name, lit.right.name))
+            if a is not b:
+                a += b
+                classes.update(dict.fromkeys(a, a))
+    return proved
 
 
 def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
                      level: str = "paper-compat") -> EliminationResult:
     """Drop type checks already established at their body position.
 
-    Facts arise from exactly four sources: trusted head parameters,
-    constructor decomposition through a unification with a known-typed
-    variable, callee success, and a unification of the checked variable
-    with a constructor term built of the checked type (``_built_of``, its
-    variables read through the facts they have at the check).  Facts never
-    flow across variable-variable unifications, and a kept check
-    establishes nothing.
-    """
+    ``paper-compat`` removes what ``proved_checks`` proves from trusted
+    parameters without variable-variable links; no directionality's own
+    in-types count, since one program serves all of them unless
+    ``--split`` is given.  ``none`` keeps every check."""
     if level == "none":
         return EliminationResult(prog, ())
     if level != "paper-compat":
         raise ValueError(f"unknown elimination level: {level}")
-    env = registry.env
     trusted = trusted_params(spec)
-    clauses = []
-    removed = []
+    clauses, removed = [], []
     for ci, clause in enumerate(prog.clauses):
-        facts: dict = {}
-        terms: dict = {}  # variable -> the constructor terms it was unified with
-
-        def add_fact(name, tname):
-            bucket = facts.setdefault(name, [])
-            if tname not in bucket:
-                bucket.append(tname)
-
-        for arg in clause.head_args:
-            if isinstance(arg, Var) and arg.name in trusted:
-                add_fact(arg.name, trusted[arg.name])
-        kept = []
-        for pos, lit in enumerate(clause.body):
-            if isinstance(lit, TypeCheck) and isinstance(lit.arg, Var):
-                name, tname = lit.arg.name, lit.type_name
-                if any(env.same_type(f, tname) for f in facts.get(name, ())) or any(
-                        _built_of(env, tname, t, facts) for t in terms.get(name, ())):
-                    removed.append(RemovedCheck(ci, pos, lit))
-                    continue
-                kept.append(lit)
-                continue
-            if isinstance(lit, Call):
-                callee = registry.specs.get(lit.predicate)
-                if callee is not None:
-                    for arg, ptype in zip(lit.args, callee.param_types):
-                        if isinstance(arg, Var):
-                            add_fact(arg.name, ptype)
-            elif (bound := _bound_struct(lit)) is not None:
-                var, term = bound
-                terms.setdefault(var.name, []).append(term)
-                for tname in facts.get(var.name, []):
-                    case = _case_of(env, tname, term)
-                    for sub, comp in zip(term.args, case.components if case else ()):
-                        if isinstance(sub, Var):
-                            add_fact(sub.name, comp)
-            kept.append(lit)
-        clauses.append(replace(clause, body=tuple(kept)))
+        gone = proved_checks(clause, registry, trusted, links=False)
+        removed.extend(RemovedCheck(ci, pos, clause.body[pos]) for pos in sorted(gone))
+        clauses.append(replace(clause, body=tuple(
+            lit for pos, lit in enumerate(clause.body) if pos not in gone)))
     return EliminationResult(Program(prog.predicate, prog.arity, tuple(clauses)),
                              tuple(removed))
 
@@ -641,7 +652,6 @@ class DeterminismResult(NamedTuple):
 
     computed: Multiplicity
     declared: Multiplicity
-    clause_mults: tuple
     switch: SwitchInfo | None
 
     @property
@@ -649,58 +659,42 @@ class DeterminismResult(NamedTuple):
         return self.computed.within(self.declared)
 
 
-def _equal_to_trusted(clause: Clause, trusted: dict, env: TypeEnv,
-                      var: str, tname: str) -> bool:
-    """Is var linked by body equalities to a trusted input of that type?"""
-    pairs = [(lit.left.name, lit.right.name) for lit in clause.body
-             if isinstance(lit, Unify) and isinstance(lit.left, Var)
-             and isinstance(lit.right, Var)]
-    linked = {var}
-    grown = True
-    while grown:  # the names that variable-variable equalities link to var
-        grown = False
-        for a, b in pairs:
-            if (a in linked) != (b in linked):
-                linked |= {a, b}
-                grown = True
-    return any(p in linked and env.same_type(t, tname) for p, t in trusted.items())
-
-
 def analyze_determinism(prog: Program, dir: Directionality, registry: Registry,
                         mults: list) -> DeterminismResult:
     """Computed answer-count bounds for a reordered, eliminated program.
 
-    ``mults`` holds, per clause, the answer multiplicity of each body
-    literal, as recorded by ``reorder``; a complete switch's discriminating
-    literal and a check on a variable equal to a trusted input of its type
-    count as <1-1> instead.
-    """
+    ``mults`` holds, per clause, each body literal's answer multiplicity,
+    as ``reorder`` recorded it.  A complete switch's discriminating literal
+    counts <1-1> instead, and so does a check that ``proved_checks`` proves
+    from this directionality's ground in-parameters, reading every fact
+    source: the count is over the inputs that meet the in-types."""
     spec = registry.spec_of(prog.predicate)
-    env = registry.env
-    switch = detect_switch(prog, dir, spec, env)
-    trusted = trusted_params(spec)
+    switch = detect_switch(prog, dir, spec, registry.env)
+    in_types = {p: t for p, t, (m_in, _) in zip(spec.params, spec.param_types, dir.modes)
+                if m_in == GROUND}
     clause_mults = []
     for ci, clause in enumerate(prog.clauses):
-        mult = D11
+        mult, checks = D11, set()
         for pos, (lit, lm) in enumerate(zip(clause.body, mults[ci], strict=True)):
             if switch is not None and pos == switch.positions[ci]:
                 lm = D11  # a complete exclusive switch selects one branch
-            elif (isinstance(lit, TypeCheck) and isinstance(lit.arg, Var)
-                  and _equal_to_trusted(clause, trusted, env, lit.arg.name, lit.type_name)):
-                lm = D11
+            elif lit.__class__ is TypeCheck and lit.arg.__class__ is Var:
+                checks.add(pos)  # a test, <0-1>: multiplied in below
+                continue
             mult = mult.times(lm)
+        # the checks count <1-1> when all are proved, which can only raise a
+        # lower bound that the other literals leave above 0
+        if checks and (mult.min == 0 or not checks <= proved_checks(
+                clause, registry, in_types, links=True)):
+            mult = mult.times(D01)
         clause_mults.append(mult)
-    if not clause_mults:
-        computed = Multiplicity(0, 0)
-    elif switch is not None:
+    if switch is not None:
         computed = Multiplicity(
             min((m.min for m in clause_mults), key=bound_key),
             max((m.max for m in clause_mults), key=bound_key))
     else:
-        computed = clause_mults[0]
-        for m in clause_mults[1:]:
-            computed = computed.plus(m)
-    return DeterminismResult(computed, dir.mult, tuple(clause_mults), switch)
+        computed = functools.reduce(Multiplicity.plus, clause_mults, Multiplicity(0, 0))
+    return DeterminismResult(computed, dir.mult, switch)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit code")
     p.add_argument("target", choices=("prolog", "mercury"))
     common(p)
-    p.add_argument("--dir-index", type=_positive_int, default=1)
+    p.add_argument("--dir-index", type=_positive_int)  # default 1
     p.add_argument("--level", choices=("paper-compat", "none"), default="paper-compat")
     p.add_argument("--cuts", action="store_true", help="introduce cuts on switches")
     p.add_argument("--split", action="store_true",
@@ -129,6 +129,11 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    if (args.command == "gen" and args.target == "mercury" and args.dir_index
+            and args.emit_stage not in ("ordered", "eliminated")):
+        print("tld-forge gen: error: argument --dir-index: gen mercury declares every "
+              "directionality", file=sys.stderr)
+        return 2
     loaded = _load(args.manifest)
     if args.command == "check":
         if loaded.ok:
@@ -167,7 +172,7 @@ def _run(args) -> int:
                 r = run_pipeline(ws, pred, target=None, level=args.level)
             elif args.command == "gen":
                 r = run_pipeline(ws, pred, target=args.target, level=args.level,
-                                 dir_index=args.dir_index - 1, cuts=args.cuts,
+                                 dir_index=(args.dir_index or 1) - 1, cuts=args.cuts,
                                  split=args.split, stage=args.emit_stage)
             else:  # transform, derive
                 r = run_pipeline(ws, pred, stage=args.emit_stage)

@@ -279,6 +279,14 @@ def _s(t):
     # X is trusted, so Z is a nat, and so is s(Z)
     (Unify(Var("X"), _s(Var("Z"))), Unify(Var("Y"), _s(Var("Z"))),
      TypeCheck("nat", Var("Y"))),
+    # a check that ran proves what follows it: W is a nat, and so is s(W)
+    (TypeCheck("nat", Var("W")), Unify(Var("Y"), _s(Var("W"))),
+     TypeCheck("nat", Var("Y"))),
+    # Y is a nat once nat(Y) ran, so the Z nested in s(s(Z)) is one
+    (TypeCheck("nat", Var("Y")), Unify(Var("Y"), _s(_s(Var("Z")))),
+     TypeCheck("nat", Var("Z"))),
+    # n succeeds on a nat, so W in its argument s(W) is one
+    (Call("n", (_s(Var("W")),)), Unify(Var("Y"), _s(Var("W"))), TypeCheck("nat", Var("Y"))),
 ])
 def test_a_check_after_a_term_built_of_its_type_is_removed(body):
     assert _after_elimination(*body) == body[:-1]
@@ -353,6 +361,23 @@ def typical_ws(tmp_path_factory):
     return loaded.workspace
 
 
+@pytest.fixture(scope="module")
+def split_ws(maxprefix_dir):
+    loaded = load_workspace(maxprefix_dir.parent / "split_versions" / "manifest.txt")
+    assert loaded.ok, [x.format() for x in loaded.diagnostics]
+    return loaded.workspace
+
+
+def test_a_check_that_ran_proves_the_checks_after_it(split_ws):
+    # q's X and Y are each var in one directionality, so neither is
+    # trusted; once the first check of the second clause has run, X = s(Z)
+    # or Y = s(s(Z)) makes Z a nat, and the other term is built of nat
+    results = analyze_procedure(derived_program(split_ws, "q"), split_ws.specs["q"],
+                                split_ws.registry)
+    assert [[format_literal(lit) for lit in res.eliminated.clauses[1].body
+             if isinstance(lit, TypeCheck)] for res in results] == [["nat(X)"], ["nat(Y)"]]
+
+
 def test_typical_templates_keep_only_the_checks_nothing_before_proves(typical_ws):
     kept = {name: [format_literal(lit) for res in analyze_procedure(
                 derived_program(typical_ws, name), typical_ws.specs[name],
@@ -368,12 +393,13 @@ def test_typical_templates_keep_only_the_checks_nothing_before_proves(typical_ws
         "wrap": ["nat(Y)", "integer(V)", "nat(Y)", "nat(Y)"]}
 
 
-def test_elimination_safety_on_the_fixtures(maxprefix_ws, typical_ws):
+def test_elimination_safety_on_the_fixtures(maxprefix_ws, typical_ws, split_ws):
     # reinstating any removed check must not change bounded evaluation over
     # well-typed inputs, nor, when the check is on a parameter that is not
     # trusted, over every term as that parameter: only a trusted parameter's
-    # check is removed on the strength of its declared type
-    for ws, name in [(w, n) for w in (maxprefix_ws, typical_ws) for n in w.tlds]:
+    # check is removed on the strength of its declared type (split_ws's q
+    # removes checks on the strength of a check that ran)
+    for ws, name in [(w, n) for w in (maxprefix_ws, typical_ws, split_ws) for n in w.tlds]:
         registry = ws.registry
         ctx = ws.eval_context(universe_depth=2, unfold_depth=4)
         spec = ws.specs[name]

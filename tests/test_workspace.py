@@ -879,6 +879,48 @@ def test_cli_an_output_built_of_its_type_is_det(golden_dir, capsys):
         "dbl(X, Y) :-\n    X = s(X1),\n    dbl(X1, Y1),\n    Y = s(s(Y1)).\n")
 
 
+def test_cli_every_fact_source_counts_for_determinism(golden_dir, capsys):
+    # fold's integer(S) follows S = A1, an integer by plus's success; code's
+    # fruit(C) is kept, C being var in the second directionality, but C is
+    # a ground fruit in the first
+    manifest = str(golden_dir.parent / "fact_sources" / "manifest.txt")
+    assert main(["analyze", "--manifest", manifest]) == 0
+    captured = capsys.readouterr()
+    assert re.findall(r"computed multiplicity: (.*)\n", captured.out) == [
+        "<1-1> (declared <1-1>) [ok]", "<1-1> (declared <1-1>) [ok]",
+        "<0-1> (declared <0-1>) [ok]"]
+    assert captured.err == ""
+    assert main(["gen", "mercury", "--manifest", manifest]) == 0
+    captured = capsys.readouterr()
+    assert ":- mode fold(in, out) is det.\n" in captured.out
+    assert ":- mode code(in, out) is det.\n" in captured.out
+    assert captured.err == ""
+    # check elimination reads no variable-variable unification
+    assert main(["gen", "prolog", "--manifest", manifest, "--pred", "fold"]) == 0
+    assert capsys.readouterr().out.endswith("    S = A1,\n    integer(S).\n")
+
+
+@pytest.mark.parametrize("t", ["term", "nat"])
+def test_cli_a_free_free_unification_counts_as_a_test(tmp_path, capsys, t):
+    # C = A joins two free variables; A is bound to a partial term, so the
+    # later C = s(D) can fail: <0-1>, whatever the facts shared by C and A
+    quantified = "".join(f"exists {v}: {t} . " for v in "ABCD")
+    path = write_workspace(
+        tmp_path, types="nat ::= zero | s(nat).\n",
+        spec=f"procedure p(X, Y).\ntype X : {t}.\ntype Y : {t}.\n"
+             "dir (ground, ground) : <0-1>.\n",
+        tld=f"p(X: {t}, Y: {t}) <=> {quantified}"
+            "A = s(B) /\\ C = A /\\ C = s(D) /\\ B = X /\\ D = Y.\n")
+    assert main(["analyze", "--manifest", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "computed multiplicity: <0-1> (declared <0-1>) [ok]\n" in out
+    if t == "term":
+        assert "    order (clause 1): A = s(B), C = A, C = s(D), B = X, D = Y\n" \
+            "    removed checks: none\n" in out
+    assert main(["gen", "mercury", "--manifest", str(path)]) == 0
+    assert ":- mode p(in, in) is semidet.\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("k", ["1", "2", "3"])
 def test_cli_split_emits_every_version_its_calls_name(golden_dir, capsys, k):
     # p has three directionalities and calls q, which has two: at
@@ -918,6 +960,10 @@ SKELETON = ("# skeleton for p; replace each #hole with the case's formula\n"
             "    .\n")
 
 
+MERCURY_DIR_INDEX = ("tld-forge gen: error: argument --dir-index: gen mercury declares "
+                     "every directionality\n")
+
+
 @pytest.mark.parametrize("argv, manifest, code, out, err", [
     (["skeleton", "--pred", "p", "X"], None, 0, SKELETON, ""),
     # ext has no description: its calls are never suffixed
@@ -929,6 +975,16 @@ SKELETON = ("# skeleton for p; replace each #hole with the case's formula\n"
     (["skeleton", "--pred", "p", "Z"], None, 1, "", "error: p has no parameter Z\n"),
     (["analyze"], "types w.types\nspec w.spec\n", 1, "",
      "nothing to do: the workspace has no descriptions\n"),
+    # Mercury declares every directionality: --dir-index only picks the
+    # order an ordered or eliminated dump shows
+    (["gen", "mercury", "--dir-index", "3"], None, 2, "", MERCURY_DIR_INDEX),
+    (["gen", "mercury", "--dir-index", "1"], None, 2, "", MERCURY_DIR_INDEX),
+    (["gen", "mercury", "--dir-index", "1", "--emit-stage", "derived"], None, 2, "",
+     MERCURY_DIR_INDEX),
+    (["gen", "mercury", "--dir-index", "2", "--emit-stage", "eliminated"], None, 0,
+     "p(X, Y) :-\n    nat(Y),\n    ext(X, Y).\n", ""),
+    (["gen", "mercury", "--dir-index", "3", "--emit-stage", "ordered"], None, 1, "",
+     "error: p has no directionality 3\n"),
 ])
 def test_cli_command_paths(tmp_path, capsys, argv, manifest, code, out, err):
     path = write_workspace(tmp_path, **EXTERNAL_WORKSPACE, manifest=manifest)

@@ -7,8 +7,7 @@ import math
 from dataclasses import replace
 
 from tldforge import ast
-from tldforge.analysis import (AbstractState, _equal_to_trusted, detect_switch,
-                               initial_state, trusted_params)
+from tldforge.analysis import AbstractState, detect_switch, initial_state
 from tldforge.ast import (And, Atom, Call, Eq, Exists, FalseF, Forall, Formula, Iff,
                           Implies, LogicDescription, NafNot, Not, Or, Struct, TrueF,
                           TypeCheck, Unify, Var)
@@ -343,12 +342,48 @@ def reference_literal_mults(clause, d, registry) -> list:
     return out
 
 
+def _reference_proved(prefix, check, given: set, registry) -> bool:
+    """Whether the literals ``prefix`` prove ``check``, a type check on a
+    variable, from the (variable, type) pairs ``given``: a fact of its type
+    on a variable linked to the checked one by variable-variable
+    unifications, the facts coming from ``given``, callee success and
+    checks, or a unification of a linked variable with a ground member of
+    the type.  Constructor decomposition is left out: the comparison runs
+    on integer workspaces."""
+    env, tname = registry.env, check.type_name
+    pairs = [(lit.left.name, lit.right.name) for lit in prefix
+             if isinstance(lit, Unify) and isinstance(lit.left, Var)
+             and isinstance(lit.right, Var)]
+    linked = {check.arg.name}
+    while True:
+        grown = linked | {b for a, b in pairs if a in linked} | {a for a, b in pairs if b in linked}
+        if grown == linked:
+            break
+        linked = grown
+    facts = set(given)
+    for lit in prefix:
+        if isinstance(lit, Call):
+            facts |= {(a.name, t) for a, t in zip(
+                lit.args, registry.spec_of(lit.predicate).param_types) if isinstance(a, Var)}
+        elif isinstance(lit, TypeCheck) and isinstance(lit.arg, Var):
+            facts.add((lit.arg.name, lit.type_name))
+        elif isinstance(lit, Unify):
+            for v, t in ((lit.left, lit.right), (lit.right, lit.left)):
+                if (isinstance(v, Var) and v.name in linked and ast.ground(t)
+                        and tname in env and env.ground_member(tname, t)):
+                    return True
+    return any(n in linked and env.same_type(t, tname) for n, t in facts)
+
+
 def reference_determinism(prog, d, registry) -> Multiplicity:
     """The computed multiplicity of an executable program: the walk above,
-    with the switch and trusted-check rules, summed over the clauses."""
+    with the switch rule and a check proved by the literals before it
+    counted <1-1>, summed over the clauses; the directionality's ground
+    in-parameters have their declared types."""
     spec = registry.spec_of(prog.predicate)
     switch = detect_switch(prog, d, spec, registry.env)
-    trusted = trusted_params(spec)
+    given = {(p, t) for p, t, (m_in, _) in zip(spec.params, spec.param_types, d.modes)
+             if m_in == GROUND}
     clause_mults = []
     for ci, clause in enumerate(prog.clauses):
         mult = Multiplicity(1, 1)
@@ -357,8 +392,7 @@ def reference_determinism(prog, d, registry) -> Multiplicity:
             if switch is not None and pos == switch.positions[ci]:
                 lm = Multiplicity(1, 1)
             elif (isinstance(lit, TypeCheck) and isinstance(lit.arg, Var)
-                  and _equal_to_trusted(clause, trusted, registry.env,
-                                        lit.arg.name, lit.type_name)):
+                  and _reference_proved(clause.body[:pos], lit, given, registry)):
                 lm = Multiplicity(1, 1)
             mult = mult.times(lm)
         clause_mults.append(mult)
