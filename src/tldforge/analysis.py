@@ -133,8 +133,9 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
     """Run one literal's mode rule on ``modes``, which holds every variable
     of the literal and is updated in place; ``spec`` is a call's callee.
 
-    Returns the literal's own answer multiplicity, or, when the literal
-    cannot run, a function giving the reason."""
+    Returns the literal's own answer multiplicity, for a call the callee
+    directionality it picks, or, when the literal cannot run, a function
+    giving the reason."""
     if isinstance(lit, Unify):
         # a free variable on either side makes the unification succeed once
         free = any(isinstance(t, Var) and modes[t.name] == VAR
@@ -154,7 +155,7 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
             elif m_out == GROUND and not arg.is_ground:
                 for n in ast.term_vars(arg):
                     modes[n] = GROUND
-        return d.mult
+        return d
     if isinstance(lit, TypeCheck):
         if term_mode(modes, lit.arg) != GROUND:
             return lambda: (f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
@@ -170,10 +171,10 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
 
 class _LiteralStep:
     """One literal's mode rule, compiled: its variables, its callee, the
-    result for each tuple of their modes met so far, and whether it is
-    monotone, once asked."""
+    result for each tuple of their modes met so far, a call's pick there,
+    and whether it is monotone, once asked."""
 
-    __slots__ = ("lit", "names", "spec", "results", "monotone")
+    __slots__ = ("lit", "names", "spec", "results", "picks", "monotone")
 
     def __init__(self, lit, registry: Registry):
         self.lit = lit
@@ -183,12 +184,17 @@ class _LiteralStep:
         # multiplicity), or, when the literal cannot run, a function giving
         # the reason
         self.results: dict = {}
+        self.picks: dict = {}  # modes of ``names`` -> the callee directionality's index
         self.monotone: bool | None = None
 
     def _run(self, local: tuple):
-        """Run the mode rule at modes ``local`` of ``names`` and record the result."""
+        """Run the mode rule at modes ``local`` of ``names`` and record the
+        result, and the pick of a call that runs."""
         modes = dict(zip(self.names, local))
         out = _mode_rule(self.lit, modes, self.spec)
+        if isinstance(out, Directionality):
+            self.picks[local] = self.spec.directionalities.index(out)
+            out = out.mult
         if isinstance(out, Multiplicity):
             post = tuple([modes[n] for n in self.names])
             out = (None if post == local else post, out)
@@ -326,34 +332,23 @@ def _bind(clause: Clause, dir: Directionality, registry: Registry, steps: dict) 
     return names, tuple(modes[n] for n in names), bound
 
 
-def picked_callee_dirs(clause: Clause, dir: Directionality, registry: Registry) -> list:
+def run_as_written(clause: Clause, dir: Directionality, registry: Registry,
+                   steps: dict | None = None) -> list | None:
     """Per body literal, in the written order, the index of the callee
-    directionality a call picks from the modes before it, by the rule that
-    ``_mode_rule`` applies; None for any other literal, or a call that
-    cannot run."""
-    modes = _start_modes(clause, dir, map(ast.literal_vars, clause.body))
-    picks = []
-    for lit in clause.body:
-        spec = registry.spec_of(lit.predicate) if isinstance(lit, Call) else None
-        d = None if spec is None else \
-            _pick_callee_dir(spec, [term_mode(modes, a) for a in lit.args])
-        picks.append(None if d is None else spec.directionalities.index(d))
-        _mode_rule(lit, modes, spec)
-    return picks
-
-
-def runs_as_written(clause: Clause, dir: Directionality, registry: Registry,
-                    steps: dict | None = None) -> bool:
-    """Whether the body runs in its written order under the directionality
-    and ends with every head parameter within its out-mode.  ``steps`` is
-    as for ``reorder``."""
+    directionality a call picks there, None for any other literal; None
+    instead of the list unless the body runs in that order under the
+    directionality and ends with every head parameter within its out-mode.
+    ``steps`` is as for ``reorder``."""
     names, state, bound = _bind(clause, dir, registry, {} if steps is None else steps)
+    picks = []
     for step, where in bound:
         r = step.apply(state, where)
         if r is None:
-            return False
+            return None
+        picks.append(step.picks.get(tuple([state[i] for i in where])))
         state = r[0]
-    return _outs_satisfied(AbstractState(tuple(zip(names, state))), clause, dir)
+    return picks if _outs_satisfied(AbstractState(tuple(zip(names, state))),
+                                    clause, dir) else None
 
 
 def reorder(clause: Clause, dir: Directionality, registry: Registry,
@@ -547,8 +542,11 @@ def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
             case = _case_of(env, tname, t)
             for sub, comp in zip(t.args, case.components if case else ()):
                 learn(sub, comp)
-        else:
-            facts.setdefault(t.name, {})[tname] = None
+        elif tname not in (own := facts.setdefault(t.name, {})):
+            own[tname] = None
+            if terms:  # the class's constructor terms are built of its new type
+                for term in known(terms, t.name):
+                    learn(term, tname)
 
     proved = set()
     for pos, lit in enumerate(clause.body):
@@ -573,6 +571,9 @@ def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
             if a is not b:
                 a += b
                 classes.update(dict.fromkeys(a, a))
+                for tname in list(types(a[0])):  # the merged types, on the merged terms
+                    for term in known(terms, a[0]):
+                        learn(term, tname)
     return proved
 
 

@@ -16,8 +16,7 @@ from typing import NamedTuple
 from . import ast
 from .ast import (And, Atom, Call, Clause, Eq, Exists, Forall, Iff, Implies,
                   Not, Or, Program, Struct, Term, TypedLogicDescription, Var)
-from .analysis import (Registry, SPLIT_SUGGESTION, picked_callee_dirs,
-                       runs_as_written)
+from .analysis import Registry, SPLIT_SUGGESTION, run_as_written
 from .analysis import abstract_step  # noqa: F401  perfbench's tracer counts calls here
 from .errors import MultipleOrdersError, NotDerivableError
 from .modes import Directionality, GROUND, INF, Mode, Multiplicity, Spec, STAR, VAR
@@ -177,7 +176,7 @@ def check_order_compatibility(spec: Spec, registry: Registry, dir_programs: list
     steps: dict = {}
     return [k for k, d in enumerate(spec.directionalities)
             if dir_programs[k] != prog
-            and not all(runs_as_written(c, d, registry, steps) for c in prog.clauses)]
+            and any(run_as_written(c, d, registry, steps) is None for c in prog.clauses)]
 
 
 def _version_name(name: str, k: int, dir_index: int) -> str:
@@ -189,10 +188,11 @@ def _version_name(name: str, k: int, dir_index: int) -> str:
 
 def _versioned_calls(clause: Clause, dir: Directionality, registry: Registry,
                      versioned: set, dir_index: int) -> Clause:
-    """The clause with each call to a procedure in ``versioned`` naming the
-    version of the callee directionality it picks."""
+    """The clause, which runs as written under ``dir``, with each call to a
+    procedure in ``versioned`` naming the version of the callee
+    directionality its compiled mode step picks."""
     body = list(clause.body)
-    for i, k in enumerate(picked_callee_dirs(clause, dir, registry)):
+    for i, k in enumerate(run_as_written(clause, dir, registry)):
         if k is not None and body[i].predicate in versioned:
             body[i] = replace(body[i], predicate=_version_name(body[i].predicate, k, dir_index))
     return replace(clause, body=tuple(body))

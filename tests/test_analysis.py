@@ -11,8 +11,8 @@ from tldforge.analysis import (AbstractState, Registry, ReorderFailure,
                                RESPEC_SUGGESTION, SPLIT_SUGGESTION,
                                abstract_step, analyze_determinism,
                                analyze_procedure, detect_switch,
-                               eliminate_checks, initial_state, reorder,
-                               runs_as_written, trusted_params, _LiteralStep,
+                               eliminate_checks, initial_state, proved_checks,
+                               reorder, run_as_written, trusted_params, _LiteralStep,
                                _outs_satisfied)
 from tldforge.ast import (Call, Clause, NafNot, Program, Struct, TypeCheck,
                           Unify, Var)
@@ -29,7 +29,7 @@ from tldforge.transform import simplify_description, transform_tld
 from tldforge.workspace import builtin_specs, load_workspace
 from reference_reorder import reorder as reference_reorder
 from util import (instantiation_class, reference_determinism, reference_literal_mults,
-                  reference_step, reinstated_clause, resolve, unify)
+                  reference_pick, reference_step, reinstated_clause, resolve, unify)
 
 D11 = Multiplicity(1, 1)
 D01 = Multiplicity(0, 1)
@@ -251,17 +251,27 @@ BUILT_SPECS = {"dbl": _built_spec("dbl", (("X", "nat"), ("Y", "nat"))),
                "fr": _built_spec("fr", (("F", "fruit"),))}
 
 
-def _after_elimination(*body):
+def _after_elimination(*body, links=False):
     """The body of p(X, Y), X: nat trusted and Y: nat an output, after check
-    elimination; calls go to dbl, n, nl and fr."""
+    elimination, or with ``links`` without each check that the fact pass
+    proves reading variable-variable unifications too, as determinism reads
+    it; calls go to dbl, n, nl and fr."""
     spec = _built_spec("p", (("X", "nat"), ("Y", "nat")))
     reg = Registry(BUILT_ENV, {**BUILT_SPECS, "p": spec})
     clause = Clause("p", (Var("X"), Var("Y")), body)
+    if links:
+        gone = proved_checks(clause, reg, trusted_params(spec), links=True)
+        return tuple(lit for pos, lit in enumerate(body) if pos not in gone)
     return eliminate_checks(Program("p", 2, (clause,)), spec, reg).program.clauses[0].body
 
 
 def _s(t):
     return Struct("s", (t,))
+
+
+# A = B merges A, a nat once nat(A) ran, with B = s(Z): with links, Z is a nat
+LINKED_BODY = (Unify(Var("B"), _s(Var("Z"))), TypeCheck("nat", Var("A")),
+               Unify(Var("A"), Var("B")), TypeCheck("nat", Var("Z")))
 
 
 @pytest.mark.parametrize("body", [
@@ -287,9 +297,12 @@ def _s(t):
      TypeCheck("nat", Var("Z"))),
     # n succeeds on a nat, so W in its argument s(W) is one
     (Call("n", (_s(Var("W")),)), Unify(Var("Y"), _s(Var("W"))), TypeCheck("nat", Var("Y"))),
+    # W is a nat once nat(W) ran, after W = s(Z), so Z is one
+    (Unify(Var("W"), _s(Var("Z"))), TypeCheck("nat", Var("W")), TypeCheck("nat", Var("Z"))),
+    LINKED_BODY,
 ])
 def test_a_check_after_a_term_built_of_its_type_is_removed(body):
-    assert _after_elimination(*body) == body[:-1]
+    assert _after_elimination(*body, links=body == LINKED_BODY) == body[:-1]
 
 
 @pytest.mark.parametrize("body", [
@@ -308,6 +321,8 @@ def test_a_check_after_a_term_built_of_its_type_is_removed(body):
     # the check on the recursion's output comes before the call types Y1
     (Unify(Var("Y"), _s(_s(Var("Y1")))), TypeCheck("nat", Var("Y")),
      Call("dbl", (Var("X1"), Var("Y1")))),
+    # check elimination reads no variable-variable unification
+    LINKED_BODY,
 ])
 def test_a_check_after_a_term_not_built_of_its_type_stays(body):
     assert _after_elimination(*body) == body
@@ -350,15 +365,33 @@ TYPICAL_WORKSPACE = {
            "\\/ (exists V: integer . V = X /\\ Y = s(V)) \\/ X = 0 /\\ Y = orange.\n"}
 
 
-@pytest.fixture(scope="module")
-def typical_ws(tmp_path_factory):
-    d = tmp_path_factory.mktemp("typical")
+# nat(W) runs after W = s(Z), and proves the nat(Z) after it; X is trusted
+LEARNED_WORKSPACE = {
+    "types": "nat ::= zero | s(nat).\n",
+    "spec": "procedure h(X, Y).\ntype X : nat.\ntype Y : nat.\n"
+            "dir (ground, ground) : <0-1>.\ndir (ground, var -> ground) : <0-1>.\n",
+    "tld": "h(X: nat, Y: nat) <=> exists W: term . exists Z: term . "
+           "W = X /\\ W = s(Z) /\\ Z = Y /\\ nat(W) /\\ nat(Z).\n"}
+
+
+def _written_workspace(tmp_path_factory, files):
+    d = tmp_path_factory.mktemp("ws")
     for ext in ("types", "spec", "tld"):
-        (d / f"w.{ext}").write_text(TYPICAL_WORKSPACE[ext])
+        (d / f"w.{ext}").write_text(files[ext])
     (d / "manifest.txt").write_text("types w.types\nspec w.spec\ntld w.tld\n")
     loaded = load_workspace(d / "manifest.txt")
     assert loaded.ok, [x.format() for x in loaded.diagnostics]
     return loaded.workspace
+
+
+@pytest.fixture(scope="module")
+def typical_ws(tmp_path_factory):
+    return _written_workspace(tmp_path_factory, TYPICAL_WORKSPACE)
+
+
+@pytest.fixture(scope="module")
+def learned_ws(tmp_path_factory):
+    return _written_workspace(tmp_path_factory, LEARNED_WORKSPACE)
 
 
 @pytest.fixture(scope="module")
@@ -393,13 +426,19 @@ def test_typical_templates_keep_only_the_checks_nothing_before_proves(typical_ws
         "wrap": ["nat(Y)", "integer(V)", "nat(Y)", "nat(Y)"]}
 
 
-def test_elimination_safety_on_the_fixtures(maxprefix_ws, typical_ws, split_ws):
+def test_elimination_safety_on_the_fixtures(maxprefix_ws, typical_ws, split_ws, learned_ws):
     # reinstating any removed check must not change bounded evaluation over
     # well-typed inputs, nor, when the check is on a parameter that is not
     # trusted, over every term as that parameter: only a trusted parameter's
     # check is removed on the strength of its declared type (split_ws's q
-    # removes checks on the strength of a check that ran)
-    for ws, name in [(w, n) for w in (maxprefix_ws, typical_ws, split_ws) for n in w.tlds]:
+    # removes checks on the strength of a check that ran, and learned_ws's h
+    # on a type its check gave a term unified before it)
+    learned = analyze_procedure(derived_program(learned_ws, "h"), learned_ws.specs["h"],
+                                learned_ws.registry)
+    assert [[format_literal(rc.literal) for rc in res.removed] for res in learned] == [
+        ["nat(X)", "nat(Z)"], ["nat(X)", "nat(Z)"]]
+    for ws, name in [(w, n) for w in (maxprefix_ws, typical_ws, split_ws, learned_ws)
+                     for n in w.tlds]:
         registry = ws.registry
         ctx = ws.eval_context(universe_depth=2, unfold_depth=4)
         spec = ws.specs[name]
@@ -606,16 +645,18 @@ def _first_valid_permutation(clause, d, registry):
     return None
 
 
-def _runs_as_written(clause, d, registry):
+def _run_as_written(clause, d, registry):
     """Slow reference: every literal in written order through the reference
-    step, then the head's out-modes."""
-    state = initial_state(clause, d)
+    step, with the callee directionality each call picks, then the head's
+    out-modes."""
+    state, picks = initial_state(clause, d), []
     for lit in clause.body:
         try:
+            picks.append(reference_pick(state, lit, registry))
             state = reference_step(state, lit, registry)
         except NotCallableError:
-            return False
-    return _outs_satisfied(state, clause, d)
+            return None
+    return picks if _outs_satisfied(state, clause, d) else None
 
 
 TRAP_SPECS = ("procedure src(A, B).\ntype A : integer.\ntype B : integer.\n"
@@ -763,6 +804,25 @@ def test_abstract_step_is_the_reference_step(search_registry, case, modes):
             assert str(exc.value) == str(e)
             continue
         assert abstract_step(state, lit, search_registry) == expected
+
+
+def test_a_call_grounds_the_variables_of_a_compound_out_argument(search_registry):
+    # wrap's second argument goes from any mode to ground, so wrap(X, f(Y))
+    # grounds Y, the variable of its compound argument, from every mode
+    specs, diags = parse_specs("procedure wrap(A, B).\ntype A : integer.\ntype B : term.\n"
+                               "dir (ground, any -> ground) : <0-1>.\n", "<wrap>")
+    assert not diags, diags
+    reg = Registry(search_registry.env, {**search_registry.specs, "wrap": specs[0]})
+    call = Call("wrap", (X, Struct("f", (Y,))))
+    for mode in (VAR, NOVAR, ANY, GROUND):
+        state = AbstractState.make({"X": GROUND, "Y": mode})
+        assert abstract_step(state, call, reg) == reference_step(state, call, reg) \
+            == AbstractState.make({"X": GROUND, "Y": GROUND})
+    # the check on Y, written first, runs once the call has grounded Y
+    check = TypeCheck("integer", Y)
+    clause = Clause("p", (X, Y), (check, call))
+    out = reorder(clause, Directionality(((GROUND, GROUND), (VAR, GROUND)), D01), reg)
+    assert out.body == (call, check)
 
 
 def _probe(g: int) -> Clause:
@@ -942,7 +1002,7 @@ def test_analyze_procedure_matches_the_references(tmp_path):
             # the fixed-order walk the emitter runs for the other directionalities
             for other in spec.directionalities:
                 for c in elim.program.clauses:
-                    assert runs_as_written(c, other, reg) == _runs_as_written(c, other, reg)
+                    assert run_as_written(c, other, reg) == _run_as_written(c, other, reg)
             assert (res.eliminated, res.removed) == (elim.program, elim.removed), body
             assert res.determinism.computed == reference_determinism(
                 elim.program, dir_, reg), body

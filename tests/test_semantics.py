@@ -583,6 +583,50 @@ def test_quantifiers_memoize_only_where_their_key_recurs(monkeypatch):
         assert len(runs) == times
 
 
+# with one, nat has two values at depth 1, where the brute force is small
+MEMO_DESCRIPTIONS = """
+q(X: nat) <=> X = zero \\/ X = one.
+fib(X: nat) <=> X = zero \\/ X = one
+    \\/ exists Y: nat . X = s(s(Y)) /\\ fib(Y) /\\ fib(s(Y)).
+d(X: nat) <=> forall Z: nat . q(Z) => (fib(Z) \\/ X = Z).
+u(X: nat, Y: nat) <=> d(X) /\\ ~(Y = X).
+"""
+
+
+def test_calls_memoize_on_their_arguments_and_budget(monkeypatch):
+    # the sweep over u calls d(X) again for each value of Y: an evaluator
+    # runs d's definition once per arguments and budget, and its memo
+    # answers the other calls
+    env, _ = parse_types("nat ::= zero | one | s(nat).")
+    tlds, diags = parse_tlds(MEMO_DESCRIPTIONS)
+    assert not diags, diags
+    preds = {t.predicate: (t, transform_tld(t)) for t in tlds}
+    ctx = EvalContext(env, preds, universe_depth=1, unfold_depth=2)
+    definitions = [preds["d"][0].definition, preds["d"][1].definition]
+    runs, calls = [], []
+    compile_, unfold = _Evaluator.compile, _Evaluator._unfold
+
+    def counted(self, f, scope):
+        run = compile_(self, f, scope)
+        if not any(f is g for g in definitions):
+            return run
+
+        def count(binding, budget):
+            runs.append((self, budget, tuple(sorted(binding.items()))))
+            return run(binding, budget)
+        return count
+
+    def called(self, name, args, budget):
+        calls.append(name)
+        return unfold(self, name, args, budget)
+    monkeypatch.setattr(_Evaluator, "compile", counted)
+    monkeypatch.setattr(_Evaluator, "_unfold", called)
+    u, untyped = preds["u"]
+    _check_against_brute_force(ctx, u.definition, untyped.definition, u.params)
+    assert runs and len(set(runs)) == len(runs)  # never the same key twice
+    assert calls.count("d") > len(runs)
+
+
 def _random_term(rng, depth, names):
     """A random term of functors of arity 0 to 3 over ``names``; ground
     when ``names`` is empty."""
@@ -770,6 +814,41 @@ def test_guarded_forall_agrees_with_reference(ctx):
             assert evaluate_reference(ctx, f, {**partial, "X": value}, side=side) \
                 is verdict, (f, partial, value)
     assert decided >= 20
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_binder_domains_narrow_by_every_guard_and_pin(monkeypatch, depth):
+    # a binder enumerates only the values that pass every guard and pin on
+    # it, as a swept variable does: outside them an exists block's kernel
+    # and a forall block's antecedent are false
+    env, _ = parse_types("nat ::= zero | s(nat).\nsmall ::= zero.")
+    ctx = EvalContext(env, universe_depth=depth)
+    domains = []
+    narrowed = _Evaluator._narrowed_domain
+
+    def recorded(self, name, tname, mandatory):
+        domain = narrowed(self, name, tname, mandatory)
+        if self.side == TYPED:  # the untyped side's implications are disjunctions
+            domains.append(domain)
+        return domain
+    monkeypatch.setattr(_Evaluator, "_narrowed_domain", recorded)
+    one = Struct("s", (zero,))
+    cases = [
+        # the antecedent pins Y
+        ("forall Y: nat . Y = s(zero) => ~(X = Y)", {one}),
+        ("forall Y: term . (nat(Y) /\\ Y = s(zero)) => ~(X = Y)", {one}),
+        # two guards on Y, the first the wider
+        ("exists Y: term . nat(Y) /\\ small(Y) /\\ ~(X = Y)", {zero}),
+        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(s(X) = Y)", {zero}),
+    ]
+    for text, values in cases:
+        typed = parse_formula(text)
+        untyped = simplify_checks(transform_formula({"X": "nat"}, typed))
+        domains.clear()
+        _check_against_brute_force(ctx, typed, untyped, (("X", "nat"),))
+        assert domains and all(set(d) <= values for d in domains), text
+        if depth > 1:
+            assert {v for d in domains for v in d} == values, text
 
 
 # deep has no term of depth 2, so at that bound its domain is empty

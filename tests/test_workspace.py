@@ -942,6 +942,17 @@ def test_cli_split_emits_every_version_its_calls_name(golden_dir, capsys, k):
     assert "r" in defined
 
 
+def test_cli_split_outputs_match_their_goldens(golden_dir, capsys):
+    # every version, every call's suffix and every kept check, byte for byte
+    for workspace, k, golden in (("maxprefix", "1", "max_prefix.split1.pl"),
+                                 ("maxprefix", "2", "max_prefix.split2.pl"),
+                                 ("split_versions", "3", "split_versions.split3.pl")):
+        manifest = golden_dir.parent / workspace / "manifest.txt"
+        assert main(["gen", "prolog", "--manifest", str(manifest), "--split",
+                     "--dir-index", k]) == 0
+        assert capsys.readouterr() == ((golden_dir / golden).read_text(), ""), golden
+
+
 # p has two directionalities and calls ext, which has a specification only
 EXTERNAL_WORKSPACE = {
     "types": "nat ::= zero | s(nat).\n",

@@ -320,6 +320,17 @@ def reference_step(state: AbstractState, lit, registry) -> AbstractState:
     return AbstractState.make(modes)
 
 
+def reference_pick(state: AbstractState, lit, registry) -> int | None:
+    """The index of the callee directionality a call picks on a state, as
+    ``reference_step`` picks it, or NotCallableError; None for any other
+    literal."""
+    if not isinstance(lit, Call):
+        return None
+    spec, modes = registry.spec_of(lit.predicate), state.mode_map()
+    return spec.directionalities.index(
+        _reference_callee_dir(spec, [_reference_term_mode(modes, a) for a in lit.args]))
+
+
 def reference_literal_mults(clause, d, registry) -> list:
     """Each literal's own answer multiplicity along an executable clause,
     from the modes before it, as the determinism analysis computed it when
