@@ -81,6 +81,18 @@ def term_mode(modes: dict, t: Term) -> Mode:
     return NOVAR  # a compound is never a free variable
 
 
+def _instantiate(modes: dict, t: Struct, m: Mode):
+    """Mode effects on the variables of a compound ``t`` that a literal
+    leaves at mode ``m``: ground when ``m`` is, and, when ``m`` may be
+    non-variable, whatever execution can instantiate them to."""
+    if m == GROUND:
+        for n in ast.term_vars(t):
+            modes[n] = GROUND
+    elif m.atoms & {"g", "n"}:
+        for n in ast.term_vars(t):
+            modes[n] = modes[n].instantiation_closure()
+
+
 def _unify_update(modes: dict, left: Term, right: Term):
     """Mode effects of a unification (always callable)."""
     if isinstance(left, Var) and isinstance(right, Var):
@@ -94,18 +106,8 @@ def _unify_update(modes: dict, left: Term, right: Term):
     if isinstance(right, Var):
         left, right = right, left
     if isinstance(left, Var):
-        x = left.name
-        rnames = ast.term_vars(right)
-        if modes[x] == GROUND:
-            for n in rnames:
-                modes[n] = GROUND
-        else:
-            possibly_nonvar = bool(modes[x].atoms & {"g", "n"})
-            if possibly_nonvar:
-                for n in rnames:
-                    modes[n] = modes[n].instantiation_closure()
-            all_ground = all(modes[n] == GROUND for n in rnames)
-            modes[x] = GROUND if all_ground else NOVAR
+        _instantiate(modes, right, modes[left.name])
+        modes[left.name] = term_mode(modes, right)
         return
     # compound against compound: decompose when the shape agrees, otherwise
     # the literal can only fail and the state is unreachable on success
@@ -152,13 +154,12 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
         for arg, (_, m_out) in zip(lit.args, d.modes):
             if isinstance(arg, Var):
                 modes[arg.name] = m_out
-            elif m_out == GROUND and not arg.is_ground:
-                for n in ast.term_vars(arg):
-                    modes[n] = GROUND
+            else:
+                _instantiate(modes, arg, m_out)
         return d
     if isinstance(lit, TypeCheck):
         if term_mode(modes, lit.arg) != GROUND:
-            return lambda: (f"type checks run as tests: {lit.type_name}({lit.arg!r}) "
+            return lambda: (f"type checks run as tests: {format_literal(lit)} "
                             "needs a ground argument")
         return D01
     if isinstance(lit, NafNot):
@@ -307,12 +308,15 @@ def initial_state(clause: Clause, dir: Directionality) -> AbstractState:
     return AbstractState(tuple(sorted(modes.items())))
 
 
+def _missed_outs(modes: dict, clause: Clause, dir: Directionality) -> list:
+    """(name, out-mode) of each head parameter whose mode in ``modes``
+    misses its out-mode."""
+    return [(arg.name, m_out) for arg, (_, m_out) in zip(clause.head_args, dir.modes)
+            if isinstance(arg, Var) and not modes[arg.name].leq(m_out)]
+
+
 def _outs_satisfied(state: AbstractState, clause: Clause, dir: Directionality) -> bool:
-    modes = state.mode_map()
-    for arg, (_, m_out) in zip(clause.head_args, dir.modes):
-        if isinstance(arg, Var) and not modes[arg.name].leq(m_out):
-            return False
-    return True
+    return not _missed_outs(state.mode_map(), clause, dir)
 
 
 def _bind(clause: Clause, dir: Directionality, registry: Registry, steps: dict) -> tuple:
@@ -444,10 +448,9 @@ def _blocked(clause: Clause, dir: Directionality, names: list, bound: list,
     out-mode.  ``bound`` is as ``_bind`` gives it."""
     if not remaining:
         modes = dict(zip(names, state))
-        return tuple(f"every literal ran, but head parameter {arg.name} ends "
-                     f"{modes[arg.name].name} where its out-mode is {m_out.name}"
-                     for arg, (_, m_out) in zip(clause.head_args, dir.modes)
-                     if isinstance(arg, Var) and not modes[arg.name].leq(m_out))
+        return tuple(f"every literal ran, but head parameter {n} ends "
+                     f"{modes[n].name} where its out-mode is {m_out.name}"
+                     for n, m_out in _missed_outs(modes, clause, dir))
     out = []
     for i in remaining:
         why = bound[i][0].why(state, bound[i][1])
@@ -494,27 +497,17 @@ def _bound_struct(lit):
     return None
 
 
-def _case_of(env: TypeEnv, tname: str, t: Struct):
-    """The constructor case of type ``tname``, after alias resolution, with
-    ``t``'s functor and arity; None if there is none."""
-    d = env.resolve(tname) if tname in env else None
-    if d is None or not isinstance(d.body, Cases):
-        return None
-    return next((c for c in d.body.cases
-                 if c.functor == t.functor and c.arity == t.arity), None)
-
-
 def _built_of(env: TypeEnv, tname: str, t: Term, types) -> bool:
     """Whether every ground instance of ``t`` is in type ``tname`` given
-    ``types``, the types a variable is known to have: a ground member, or a
-    case of the type whose arguments are built of the case's component types."""
+    ``types``, the types a variable is known to have: a ground member, or
+    built by a case of the type whose arguments are built of the case's
+    component types."""
     if isinstance(t, Var):
         return any(env.same_type(f, tname) for f in types(t.name))
     if t.is_ground:
         return tname in env and env.ground_member(tname, t)
-    case = _case_of(env, tname, t)
-    return case is not None and all(
-        _built_of(env, c, a, types) for c, a in zip(case.components, t.args))
+    return any(all(_built_of(env, c, a, types) for c, a in zip(case.components, t.args))
+               for case in env.cases_of(tname, t))
 
 
 def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
@@ -523,7 +516,8 @@ def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
     before them prove, ``V`` or a constructor term ``V`` was unified with
     being built of ``t`` (``_built_of``).  One forward pass learns each
     variable's types from ``given`` (head parameter -> type), callee success,
-    constructor decomposition through nested cases, checks that ran and,
+    constructor decomposition through nested cases where the term's functor
+    picks one case of its type, checks that ran and,
     with ``links``, variable-variable unifications, which merge the two
     variables' classes of shared facts and terms."""
     env, specs = registry
@@ -539,8 +533,8 @@ def proved_checks(clause: Clause, registry: Registry, given: Mapping[str, str],
 
     def learn(t: Term, tname: str):
         if t.__class__ is not Var:
-            case = _case_of(env, tname, t)
-            for sub, comp in zip(t.args, case.components if case else ()):
+            cases = env.cases_of(tname, t)
+            for sub, comp in zip(t.args, cases[0].components if len(cases) == 1 else ()):
                 learn(sub, comp)
         elif tname not in (own := facts.setdefault(t.name, {})):
             own[tname] = None

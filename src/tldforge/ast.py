@@ -135,9 +135,8 @@ class Struct(_HashConsed):
         return len(self.args)
 
     def __repr__(self) -> str:
-        if not self.args:
-            return self.functor
-        return f"{self.functor}({', '.join(map(repr, self.args))})"
+        from .printer import format_term  # printer imports this module
+        return format_term(self)
 
 
 _set_name = Var.name.__set__

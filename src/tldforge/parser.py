@@ -451,9 +451,8 @@ def parse_type_defs(text: str, filename: str = "<types>") -> tuple[list[TypeDef]
         if isinstance(d.body, Cases):
             pairs = [(c.functor, c.arity) for c in d.body.cases]
             if len(set(pairs)) != len(pairs):
-                diags.append(warning("dup-case",
-                                     f"type {d.name} repeats a constructor; "
-                                     "the first case wins for decomposition", d.pos))
+                diags.append(warning("dup-case", f"type {d.name} repeats a constructor; check "
+                                     "elimination does not decompose a term built by it", d.pos))
         defs.append(d)
     return defs, diags
 

@@ -96,6 +96,7 @@ class TypeEnv:
         self._member_cache: dict = {}
         self._enum_cache: dict = {}
         self._bounded_cache: dict = {}
+        self._resolved: dict = {}  # type name -> its definition, aliases followed
 
     @property
     def defs(self) -> Mapping[str, TypeDef]:
@@ -112,6 +113,9 @@ class TypeEnv:
 
     def resolve(self, name: str) -> TypeDef:
         """Follow aliases to the underlying definition."""
+        d = self._resolved.get(name)
+        if d is not None:
+            return d
         seen = set()
         d = self.lookup(name)
         while isinstance(d.body, Alias):
@@ -119,6 +123,7 @@ class TypeEnv:
                 raise UnknownTypeError(f"alias cycle at type {d.name}")
             seen.add(d.name)
             d = self.lookup(d.body.target)
+        self._resolved[name] = d
         return d
 
     def same_type(self, a: str, b: str) -> bool:
@@ -137,13 +142,25 @@ class TypeEnv:
             raise NonGroundTermError(f"term is not ground: {t!r}")
         return self.ground_member(type_name, t)
 
+    def cases_of(self, type_name: str, t: Term) -> tuple:
+        """The constructor cases of the type, after alias resolution, with
+        ``t``'s functor and arity: more than one where the type repeats a
+        constructor, none for a variable or a type without cases."""
+        body = self.resolve(type_name).body
+        if not isinstance(body, Cases) or not isinstance(t, Struct):
+            return ()
+        f, n = t.functor, len(t.args)
+        return tuple([c for c in body.cases if c.functor == f and len(c.components) == n])
+
     def ground_member(self, type_name: str, t: Term) -> bool:
         """``is_member`` for a term the caller knows is ground, unchecked."""
-        key = (type_name, t)
+        # resolve's memo read inline here and in bounded_member: the oracle
+        # calls both once per value it tests
+        d = self._resolved.get(type_name) or self.resolve(type_name)
+        key = (d.name, t)
         hit = self._member_cache.get(key)
         if hit is not None:
             return hit
-        d = self.lookup(type_name)
         if isinstance(d.body, Builtin):
             kind = d.body.kind
             if kind == "term":
@@ -155,17 +172,9 @@ class TypeEnv:
             else:  # atom
                 out = (isinstance(t, Struct) and not t.args
                        and not ast.is_int_literal(t) and not ast.is_float_literal(t))
-        elif isinstance(d.body, Alias):
-            out = self.ground_member(d.body.target, t)
         else:
-            out = False
-            for case in d.body.cases:
-                if (isinstance(t, Struct) and t.functor == case.functor
-                        and t.arity == case.arity
-                        and all(self.ground_member(ct, arg)
-                                for ct, arg in zip(case.components, t.args))):
-                    out = True
-                    break
+            out = any(all(self.ground_member(ct, arg) for ct, arg in zip(case.components, t.args))
+                      for case in self.cases_of(d.name, t))
         self._member_cache[key] = out
         return out
 
@@ -206,21 +215,18 @@ class TypeEnv:
         """
         if depth < 0:
             return ()
-        key = (type_name, depth)
+        d = self.resolve(type_name)  # UnknownTypeError early
+        key = (d.name, depth)
         hit = self._enum_cache.get(key)
         if hit is not None:
             return hit
-        self.lookup(type_name)  # UnknownTypeError early
-        out = tuple(self._enumerate(type_name, depth))
+        out = tuple(self._enumerate(d, depth))
         self._enum_cache[key] = out
         return out
 
-    def _enumerate(self, type_name: str, depth: int):
+    def _enumerate(self, d: TypeDef, depth: int):
         if depth <= 0:
             return []
-        d = self.lookup(type_name)
-        if isinstance(d.body, Alias):
-            return self.enumerate_type(d.body.target, depth)
         if isinstance(d.body, Builtin):
             kind = d.body.kind
             if kind == "integer":
@@ -275,18 +281,17 @@ class TypeEnv:
 
     def bounded_member(self, type_name: str, t: Term, depth: int) -> bool:
         """``t in enumerate_type(type_name, depth)``, without enumerating."""
-        key = (type_name, t, depth)
+        d = self._resolved.get(type_name) or self.resolve(type_name)
+        key = (d.name, t, depth)
         hit = self._bounded_cache.get(key)
         if hit is None:
-            hit = self._bounded_cache[key] = self._bounded(type_name, t, depth)
+            hit = self._bounded_cache[key] = self._bounded(d, t, depth)
         return hit
 
-    def _bounded(self, type_name: str, t: Term, depth: int) -> bool:
-        body = self.lookup(type_name).body
+    def _bounded(self, d: TypeDef, t: Term, depth: int) -> bool:
+        body = d.body
         if depth <= 0 or not isinstance(t, Struct):
             return False
-        if isinstance(body, Alias):
-            return self.bounded_member(body.target, t, depth)
         if isinstance(body, Builtin):
             if body.kind == "integer":
                 return t in INTEGER_SAMPLE
@@ -297,11 +302,10 @@ class TypeEnv:
             if not t.args:  # term: a constant or a constructor over smaller terms
                 return t in self._const_index
             return ((t.functor, t.arity) in self._sig_index
-                    and all(self.bounded_member(type_name, a, depth - 1) for a in t.args))
-        return any(t.functor == case.functor and t.arity == case.arity
-                   and all(self.bounded_member(ct, arg, depth - 1)
-                           for ct, arg in zip(case.components, t.args))
-                   for case in body.cases)
+                    and all(self.bounded_member(d.name, a, depth - 1) for a in t.args))
+        return any(all(self.bounded_member(ct, arg, depth - 1)
+                       for ct, arg in zip(case.components, t.args))
+                   for case in self.cases_of(d.name, t))
 
     def universe_key(self, t: Struct) -> tuple:
         """Sort key of a member of the term universe that reproduces the
@@ -313,11 +317,9 @@ class TypeEnv:
 
     def inhabited(self, type_name: str, depth: int) -> bool:
         """Whether ``enumerate_type(type_name, depth)`` is non-empty."""
-        body = self.lookup(type_name).body
+        body = self.resolve(type_name).body
         if depth <= 0:
             return False
-        if isinstance(body, Alias):
-            return self.inhabited(body.target, depth)
         if isinstance(body, Builtin):
             return body.kind != "atom" or any(n == 0 for _, n in self._signature)
         return any(all(self.inhabited(ct, depth - 1) for ct in case.components)

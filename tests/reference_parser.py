@@ -434,7 +434,7 @@ def parse_type_defs(text: str, filename: str = "<types>") -> tuple[list[TypeDef]
             if len(set(pairs)) != len(pairs):
                 diags.append(warning("dup-case",
                                      f"type {d.name} repeats a constructor; "
-                                     "the first case wins for decomposition",
+                                     "check elimination does not decompose a term built by it",
                                      s.pos(start)))
         defs.append(d)
     return defs, diags

@@ -234,7 +234,8 @@ def test_alias_equivalence_counts_for_removal():
 
 BUILT_ENV = parse_types("nat ::= zero | s(nat).\nnat2 == nat.\n"
                         "fruit ::= enum {orange, apple}.\n"
-                        "nat_list ::= [] | [nat | nat_list].\n")[0]
+                        "nat_list ::= [] | [nat | nat_list].\n"
+                        "t ::= f(nat) | f(fruit).\n")[0]
 
 
 def _built_spec(name, params):
@@ -300,6 +301,9 @@ LINKED_BODY = (Unify(Var("B"), _s(Var("Z"))), TypeCheck("nat", Var("A")),
     # W is a nat once nat(W) ran, after W = s(Z), so Z is one
     (Unify(Var("W"), _s(Var("Z"))), TypeCheck("nat", Var("W")), TypeCheck("nat", Var("Z"))),
     LINKED_BODY,
+    # f(F) is built by t's second case, f(fruit)
+    (Call("fr", (Var("F"),)), Unify(Var("W"), Struct("f", (Var("F"),))),
+     TypeCheck("t", Var("W"))),
 ])
 def test_a_check_after_a_term_built_of_its_type_is_removed(body):
     assert _after_elimination(*body, links=body == LINKED_BODY) == body[:-1]
@@ -323,6 +327,9 @@ def test_a_check_after_a_term_built_of_its_type_is_removed(body):
      Call("dbl", (Var("X1"), Var("Y1")))),
     # check elimination reads no variable-variable unification
     LINKED_BODY,
+    # t has two cases f: W = f(Z) does not tell which one built W
+    (TypeCheck("t", Var("W")), Unify(Var("W"), Struct("f", (Var("Z"),))),
+     TypeCheck("nat", Var("Z"))),
 ])
 def test_a_check_after_a_term_not_built_of_its_type_stays(body):
     assert _after_elimination(*body) == body
@@ -668,8 +675,13 @@ TRAP_SPECS = ("procedure src(A, B).\ntype A : integer.\ntype B : integer.\n"
 
 # callees beyond the builtins: an r-like generator, the perfbench chain
 # trap's src (callable only while its second argument is free) and split,
-# and flip, which grounds its second argument only while its first is free
+# flip, which grounds its second argument only while its first is free, and
+# q, which may bind the variables of a compound argument
 SEARCH_SPECS = """
+procedure q(A).
+type A : term.
+dir (novar) : <0-1>.
+
 procedure r(A).
 type A : integer.
 dir (var -> ground) : <0-*>.
@@ -710,7 +722,8 @@ def clauses_and_dirs(draw):
         .map(lambda t: Call(t[0], t[1:])),
         st.tuples(st.sampled_from(("gt", "lt", "src", "flip")), var, st.one_of(var, const))
         .map(lambda t: Call(t[0], t[1:])),
-        var.map(lambda v: Call("r", (v,))))
+        var.map(lambda v: Call("r", (v,))),
+        var.map(lambda v: Call("q", (Struct("f", (v,)),))))
     # constants and f(...) terms on either side, f(X) = f(Y) among them
     side = st.one_of(var, const, var.map(lambda v: Struct("f", (v,))))
     unify = st.tuples(side, side).map(lambda t: Unify(*t))
@@ -790,6 +803,9 @@ def test_reorder_is_the_first_valid_permutation(search_registry, case):
 
 @settings(max_examples=150, deadline=None)
 @given(clauses_and_dirs(), st.lists(st.sampled_from(ALL_MODES), min_size=4, max_size=4))
+# q may bind the Y inside its argument f(Y)
+@example((Clause("p", (X,), (Call("q", (Struct("f", (Y,)),)),)),
+          Directionality(((GROUND, GROUND),), D01)), [GROUND, VAR, VAR, VAR])
 def test_abstract_step_is_the_reference_step(search_registry, case, modes):
     # the compiled step applied once gives the reference's post-state, or
     # fails with the reference's message
@@ -823,6 +839,41 @@ def test_a_call_grounds_the_variables_of_a_compound_out_argument(search_registry
     clause = Clause("p", (X, Y), (check, call))
     out = reorder(clause, Directionality(((GROUND, GROUND), (VAR, GROUND)), D01), reg)
     assert out.body == (call, check)
+
+
+def test_a_literal_that_may_bind_a_compound_term_widens_its_variables(search_registry):
+    # q(f(Y)) leaves f(Y) novar, so it may bind Y, as X = f(Y) may with X
+    # not free: Y is no longer known to be free, and r, which needs it free,
+    # runs first
+    specs, diags = parse_specs("procedure r(B).\ntype B : term.\n"
+                               "dir (var -> ground) : <0-*>.\n", "<probe>")
+    assert not diags, diags
+    reg = Registry(search_registry.env, {"q": search_registry.specs["q"], "r": specs[0]})
+    call = Call("q", (Struct("f", (Y,)),))
+    state = AbstractState.make({"X": GROUND, "Y": VAR})
+    assert abstract_step(state, call, reg) == reference_step(state, call, reg) \
+        == AbstractState.make({"X": GROUND, "Y": ANY})
+    unify = Unify(X, Struct("f", (Y,)))
+    state = AbstractState.make({"X": NOVAR, "Y": VAR})
+    assert abstract_step(state, unify, reg) == reference_step(state, unify, reg) \
+        == AbstractState.make({"X": NOVAR, "Y": ANY})
+    clause = Clause("p", (X,), (call, Call("r", (Y,)), Unify(X, Y)))
+    out = reorder(clause, Directionality(((GROUND, GROUND),), D01), reg)
+    assert [format_literal(lit) for lit in out.body] == ["r(Y)", "q(f(Y))", "X = Y"]
+    # C = A leaves C any, so C = s(D) may bind D: the written order of
+    # p(X, Y) <=> A = s(B) /\ C = A /\ C = s(D) /\ B = X /\ D = Y runs, with
+    # D any once C = s(D) ran
+    a, b, c, d = map(Var, "ABCD")
+    body = (Unify(a, _s(b)), Unify(c, a), Unify(c, _s(d)), Unify(b, X), Unify(d, Y))
+    clause, both = Clause("p", (X, Y), body), Directionality(((GROUND, GROUND),) * 2, D01)
+    mults: list = []
+    assert reorder(clause, both, reg, mults).body == body
+    assert mults == [D11, D11, D01, D11, D01]
+    state = initial_state(clause, both)
+    for lit in body[:3]:
+        state = abstract_step(state, lit, reg)
+    assert state.mode_map() == {"A": ANY, "B": VAR, "C": NOVAR, "D": ANY,
+                                "X": GROUND, "Y": GROUND}
 
 
 def _probe(g: int) -> Clause:

@@ -222,6 +222,13 @@ def test_equivalence_catches_missing_negation_check(ctx):
     assert check_equivalence(ctx, typed, fixed, [("X", "nat")], depth=2).ok
 
 
+def test_a_violation_prints_its_values_in_source_syntax(ctx):
+    typed = parse_formula("X = [s(zero)]")
+    rep = check_equivalence(ctx, typed, parse_formula("false"), [("X", "list")], depth=3)
+    assert rep.violations == 1
+    assert rep.describe().endswith("  first violation (inside-disagree): X = [s(zero)]")
+
+
 def test_equivalence_counts_cover_the_full_space(ctx):
     typed = parse_formula("X = zero /\\ Y = zero")
     untyped = transform_formula({"X": "nat", "Y": "nat"}, typed)

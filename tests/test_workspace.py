@@ -879,6 +879,25 @@ def test_cli_an_output_built_of_its_type_is_det(golden_dir, capsys):
         "dbl(X, Y) :-\n    X = s(X1),\n    dbl(X1, Y1),\n    Y = s(s(Y1)).\n")
 
 
+def test_cli_a_call_widens_and_a_repeated_constructor_keeps_its_check(golden_dir, capsys):
+    # q(f(Y)) may bind Y, as a unification with f(Y) may, so r, which needs
+    # Y free, runs first; f is t's constructor twice, so X = f(Y) does not
+    # make Y a nat, and pick(f(yes), Y) fails at the kept nat(Y)
+    manifest = str(golden_dir.parent / "rule_copies" / "manifest.txt")
+    assert main(["analyze", "--manifest", manifest]) == 0
+    captured = capsys.readouterr()
+    assert "    order (clause 1): r(Y), q(f(Y)), X = Y\n" in captured.out
+    assert ("procedure pick/2\n  directionality 1: (ground, var -> ground) : <0-1>\n"
+            "    order (clause 1): X = f(Y), nat(Y)\n"
+            "    removed checks: clause 1: t(X)\n"
+            "    computed multiplicity: <0-1> (declared <0-1>) [ok]\n") in captured.out
+    assert captured.err.endswith(
+        "probes.types:5:1: warning[dup-case]: type t repeats a constructor; "
+        "check elimination does not decompose a term built by it\n")
+    assert main(["gen", "prolog", "--manifest", manifest, "--pred", "pick"]) == 0
+    assert capsys.readouterr().out == "pick(X, Y) :-\n    X = f(Y),\n    nat(Y).\n"
+
+
 def test_cli_every_fact_source_counts_for_determinism(golden_dir, capsys):
     # fold's integer(S) follows S = A1, an integer by plus's success; code's
     # fruit(C) is kept, C being var in the second directionality, but C is

@@ -305,6 +305,9 @@ def reference_step(state: AbstractState, lit, registry) -> AbstractState:
             elif m_out == GROUND:
                 for n in ast.term_vars(arg):
                     modes[n] = GROUND
+            elif m_out.atoms & {"g", "n"}:  # the argument may be instantiated further
+                for n in ast.term_vars(arg):
+                    modes[n] = modes[n].instantiation_closure()
     elif isinstance(lit, TypeCheck):
         if _reference_term_mode(modes, lit.arg) != GROUND:
             raise NotCallableError(
