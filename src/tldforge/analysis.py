@@ -94,7 +94,8 @@ def _instantiate(modes: dict, t: Struct, m: Mode):
 
 
 def _unify_update(modes: dict, left: Term, right: Term):
-    """Mode effects of a unification (always callable)."""
+    """Mode effects of a unification that can run: not one of two free
+    variables (see ``_mode_rule``)."""
     if isinstance(left, Var) and isinstance(right, Var):
         x, y = left.name, right.name
         if modes[x] == GROUND or modes[y] == GROUND:
@@ -115,6 +116,17 @@ def _unify_update(modes: dict, left: Term, right: Term):
             and left.functor == right.functor and left.arity == right.arity):
         for a, b in zip(left.args, right.args):
             _unify_update(modes, a, b)
+
+
+def _aliases_free(modes: dict, left: Term, right: Term) -> bool:
+    """Whether a unification would unify two free variables, as its sides or
+    where two compounds of one shape decompose: the modes cannot record the
+    alias, so binding one of them later would leave the other at ``var``."""
+    if isinstance(left, Var) and isinstance(right, Var):
+        return modes[left.name] == VAR == modes[right.name]
+    return (isinstance(left, Struct) and isinstance(right, Struct)
+            and left.functor == right.functor and left.arity == right.arity
+            and any(_aliases_free(modes, a, b) for a, b in zip(left.args, right.args)))
 
 
 def _pick_callee_dir(spec: Spec, arg_modes: list) -> Directionality | None:
@@ -139,6 +151,8 @@ def _mode_rule(lit, modes: dict, spec: Spec | None):
     directionality it picks, or, when the literal cannot run, a function
     giving the reason."""
     if isinstance(lit, Unify):
+        if _aliases_free(modes, lit.left, lit.right):  # Mercury's rule
+            return lambda: "a unification of two free variables would alias them"
         # a free variable on either side makes the unification succeed once
         free = any(isinstance(t, Var) and modes[t.name] == VAR
                    for t in (lit.left, lit.right))

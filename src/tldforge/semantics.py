@@ -36,8 +36,9 @@ while the untyped verdict is open, the outside values failing its filters
 (both false); once it is decided, the inside values failing the typed
 formula's filters (agreeing, or violations where the untyped formula is
 true).  A quantifier block's binder takes its filtered values from the same
-helper (``_passing``): an exists block's from its kernel's filters, a forall
-block ``forall Y . A => K``'s from A's.
+helper (``_passing``), from its kernel's filters: a forall block runs as the
+negated exists block over its negated kernel, so ``forall Y . A => K``'s
+binder is narrowed by A's filters and forced by A's equations.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
 that really ranges over all of it: a swept variable without a filter, or an
@@ -55,6 +56,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import product
 from typing import Mapping, NamedTuple
 
@@ -304,6 +306,21 @@ def _junction(parts, stop: Truth):
     return run
 
 
+def _negated(f: Formula) -> Formula:
+    """~f with the negation moved down one connective: ~(A => K) is A /\\ ~K,
+    ~(A \\/ B) is ~A /\\ ~B, ~(A /\\ B) is ~A \\/ ~B with each disjunct negated
+    alike, and ~~A is A (see ``_Evaluator._block``)."""
+    if isinstance(f, Not):
+        return f.body
+    if isinstance(f, Implies):
+        return And((f.left, Not(f.right)))
+    if isinstance(f, Or):
+        return And(tuple(Not(g) for g in f.items))
+    if isinstance(f, And):
+        return Or(tuple(_negated(g) for g in f.items))
+    return Not(f)
+
+
 class _Evaluator:
     """Compiles formulas into closures ``run(binding, budget) -> Truth``.
 
@@ -474,9 +491,10 @@ class _Evaluator:
 
     def _block(self, kernel: Formula, cls, block: tuple, scope: frozenset):
         """A chain of ``cls`` quantifiers over ``block`` ((name, type) pairs)
-        and a kernel.  Leading ``cls`` binders of the kernel join the block,
-        renamed away from the scope and the block; an exists block splits
-        over a disjunction and a forall block over a conjunction."""
+        and a kernel, whose leading ``cls`` binders join the block, renamed
+        away from the scope and the block.  A forall block runs as the Kleene
+        negation of the exists block over ``_negated(kernel)``, and an exists
+        block splits over a disjunction."""
         while isinstance(kernel, cls):
             name, body = kernel.var, kernel.body
             taken = scope | {n for n, _ in block}
@@ -486,23 +504,20 @@ class _Evaluator:
                 name = fresh
             block += ((name, kernel.type_name),)
             kernel = body
-        stop = TRUE if cls is Exists else FALSE
-        types, depth = self.ctx.types, self.ctx.universe_depth
-        if any(not types.inhabited(t, depth) for _, t in block):
-            verdict = truth_not(stop)  # exists over an empty domain, or vacuous forall
-            return lambda binding, budget: verdict
-        if isinstance(kernel, Or if cls is Exists else And):
-            return _junction([self._block(g, cls, block, scope) for g in kernel.items], stop)
-        return self._search(kernel, cls, block, scope)
+        if cls is Forall:
+            run = self._block(_negated(kernel), Exists, block, scope)
+            return lambda binding, budget: truth_not(run(binding, budget))
+        if not all(self.ctx.types.inhabited(t, self.ctx.universe_depth) for _, t in block):
+            return lambda binding, budget: FALSE  # an empty domain has no witness
+        if isinstance(kernel, Or):
+            return _junction([self._block(g, Exists, block, scope) for g in kernel.items], TRUE)
+        return self._search(kernel, block, scope)
 
-    def _search(self, kernel: Formula, cls, block: tuple, scope: frozenset):
-        """Enumerate the block's binders that occur in the kernel, each over
-        a domain built when the search first reaches it.  An exists block
+    def _search(self, kernel: Formula, block: tuple, scope: frozenset):
+        """Enumerate the exists block's binders that occur in the kernel.  It
         first binds values that a mandatory equation forces, narrows a domain
         by the kernel's guards and pins, and while an outer variable is
-        unbound refutes through a mandatory conjunct it can decide.  A forall
-        block over ``A => K`` narrows a domain by A's guards and pins:
-        outside them the implication is true, the neutral element of forall."""
+        unbound refutes through a mandatory conjunct it can decide."""
         names = {n for n, _ in block}
         scope = scope | names
         run_kernel = self.compile(kernel, scope)
@@ -512,30 +527,17 @@ class _Evaluator:
             return run_kernel
         outer = tuple(free - names)
         types = dict(block)
-        solvers, refuters = [], []
-        if cls is Exists:
-            stop = TRUE
-            mandatory = list(_mandatory_conjuncts(kernel))
-            for c, forbidden in mandatory:
-                solve = self._solver(c, forbidden, types)
-                if solve is not None:
-                    solvers.append(solve)
-                cvars = frozenset(ast.free_names(c))
-                if not cvars & forbidden:
-                    refuters.append((self.compile(c, scope | forbidden), cvars))
-            guarding = mandatory
-        else:
-            stop = FALSE
-            guarding = list(_mandatory_conjuncts(kernel.left)) \
-                if isinstance(kernel, Implies) else []
-        other = truth_not(stop)
-        domains: dict = {}
+        mandatory = list(_mandatory_conjuncts(kernel))
+        solvers = [solve for solve in (self._solver(c, forbidden, types)
+                                       for c, forbidden in mandatory) if solve is not None]
+        # a binder's domain is built when the search first reaches it, the
+        # refuters when an unbound outer variable first asks for them
+        domain = cache(lambda name: self._narrowed_domain(name, types[name], mandatory))
 
-        def domain(name):
-            hit = domains.get(name)
-            if hit is None:
-                hit = domains[name] = self._narrowed_domain(name, types[name], guarding)
-            return hit
+        @cache
+        def refuters():
+            return [(self.compile(c, scope | forbidden), cvars) for c, forbidden in mandatory
+                    if not (cvars := frozenset(ast.free_names(c))) & forbidden]
 
         def search(live, binding, budget):
             if not live:
@@ -551,26 +553,26 @@ class _Evaluator:
                 # enumeration cannot settle anything that depends on an
                 # unbound outer variable; refute via decidable mandatory
                 # conjuncts or give up conservatively
-                for run, cvars in refuters:
+                for run, cvars in refuters():
                     if (cvars.isdisjoint(live) and cvars <= binding.keys()
                             and run(binding, budget) is FALSE):
                         return FALSE
                 return UNKNOWN
             name, rest = live[0], live[1:]
-            result = other
+            result = FALSE
             for value in domain(name):
                 v = search(rest, {**binding, name: value}, budget)
-                if v is stop:
-                    return stop
+                if v is TRUE:
+                    return TRUE
                 if v is UNKNOWN:
                     result = UNKNOWN
             return result
         return lambda binding, budget: search(live, binding, budget)
 
     def _narrowed_domain(self, name: str, tname: str, mandatory: list) -> tuple:
-        """The binder's domain: the values of ``tname`` that pass every
-        guard and pin on it (``_passing``, as the sweep narrows its
-        variables); the guarding formula is false on every other value."""
+        """The binder's domain: the values of ``tname`` that pass every guard
+        and pin on it among an exists kernel's mandatory conjuncts
+        (``_passing``, as the sweep narrows its variables)."""
         values = _passing(mandatory, name, self.ctx.types, self.ctx.universe_depth)
         if values is None:
             return self.universe(tname)
@@ -704,10 +706,8 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
                 return UNKNOWN
             return TRUE if va is vb else FALSE
         if isinstance(g, (Exists, Forall)):
-            domain = ctx.types.enumerate_type(g.type_name, ctx.universe_depth)
-            vs = []
-            for value in domain:
-                vs.append(run(g.body, {**b, g.var: value}, k))
+            vs = [run(g.body, {**b, g.var: value}, k)
+                  for value in ctx.types.enumerate_type(g.type_name, ctx.universe_depth)]
             if isinstance(g, Exists):
                 if TRUE in vs:
                     return TRUE

@@ -249,24 +249,27 @@ class TypeEnv:
 
     def iter_terms(self, depth: int):
         """The members of ``term`` up to ``depth`` in universe order: the
-        constants, then one layer per depth, each built only when reached."""
+        constants, then one layer per depth, each built only when reached.
+        A layer holds the constructor applications with an argument in the
+        layer below; every other application is in an earlier layer."""
         if depth <= 0:
             return
         universe = list(self._constants)
         yield from universe
-        seen = set(universe)
+        below = 0  # the index in ``universe`` where the layer below starts
         for _ in range(depth - 1):
-            new: list = []
+            size = len(universe)
             for f, n in self._signature:
                 if n == 0:
                     continue
-                for args in itertools.product(universe, repeat=n):
-                    t = Struct(f, args)
-                    if t not in seen:
-                        seen.add(t)
-                        new.append(t)
+                # each tuple of arguments with the indices they have in ``universe``
+                for args, picks in zip(itertools.product(universe[:size], repeat=n),
+                                       itertools.product(range(size), repeat=n)):
+                    if max(picks) >= below:
+                        t = Struct(f, args)
+                        universe.append(t)
                         yield t
-            universe = universe + new
+            below = size
 
     # -- the bounded universe without building it -----------------------------
 

@@ -21,10 +21,10 @@ from tldforge.derive import body_formula, derive_clauses, literal_formula
 from tldforge.codegen import flatten_program
 from tldforge.errors import NotCallableError, ReorderLimitError, UnknownCalleeError
 from tldforge.modes import (ALL_MODES, ANY, Directionality, GROUND, Mode,
-                            Multiplicity, NOVAR, Spec, VAR)
+                            Multiplicity, NOVAR, Spec, VAR, bound_leq)
 from tldforge.parser import parse_specs, parse_types
 from tldforge.printer import format_literal
-from tldforge.semantics import check_agreement
+from tldforge.semantics import TRUE, UNKNOWN, check_agreement, evaluate
 from tldforge.transform import simplify_description, transform_tld
 from tldforge.workspace import builtin_specs, load_workspace
 from reference_reorder import reorder as reference_reorder
@@ -615,6 +615,11 @@ def test_unification_post_states_cover_concrete_runs(registry):
             lit = Unify(Var("X"), Struct("s", (Var("Y"),)))
         else:
             lit = Unify(Var("X"), Struct("pair2", (Var("Y"), Var("Y"))))
+        if shape == 0 and mx == my == VAR:
+            # Mercury's rule: a unification of two free variables cannot run
+            with pytest.raises(NotCallableError, match="two free variables would alias"):
+                abstract_step(st, lit, registry)
+            continue
         post = abstract_step(st, lit, registry).mode_map()
         cx, cy = concretize(mx, "x", trial), concretize(my, "y", trial)
         binding = {"X": cx, "Y": cy}
@@ -938,48 +943,54 @@ def test_monotone_literals(search_registry):
     assert monotone(NafNot(Call("lt", (X, Y))))
     assert monotone(Unify(X, Struct("s", (Struct("zero"),))))
     assert monotone(Unify(Struct("f", (X, Struct("1"))), Struct("f", (Struct("2"), Y))))
+    # callable once a side is bound, as Mercury requires, and then it grounds
+    # both
+    assert monotone(Unify(X, Y))
+    assert monotone(Unify(Struct("f", (X,)), Struct("f", (Y,))))
     # with X free it grounds Y, with X ground it leaves Y free: its effect
     # depends on when it runs
     assert not monotone(Call("flip", (X, Y)))
     # callable only while its second argument is free
     assert not monotone(Call("src", (X, Y)))
-    # run while both are free, it leaves X free; run later, it grounds X
-    assert not monotone(Unify(X, Y))
-    assert not monotone(Unify(Struct("f", (X,)), Struct("f", (Y,))))
     # X = f(Y) leaves X neither ground nor var
     assert not monotone(Unify(X, Struct("f", (Y,))))
 
 
-def test_a_variable_variable_unification_disqualifies_a_clause(search_registry,
-                                                                monkeypatch):
+def test_a_non_monotone_literal_disqualifies_a_clause(search_registry, monkeypatch):
     import tldforge.analysis as analysis
     monkeypatch.setattr(analysis, "MAX_REORDER_STEPS", 0)
     d = Directionality(((VAR, GROUND),), D01)
     probe = _probe(2)
-    # monotone: decided by the greedy pass, with no search step at all
+    # monotone: decided by the greedy pass, with no search step at all; so
+    # is X = Z, which waits until a side is bound
     assert isinstance(reorder(probe, d, search_registry), ReorderFailure)
-    # X = Z leaves X free before Z is ground, so only a search decides the
-    # clause, and at a limit of 0 it stops at its first dead end
-    clause = replace(probe, body=probe.body[:-1] + (Unify(X, Z, SourcePos("w.tld", 3, 5)),))
+    clause = replace(probe, body=probe.body[:-1] + (Unify(X, Z),))
+    assert isinstance(reorder(clause, d, search_registry), ReorderFailure)
+    # X = f(Z) leaves X neither ground nor var before Z is ground, so only a
+    # search decides the clause, and at a limit of 0 it stops at its first
+    # dead end
+    clause = replace(probe, body=probe.body[:-1] + (
+        Unify(X, Struct("f", (Z,)), SourcePos("w.tld", 3, 5)),))
     with pytest.raises(ReorderLimitError) as exc:
         reorder(clause, d, search_registry)
     assert str(exc.value) == (
         "reorder-limit: the clause of p (disjunct 1 of 1) has no literal order for "
         "(var -> ground) : <0-1> within 0 dead ends of the search; it is searched "
-        "because these are not monotone: X = Z at w.tld:3:5")
+        "because these are not monotone: X = f(Z) at w.tld:3:5")
     # so do head in-modes outside ground and var
     with pytest.raises(ReorderLimitError, match="not monotone: the head in-modes$"):
         reorder(probe, Directionality(((ANY, GROUND),), D01), search_registry)
 
 
 def test_a_long_clause_stops_at_the_limit_not_at_the_recursion_limit(search_registry):
-    # Y = V is not monotone, so the search backtracks from the pass's dead
-    # end after 1,201 literals; its path is a list, not the Python stack
-    body = ((Unify(Y, Var("V")),) + tuple(Call("gt", (X, Struct(str(c)))) for c in range(1200))
+    # src(X, Y), callable only while Y is free, is not monotone, so the
+    # search backtracks from the pass's dead end after 1,201 literals; its
+    # path is a list, not the Python stack
+    body = ((Call("src", (X, Y)),) + tuple(Call("gt", (X, Struct(str(c)))) for c in range(1200))
             + (Call("t", (Z,)),))
     clause = Clause("p", (X, Y), body, provenance="disjunct 1 of 1")
     d = Directionality(((GROUND, GROUND), (VAR, GROUND)), D01)
-    with pytest.raises(ReorderLimitError, match="not monotone: Y = V$"):
+    with pytest.raises(ReorderLimitError, match=r"not monotone: src\(X, Y\)$"):
         reorder(clause, d, search_registry)
 
 
@@ -1059,3 +1070,84 @@ def test_analyze_procedure_matches_the_references(tmp_path):
                 elim.program, dir_, reg), body
             compared += 1
     assert compared >= 20 and failed >= 5, (compared, failed)
+
+
+# -- computed multiplicities against answer counts on a bounded universe -------------
+
+ALIAS_SPECS = """procedure q(A).
+type A : nat.
+dir (ground) : <0-1>.
+dir (var -> ground) : <0-*>.
+
+procedure p(X, Y).
+type X : nat.
+type Y : nat.
+""" + "".join(f"dir ({m}) : <0-*>.\n" for m in (
+    "ground, ground", "ground, var -> ground", "var -> ground, ground",
+    "var -> ground, var -> ground"))
+
+
+def _alias_body(rng):
+    """Two to four literals over X, Y and the existentials A and B, without
+    arithmetic: unifications of two variables, of a variable with zero or
+    s(V), negated unifications and calls q(V), the first of them sometimes
+    a disjunction."""
+    def literal():
+        u, v = rng.sample(("X", "Y", "A", "B"), 2)
+        return rng.choice((f"{u} = {v}", f"{u} = {v}", f"{u} = s({v})", f"{u} = zero",
+                           f"~({u} = {v})", f"q({u})"))
+    lits = [literal() for _ in range(rng.randrange(2, 5))]
+    if rng.random() < 0.25:
+        lits[0] = f"({lits[0]} \\/ {literal()})"
+    return "exists A: nat . exists B: nat . " + " /\\ ".join(lits)
+
+
+def _answer_count(ctx, tld, d, ins: dict, values) -> int:
+    """The answers of the description at the in-values ``ins``: the tuples
+    of ``values`` at d's out-positions on which it evaluates to true."""
+    outs = [n for (n, _), (m_in, _) in zip(tld.params, d.modes) if m_in != GROUND]
+    count = 0
+    for combo in itertools.product(values, repeat=len(outs)):
+        verdict = evaluate(ctx, tld.definition, {**ins, **dict(zip(outs, combo))})
+        assert verdict is not UNKNOWN
+        count += verdict is TRUE
+    return count
+
+
+def test_computed_multiplicities_bound_the_answers(tmp_path):
+    # the multiplicity the analysis computes must contain each input's
+    # answer count on the bounded universe: both bounds where every position
+    # is an input, the maximum where there are outputs.  The inputs range
+    # over nat at depth 2; every literal adds at most one s(...), so the
+    # outputs and the existentials' witnesses lie within depth 2 + 4.
+    rng = random.Random(15)
+    (tmp_path / "w.types").write_text("nat ::= zero | s(nat).\n")
+    (tmp_path / "w.spec").write_text(ALIAS_SPECS)
+    (tmp_path / "manifest.txt").write_text("types w.types\nspec w.spec\ntld w.tld\n")
+    checked = aliasing = 0
+    for _ in range(150):
+        body = _alias_body(rng)
+        (tmp_path / "w.tld").write_text(
+            f"q(A: nat) <=> A = zero \\/ A = s(zero).\np(X: nat, Y: nat) <=> {body}.\n")
+        loaded = load_workspace(tmp_path / "manifest.txt")
+        assert loaded.ok, [x.format() for x in loaded.diagnostics]
+        ws = loaded.workspace
+        tld, ctx = ws.tlds["p"], ws.eval_context(universe_depth=6)
+        ins_values = ws.env.enumerate_type("nat", 2)
+        out_values = ws.env.enumerate_type("nat", 6)
+        results = analyze_procedure(derived_program(ws, "p"), ws.specs["p"], ws.registry)
+        for res in results:
+            if not res.ok:
+                continue
+            d, computed = res.directionality, res.determinism.computed
+            ins = [n for (n, _), (m_in, _) in zip(tld.params, d.modes) if m_in == GROUND]
+            for combo in itertools.product(ins_values, repeat=len(ins)):
+                count = _answer_count(ctx, tld, d, dict(zip(ins, combo)), out_values)
+                assert bound_leq(count, computed.max), (body, str(d), combo, count)
+                if len(ins) == len(tld.params):
+                    assert bound_leq(computed.min, count), (body, str(d), combo, count)
+                checked += 1
+            aliasing += any(isinstance(lit, Unify) and isinstance(lit.left, Var)
+                            and isinstance(lit.right, Var)
+                            for c in res.ordered.clauses for lit in c.body)
+    assert checked >= 300 and aliasing >= 50, (checked, aliasing)

@@ -826,8 +826,10 @@ def test_guarded_forall_agrees_with_reference(ctx):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_binder_domains_narrow_by_every_guard_and_pin(monkeypatch, depth):
     # a binder enumerates only the values that pass every guard and pin on
-    # it, as a swept variable does: outside them an exists block's kernel
-    # and a forall block's antecedent are false
+    # it, as a swept variable does: outside them an exists block's kernel is
+    # false, and a forall block runs as the negated exists block over its
+    # negated kernel, so it is narrowed by its antecedent's guards; a binder
+    # that a mandatory equation forces is bound without a domain
     env, _ = parse_types("nat ::= zero | s(nat).\nsmall ::= zero.")
     ctx = EvalContext(env, universe_depth=depth)
     domains = []
@@ -835,27 +837,29 @@ def test_binder_domains_narrow_by_every_guard_and_pin(monkeypatch, depth):
 
     def recorded(self, name, tname, mandatory):
         domain = narrowed(self, name, tname, mandatory)
-        if self.side == TYPED:  # the untyped side's implications are disjunctions
-            domains.append(domain)
+        if self.side == TYPED:  # the untyped side's guards are the transform's
+            domains.append(set(domain))
         return domain
     monkeypatch.setattr(_Evaluator, "_narrowed_domain", recorded)
-    one = Struct("s", (zero,))
     cases = [
-        # the antecedent pins Y
-        ("forall Y: nat . Y = s(zero) => ~(X = Y)", {one}),
-        ("forall Y: term . (nat(Y) /\\ Y = s(zero)) => ~(X = Y)", {one}),
+        # the antecedent pins Y: its equation forces Y's one value
+        ("forall Y: nat . Y = s(zero) => ~(X = Y)", []),
+        ("forall Y: term . (nat(Y) /\\ Y = s(zero)) => ~(X = Y)", []),
+        ("exists Y: nat . Y = s(zero) /\\ ~(X = Y)", []),
+        # under the double negation s(X) = Y is mandatory and solves Y
+        ("forall Y: term . ~(nat(Y) /\\ small(Y) /\\ s(X) = Y)", []),
         # two guards on Y, the first the wider
-        ("exists Y: term . nat(Y) /\\ small(Y) /\\ ~(X = Y)", {zero}),
-        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(s(X) = Y)", {zero}),
+        ("exists Y: term . nat(Y) /\\ small(Y) /\\ ~(X = Y)", [{zero}]),
+        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(s(X) = Y)", [{zero}]),
+        # a guard in every disjunct of the antecedent
+        ("forall Y: term . (small(Y) \\/ nat(Y) /\\ small(Y)) => ~(s(X) = Y)", [{zero}]),
     ]
-    for text, values in cases:
+    for text, expected in cases:
         typed = parse_formula(text)
         untyped = simplify_checks(transform_formula({"X": "nat"}, typed))
         domains.clear()
         _check_against_brute_force(ctx, typed, untyped, (("X", "nat"),))
-        assert domains and all(set(d) <= values for d in domains), text
-        if depth > 1:
-            assert {v for d in domains for v in d} == values, text
+        assert domains == expected, text
 
 
 # deep has no term of depth 2, so at that bound its domain is empty
@@ -880,6 +884,34 @@ def test_empty_domain_decides_the_block():
         f = parse_formula(text)
         assert evaluate_reference(ctx, f, binding) is expected, text
         assert evaluate(ctx, f, binding) is expected, text
+
+
+def test_forall_blocks_match_brute_force(ctx):
+    # a forall block is the negated exists block over its negated kernel: it
+    # splits over a conjunction of implications, alternates with exists
+    # blocks, and is vacuously true over an empty domain.  The alternations
+    # are checked against themselves, since the reference would enumerate
+    # the untyped side's nested term binders at each other's every value.
+    env, _ = parse_types(EMPTY_AT_TWO)
+    deep = EvalContext(env, universe_depth=2)
+    transformed = [
+        (ctx, "forall Y: term . (nat(Y) => ~(s(Y) = X)) /\\ (fruit(Y) => ~(Y = X))"),
+        (ctx, "forall Y: nat . (Y = X => q(Y)) /\\ (q(Y) => ~(s(Y) = X))"),
+        (deep, "forall Y: deep . Y = X"),
+    ]
+    alternating = [
+        (ctx, "forall Y: nat . exists Z: nat . (Z = s(Y) \\/ Z = Y) /\\ ~(Z = X)"),
+        (ctx, "exists Y: nat . forall Z: fruit . ~(Y = X) /\\ (Z = apple => q(Y))"),
+        (ctx, "forall Y: nat . ~(exists Z: fruit . q(Y) /\\ (Z = apple \\/ X = Y))"),
+        (deep, "forall Y: nat . forall Z: deep . ~(Y = X)"),
+        (deep, "exists Y: nat . Y = X /\\ (forall Z: deep . false)"),
+    ]
+    cases = [(c, t, True) for c, t in transformed] + [(c, t, False) for c, t in alternating]
+    for context, text, transform in cases:
+        typed = parse_formula(text)
+        untyped = simplify_checks(transform_formula({"X": "nat"}, typed)) if transform else typed
+        for other in (untyped, Not(untyped)):
+            _check_against_brute_force(context, typed, other, (("X", "nat"),))
 
 
 def test_sweep_settles_guards_of_an_empty_type():

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -488,22 +489,59 @@ def test_a_search_past_its_limit_is_one_positioned_error(maxprefix_dir, capsys):
     assert captured.err == (
         "error: reorder-limit: the clause of p (disjunct 1 of 1) has no literal order "
         "for (var -> ground) : <0-*> within 10000 dead ends of the search; it is "
-        f"searched because these are not monotone: Y = V at {fixture / 'probe.tld'}:40:5\n")
+        f"searched because these are not monotone: src(V, Y) at {fixture / 'probe.tld'}:40:5\n")
     # the other procedures are still analysed
     assert captured.out.startswith("procedure r/1\n")
 
 
 def test_a_long_clause_past_the_limit_is_one_positioned_error(maxprefix_dir, capsys):
-    # Y = V, 1,200 tests gt(X, c) and a t(Z) that never runs: the search
-    # backtracks from 1,201 literals deep and stops at its limit
+    # src(X, Y), callable only while Y is free, 1,200 tests gt(X, c) and a
+    # t(Z) that never runs: the search backtracks from 1,201 literals deep
+    # and stops at its limit
     fixture = maxprefix_dir.parent / "reorder_deep"
     assert main(["analyze", "--manifest", str(fixture / "manifest.txt")]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
         "error: reorder-limit: the clause of p (disjunct 1 of 1) has no literal order "
         "for (ground, var -> ground) : <0-*> within 10000 dead ends of the search; it "
-        f"is searched because these are not monotone: Y = V at {fixture / 'probe.tld'}:7:5\n")
+        f"is searched because these are not monotone: src(X, Y) at {fixture / 'probe.tld'}:7:5\n")
     assert captured.out.startswith("procedure t/1\n")
+
+
+def test_a_unification_of_two_free_variables_waits_for_a_bound_side(maxprefix_dir, capsys):
+    # p(X, Y) is "X equals Y" through A = B.  Run while A and B are both
+    # free, A = B would alias them, and the modes would take B = Y for the
+    # binding of a free B: one answer, where p(1, 2) has none
+    manifest = str(maxprefix_dir.parent / "free_unify" / "manifest.txt")
+    for pred, order in (("p", "A = X, integer(A), A = B, integer(B), B = Y"),
+                        ("pt", "A = X, A = B, B = Y")):
+        assert main(["analyze", "--manifest", manifest, "--pred", pred]) == 0
+        out = capsys.readouterr().out
+        assert f"    order (clause 1): {order}\n" in out
+        assert "    computed multiplicity: <0-1> (declared <0-1>) [ok]\n" in out
+    assert main(["gen", "mercury", "--manifest", manifest]) == 0
+    out = capsys.readouterr().out
+    for pred in ("p", "pt", "chain"):
+        assert f":- mode {pred}(in, in) is semidet.\n" in out
+
+
+def test_a_chain_of_variable_unifications_takes_the_greedy_pass(maxprefix_dir, capsys,
+                                                                 monkeypatch):
+    # each link runs once one of its sides is bound, and then grounds the
+    # other: the 50 links are monotone, so the greedy pass orders them with
+    # no search step, where the search used to pass its limit
+    import tldforge.analysis as analysis
+    monkeypatch.setattr(analysis, "MAX_REORDER_STEPS", 0)
+    manifest = str(maxprefix_dir.parent / "free_unify" / "manifest.txt")
+    start = time.perf_counter()
+    assert main(["analyze", "--manifest", manifest, "--pred", "chain"]) == 0
+    assert time.perf_counter() - start < 0.2
+    out = capsys.readouterr().out
+    order = ["Y = V49", "integer(V49)"]
+    for i in range(49, 0, -1):
+        order += [f"V{i} = V{i - 1}", f"integer(V{i - 1})"]
+    assert f"    order (clause 1): {', '.join(order)}, V0 = X\n" in out
+    assert "    computed multiplicity: <0-1> (declared <0-1>) [ok]\n" in out
 
 
 def test_an_internal_error_is_one_line_and_exit_3(maxprefix_dir, capsys, monkeypatch):
@@ -921,8 +959,8 @@ def test_cli_every_fact_source_counts_for_determinism(golden_dir, capsys):
 
 @pytest.mark.parametrize("t", ["term", "nat"])
 def test_cli_a_free_free_unification_counts_as_a_test(tmp_path, capsys, t):
-    # C = A joins two free variables; A is bound to a partial term, so the
-    # later C = s(D) can fail: <0-1>, whatever the facts shared by C and A
+    # C = A joins a free C with A, bound to a partial term, so the later
+    # C = s(D) can fail: <0-1>, whatever the facts shared by C and A
     quantified = "".join(f"exists {v}: {t} . " for v in "ABCD")
     path = write_workspace(
         tmp_path, types="nat ::= zero | s(nat).\n",

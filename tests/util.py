@@ -277,6 +277,17 @@ def _reference_unify(modes: dict, left, right):
             _reference_unify(modes, a, b)
 
 
+def _reference_aliases(modes: dict, left, right) -> bool:
+    """Whether unifying left with right unifies two free variables, directly
+    or inside two compounds of one shape (Mercury refuses it)."""
+    if isinstance(left, Var) and isinstance(right, Var):
+        return modes[left.name] == VAR and modes[right.name] == VAR
+    if isinstance(left, Struct) and isinstance(right, Struct) and \
+            (left.functor, left.arity) == (right.functor, right.arity):
+        return any(_reference_aliases(modes, a, b) for a, b in zip(left.args, right.args))
+    return False
+
+
 def _reference_callee_dir(spec, arg_modes):
     for d in spec.directionalities:
         if d.arity == len(arg_modes) and all(
@@ -295,6 +306,8 @@ def reference_step(state: AbstractState, lit, registry) -> AbstractState:
         for n in ast.literal_vars(lit):
             if n not in modes:
                 raise NotCallableError(f"variable {n} is not in scope")
+        if _reference_aliases(modes, lit.left, lit.right):
+            raise NotCallableError("a unification of two free variables would alias them")
         _reference_unify(modes, lit.left, lit.right)
     elif isinstance(lit, Call):
         spec = registry.spec_of(lit.predicate)
