@@ -3,8 +3,10 @@
 The definition is brought to disjunctive normal form in one walk that
 carries a polarity: equivalences and implications expand classically,
 negation flips the polarity down to atomic literals (negation as failure),
-existentials are renamed fresh and hoisted outward, and conjunctions
-distribute over disjunctions.  Each resulting disjunct becomes one clause.
+existentials are hoisted outward, and conjunctions distribute over
+disjunctions.  Each resulting disjunct becomes one clause, and a clause is
+its own scope: its existentials are renamed apart from the names they can
+share that clause with, not from other clauses' names.
 A universal quantifier that survives in a body position falls outside the
 derivable fragment and is rejected loudly.
 """
@@ -28,7 +30,7 @@ MAX_CLAUSES = 4096
 class Disjunct(NamedTuple):
     """One clause body of the normal form: its local variables and literals."""
 
-    exvars: tuple  # of (name, type_name), clause-local after hoisting
+    exvars: tuple  # of (name, type_name), local to this clause
     literals: tuple  # of Literal, order significant
 
 
@@ -42,14 +44,17 @@ def _where(f: Formula) -> str:
     return f" at {f.pos}" if getattr(f, "pos", None) else ""
 
 
-def _dnf(f: Formula, positive: bool, type_names: frozenset, used: set,
-         binders: list) -> list[list]:
-    """The disjuncts of ``f``, read as ``~f`` unless ``positive``, as lists
-    of (literal, its variables) pairs.
+def _dnf(f: Formula, positive: bool, type_names: frozenset,
+         used: set) -> list[tuple]:
+    """The disjuncts of ``f``, read as ``~f`` unless ``positive``, each as
+    its binders, (name, type_name) pairs in preorder, and its (literal, its
+    variables) pairs.
 
     Equivalences and implications expand classically and ``~`` flips the
     polarity.  Each existential, or universal under negation, is renamed
-    away from ``used`` and recorded in ``binders``, in preorder.  An atom
+    away from ``used``, the names that can share a clause with it, which
+    it joins: the disjuncts of a disjunction rename independently from the
+    same names, and their union joins ``used`` afterwards.  An atom
     becomes its literal once, a NafNot under negation, and every disjunct
     holding it shares that pair.  A subformula with more than MAX_CLAUSES
     disjuncts is refused before they are built: a conjunction by the
@@ -57,14 +62,14 @@ def _dnf(f: Formula, positive: bool, type_names: frozenset, used: set,
     its disjuncts'.
     """
     if isinstance(f, (TrueF, FalseF)):
-        return [[]] if isinstance(f, TrueF) == positive else []
+        return [((), [])] if isinstance(f, TrueF) == positive else []
     if isinstance(f, (Eq, Atom)):
         lit = _to_literal(f, type_names)
         if not positive:
             lit = NafNot(lit, f.pos)
-        return [[(lit, ast.literal_vars(lit))]]
+        return [((), [(lit, ast.literal_vars(lit))])]
     if isinstance(f, Not):
-        return _dnf(f.body, not positive, type_names, used, binders)
+        return _dnf(f.body, not positive, type_names, used)
     if isinstance(f, Implies):
         f = Or((Not(f.left), f.right), pos=f.pos)
     elif isinstance(f, Iff):
@@ -78,22 +83,26 @@ def _dnf(f: Formula, positive: bool, type_names: frozenset, used: set,
                     "existential quantifier leaves a universal")
             raise NotDerivableError(f"{what} in a body position{_where(f)}")
         name = ast.fresh_name(f.var, used)
-        binders.append((name, f.type_name))
         body = f.body if name == f.var else ast.rename_free(f.body, f.var, name)
-        return _dnf(body, positive, type_names, used, binders)
+        binder = ((name, f.type_name),)
+        return [(binder + binders, leaves)
+                for binders, leaves in _dnf(body, positive, type_names, used)]
     if not isinstance(f, (And, Or)):
         raise TypeError(f"not a formula: {f!r}")
     if isinstance(f, Or) == positive:
-        out: list[list] = []
+        start = frozenset(used)
+        out: list[tuple] = []
         for g in f.items:
-            out.extend(_dnf(g, positive, type_names, used, binders))
+            names = set(start)
+            out.extend(_dnf(g, positive, type_names, names))
+            used |= names
             _check_count(len(out), "disjunction", f)
         return out
-    parts = [_dnf(g, positive, type_names, used, binders) for g in f.items]
+    parts = [_dnf(g, positive, type_names, used) for g in f.items]
     _check_count(math.prod(map(len, parts)), "conjunction", f)
-    out = [[]]
+    out = [((), [])]
     for branches in parts:
-        out = [left + right for left in out for right in branches]
+        out = [(lb + rb, left + right) for lb, left in out for rb, right in branches]
     return out
 
 
@@ -125,19 +134,17 @@ def _to_literal(f: Eq | Atom, type_names: frozenset):
 def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> NormalizedBody:
     """Flatten the definition to ordered disjuncts of literals.
 
-    Duplicate type-check literals within one disjunct collapse to the first
-    occurrence (conjunction idempotence).  A definition with more than
-    MAX_CLAUSES disjuncts is not derivable.
+    A disjunct's local variables are its binders that occur in its
+    literals, named apart from the parameters, the definition's free names
+    and each other, but not from another disjunct's: two clauses may both
+    use ``V``.  Duplicate type-check literals within one disjunct collapse
+    to the first occurrence (conjunction idempotence).  A definition with
+    more than MAX_CLAUSES disjuncts is not derivable.
     """
-    taken = set(ld.params) | set(ast.free_names(ld.definition))
-    binders: list = []
-    # the last suffix given to each renamed binder; every smaller suffix is
-    # then in ``taken``, because each disjunct's names all join ``taken``
-    # and a binder is renamed at most once per disjunct
-    last_suffix: dict = {}
+    used = set(ld.params) | set(ast.free_names(ld.definition))
     disjuncts = []
-    for leaves in _dnf(ld.definition, True, type_names, set(taken), binders):
-        kept = []
+    for binders, leaves in _dnf(ld.definition, True, type_names, used):
+        literals = []
         seen_checks = set()
         occurring = set()
         for lit, names in leaves:
@@ -145,30 +152,10 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
                 if lit in seen_checks:
                     continue
                 seen_checks.add(lit)
-            kept.append((lit, names))
+            literals.append(lit)
             occurring.update(names)
-        # a binder shared across disjuncts through distribution gets a fresh
-        # name per disjunct: no clause-local name repeats across clauses
-        exvars = []
-        renaming: dict = {}
-        for n, t in binders:
-            if n not in occurring:
-                continue
-            name = n
-            if name in taken:
-                k = last_suffix.get(n, 0) + 1
-                while f"{n}{k}" in taken or f"{n}{k}" in occurring:
-                    k += 1
-                last_suffix[n] = k
-                name = f"{n}{k}"
-                renaming[n] = Var(name)
-            taken.add(name)
-            exvars.append((name, t))
-        literals = tuple(
-            lit if renaming.keys().isdisjoint(names)
-            else ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
-            for lit, names in kept)
-        disjuncts.append(Disjunct(tuple(exvars), literals))
+        exvars = tuple((n, t) for n, t in binders if n in occurring)
+        disjuncts.append(Disjunct(exvars, tuple(literals)))
     return NormalizedBody(tuple(disjuncts))
 
 

@@ -16,8 +16,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V1),
-    Y = V1,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -27,8 +27,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V2),
-    Y = V2,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -38,8 +38,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V3),
-    Y = V3,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -49,8 +49,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V4),
-    Y = V4,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -60,8 +60,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V5),
-    Y = V5,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -71,8 +71,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V6),
-    Y = V6,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -82,8 +82,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V7),
-    Y = V7,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -93,8 +93,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V8),
-    Y = V8,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -104,8 +104,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V9),
-    Y = V9,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -115,8 +115,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V10),
-    Y = V10,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -126,8 +126,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V11),
-    Y = V11,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -137,8 +137,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V12),
-    Y = V12,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -148,8 +148,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V13),
-    Y = V13,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -159,8 +159,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V14),
-    Y = V14,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -170,8 +170,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V15),
-    Y = V15,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -181,8 +181,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V16),
-    Y = V16,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -192,8 +192,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V17),
-    Y = V17,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -203,8 +203,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V18),
-    Y = V18,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -214,8 +214,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V19),
-    Y = V19,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -225,8 +225,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V20),
-    Y = V20,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -236,8 +236,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V21),
-    Y = V21,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -247,8 +247,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V22),
-    Y = V22,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -258,8 +258,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V23),
-    Y = V23,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -269,8 +269,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V24),
-    Y = V24,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -280,8 +280,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V25),
-    Y = V25,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -291,8 +291,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V26),
-    Y = V26,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -302,8 +302,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V27),
-    Y = V27,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -313,8 +313,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V28),
-    Y = V28,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -324,8 +324,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V29),
-    Y = V29,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -335,8 +335,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V30),
-    Y = V30,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -346,8 +346,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V31),
-    Y = V31,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -357,8 +357,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V32),
-    Y = V32,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -368,8 +368,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V33),
-    Y = V33,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -379,8 +379,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V34),
-    Y = V34,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -390,8 +390,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V35),
-    Y = V35,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -401,8 +401,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V36),
-    Y = V36,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -412,8 +412,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V37),
-    Y = V37,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -423,8 +423,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V38),
-    Y = V38,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -434,8 +434,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V39),
-    Y = V39,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -445,8 +445,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V40),
-    Y = V40,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -456,8 +456,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V41),
-    Y = V41,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -467,8 +467,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V42),
-    Y = V42,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -478,8 +478,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V43),
-    Y = V43,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -489,8 +489,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V44),
-    Y = V44,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -500,8 +500,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V45),
-    Y = V45,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -511,8 +511,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V46),
-    Y = V46,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -522,8 +522,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V47),
-    Y = V47,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -533,8 +533,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V48),
-    Y = V48,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -544,8 +544,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V49),
-    Y = V49,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -555,8 +555,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V50),
-    Y = V50,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -566,8 +566,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V51),
-    Y = V51,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -577,8 +577,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V52),
-    Y = V52,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -588,8 +588,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V53),
-    Y = V53,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -599,8 +599,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V54),
-    Y = V54,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -610,8 +610,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V55),
-    Y = V55,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -621,8 +621,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V56),
-    Y = V56,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -632,8 +632,8 @@ dnf6(X, Y) :-
     le(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V57),
-    Y = V57,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -643,8 +643,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V58),
-    Y = V58,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -654,8 +654,8 @@ dnf6(X, Y) :-
     le(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V59),
-    Y = V59,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -665,8 +665,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     le(X, 20),
-    plus(X, 4, V60),
-    Y = V60,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -676,8 +676,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     lt(X, -15),
     gt(X, 20),
-    plus(X, 4, V61),
-    Y = V61,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -687,8 +687,8 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     le(X, 20),
-    plus(X, 4, V62),
-    Y = V62,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).
 
 dnf6(X, Y) :-
@@ -698,6 +698,6 @@ dnf6(X, Y) :-
     gt(X, 0),
     ge(X, -15),
     gt(X, 20),
-    plus(X, 4, V63),
-    Y = V63,
+    plus(X, 4, V),
+    Y = V,
     integer(Y).

@@ -4,13 +4,16 @@ import pytest
 
 from tldforge.ast import (Call, LogicDescription, NafNot, Struct, TypeCheck,
                           Unify, Var)
-from tldforge import derive
+from tldforge import analysis, ast, derive
+from tldforge.analysis import Registry, analyze_procedure
 from tldforge.derive import (MAX_CLAUSES, body_formula, derive_clauses, normalize,
                              normalized_formula, program_formula)
 from tldforge.errors import NotDerivableError
+from tldforge.modes import GROUND, STAR, VAR, Directionality, Multiplicity, Spec
 from tldforge.parser import parse_formula, parse_types
 from tldforge.semantics import EvalContext, check_equivalence
 from tldforge.transform import simplify_description, transform_tld
+from tldforge.workspace import builtin_specs
 
 from util import reference_normalize
 
@@ -70,33 +73,43 @@ def test_existentials_hoist_and_rename_on_collision():
     nb = normalize(ld(["X"], "(exists Y: term . q(X, Y)) /\\ (exists Y: term . r(X, Y))"),
                    TYPES)
     (d,) = nb.disjuncts
-    names = [n for n, _ in d.exvars]
-    assert len(names) == len(set(names)) == 2
-    assert d.literals[0] == Call("q", (Var("X"), Var(names[0])))
-    assert d.literals[1] == Call("r", (Var("X"), Var(names[1])))
+    assert d.exvars == (("Y", "term"), ("Y1", "term"))
+    assert d.literals == (Call("q", (Var("X"), Var("Y"))), Call("r", (Var("X"), Var("Y1"))))
 
 
-def test_fresh_names_do_not_collide_across_disjuncts():
-    nb = normalize(ld(["X"], "(exists Y: term . q(X, Y)) \\/ (exists Y: term . r(X, Y))"),
+def test_disjuncts_name_their_binders_independently():
+    # each disjunct's binder keeps its own type under the shared name
+    nb = normalize(ld(["X"], "(exists Y: nat . q(X, Y)) \\/ (exists Y: fruit . r(X, Y))"),
                    TYPES)
-    all_names = [n for d in nb.disjuncts for n, _ in d.exvars]
-    assert len(all_names) == len(set(all_names))
+    assert [d.exvars for d in nb.disjuncts] == [(("Y", "nat"),), (("Y", "fruit"),)]
 
 
-def test_shared_binder_splits_into_fresh_names_per_disjunct():
+def test_a_disjunctions_binders_are_named_apart_from_its_conjuncts():
+    # the second Y shares a clause with the first, so it is Y1 in both clauses
+    nb = normalize(ld(["X"], "(r(X) \\/ (exists Y: term . q(X, Y))) /\\ "
+                             "(exists Y: term . s(X, Y))"), TYPES)
+    assert [d.exvars for d in nb.disjuncts] == [
+        (("Y1", "term"),), (("Y", "term"), ("Y1", "term"))]
+    assert nb.disjuncts[0].literals[1] is nb.disjuncts[1].literals[1]
+
+
+def test_shared_binder_keeps_its_name_in_every_disjunct():
     nb = normalize(ld(["X"], "exists Y: term . q(X, Y) \\/ r(X, Y)"), TYPES)
-    all_names = [n for d in nb.disjuncts for n, _ in d.exvars]
-    assert len(all_names) == len(set(all_names)) == 2
+    assert [d.exvars for d in nb.disjuncts] == [(("Y", "term"),), (("Y", "term"),)]
+    assert nb.disjuncts[0].literals == (Call("q", (Var("X"), Var("Y"))),)
 
 
 def test_shared_binder_names_are_pinned():
-    # Y is shared by four disjuncts; the parameter Y2 is skipped
-    nb = normalize(ld(["X", "Y2"], "exists Y: term . (q(X, Y) \\/ r(X, Y) \\/ s(Y, Y2)"
-                                  " \\/ (exists Z: term . t(Y, Z)) \\/ u(X))"), TYPES)
+    # the outer Y keeps its name in every disjunct holding it; in the
+    # second, the conjoined binders shadowing it skip Y, the parameter Y1
+    # and each other
+    nb = normalize(ld(["X", "Y1"], "exists Y: term . (q(X, Y) \\/ (exists Y: nat . r(Y))"
+                                  " /\\ (exists Y: fruit . t(Y1, Y)) \\/ s(Y) \\/ u(X))"),
+                   TYPES)
     assert [d.exvars for d in nb.disjuncts] == [
-        (("Y", "term"),), (("Y1", "term"),), (("Y3", "term"),),
-        (("Y4", "term"), ("Z", "term")), ()]
-    assert nb.disjuncts[2].literals == (Call("s", (Var("Y3"), Var("Y2"))),)
+        (("Y", "term"),), (("Y2", "nat"), ("Y3", "fruit")), (("Y", "term"),), ()]
+    assert nb.disjuncts[1].literals == (Call("r", (Var("Y2"),)),
+                                        Call("t", (Var("Y1"), Var("Y3"))))
 
 
 def test_negation_of_exists_is_not_derivable():
@@ -111,8 +124,8 @@ def test_universal_in_body_is_not_derivable():
 
 
 def conjoined_tests(k):
-    """k conjoined two-way disjunctions, then Y through a binder that each
-    of the 2**k disjuncts renames."""
+    """k conjoined two-way disjunctions, then Y through a binder that all
+    2**k disjuncts share."""
     return "exists V: term . " + " /\\ ".join(
         [f"(lt(X, {i}) \\/ ge(X, {i}))" for i in range(k)] + ["plus(X, 1, V)", "Y = V"])
 
@@ -121,8 +134,8 @@ def test_clause_limit_is_reached_exactly(monkeypatch):
     assert MAX_CLAUSES == 4096
     prog = derive_clauses(ld(["X", "Y"], conjoined_tests(12)), TYPES)
     assert len(prog.clauses) == MAX_CLAUSES
-    assert prog.clauses[-1].body[-2:] == (Call("plus", (Var("X"), Struct("1"), Var("V4095"))),
-                                         Unify(Var("Y"), Var("V4095")))
+    assert prog.clauses[-1].body[-2:] == (Call("plus", (Var("X"), Struct("1"), Var("V"))),
+                                         Unify(Var("Y"), Var("V")))
     # one more disjunction is refused before the conjunction is distributed:
     # only the two-way disjunctions are
     sizes = []
@@ -143,6 +156,30 @@ def test_clause_limit_is_reached_exactly(monkeypatch):
     with pytest.raises(NotDerivableError,
                        match="disjunction at <formula>:1:1 distributes into 4097 clauses"):
         normalize(ld(["X"], " \\/ ".join(["X = a"] * 4097)), TYPES)
+
+
+def test_the_clauses_of_a_distribution_share_their_literals(monkeypatch):
+    k = 6
+    prog = derive_clauses(ld(["X", "Y"], conjoined_tests(k)), TYPES)
+    assert len(prog.clauses) == 2 ** k
+    # each clause holds one of the two literals of each disjunction, and
+    # all of them the same plus(X, 1, V) and Y = V
+    assert len({id(lit) for c in prog.clauses for lit in c.body}) == 2 * k + 2
+    built = []
+    original = analysis._LiteralStep.__init__
+
+    def recording(self, lit, registry):
+        built.append(lit)
+        original(self, lit, registry)
+
+    monkeypatch.setattr(analysis._LiteralStep, "__init__", recording)
+    spec = Spec("p", ("X", "Y"), ("integer", "integer"), directionalities=(
+        Directionality(((GROUND, GROUND), (VAR, GROUND)), Multiplicity(0, STAR)),))
+    registry = Registry(parse_types("nat ::= zero | s(nat).")[0],
+                        {**{s.name: s for s in builtin_specs()}, "p": spec})
+    assert all(r.ok for r in analyze_procedure(prog, spec, registry))
+    # one compiled mode step per distinct literal
+    assert len(built) == len(set(built)) <= 2 * k + 4
 
 
 def test_negated_universal_is_derivable():
@@ -262,15 +299,36 @@ def _outcome(normalizer, description):
     return nb, [[lit.pos for lit in d.literals] for d in nb.disjuncts]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_single_walk_matches_the_three_pass_reference(seed):
+def _random_descriptions(seed):
+    """100 seeded descriptions over ``_random_text``, with their texts."""
     rng = random.Random(seed)
     for _ in range(100):
         params = rng.choice([["X"], ["X", "Y"], ["X", "V", "V1"]])
         text = _random_text(rng, rng.randint(2, 5), params + ["Z"])
-        description = LogicDescription("p", tuple(params), parse_formula(text))
+        yield LogicDescription("p", tuple(params), parse_formula(text)), text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_walk_matches_the_three_pass_reference(seed):
+    for description, text in _random_descriptions(seed):
         assert _outcome(normalize, description) == _outcome(reference_normalize,
                                                             description), text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_disjunct_is_its_own_scope(seed):
+    for description, text in _random_descriptions(seed):
+        try:
+            nb = normalize(description, TYPES)
+        except NotDerivableError:
+            continue
+        outside = set(description.params) | set(ast.free_names(description.definition))
+        for d in nb.disjuncts:
+            local = [n for n, _ in d.exvars]
+            assert len(local) == len(set(local)), text
+            assert outside.isdisjoint(local), text
+            for lit in d.literals:
+                assert set(ast.literal_vars(lit)) <= outside.union(local), text
 
 
 def conjoined_disjunctions(k, var="X"):

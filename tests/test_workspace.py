@@ -611,7 +611,7 @@ def test_cli_analyze_matches_golden(maxprefix_dir, golden_dir, capsys):
     (["analyze"], "dnf6.analyze"),
 ])
 def test_cli_dnf_matches_golden(golden_dir, capsys, command, golden):
-    # 2**6 clauses sharing each derived literal, and a binder renamed per clause
+    # 2**6 clauses sharing each derived literal, the binder V among them
     manifest = golden_dir.parent / "dnf" / "manifest.txt"
     assert main(command + ["--manifest", str(manifest)]) == 0
     assert capsys.readouterr().out == (golden_dir / golden).read_text()

@@ -492,23 +492,25 @@ def _reference_nnf(f: Formula, positive: bool) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _reference_hoist(f: Formula, used: set) -> tuple[list, Formula]:
-    """Pull existentials to the front, renaming on collision so that no
-    binder name repeats anywhere in the matrix."""
+def _reference_standardize(f: Formula, used: set) -> Formula:
+    """Rename each binder apart from ``used``, the names that can share a
+    clause with it, which it joins; the disjuncts of a disjunction rename
+    from the same names and their union joins ``used`` afterwards."""
     if isinstance(f, Exists):
         name = ast.fresh_name(f.var, used)
         body = f.body if name == f.var else ast.rename_free(f.body, f.var, name)
-        inner, matrix = _reference_hoist(body, used)
-        return [(name, f.type_name)] + inner, matrix
-    if isinstance(f, (And, Or)):
-        binders: list = []
+        return Exists(name, f.type_name, _reference_standardize(body, used), pos=f.pos)
+    if isinstance(f, And):
+        return And(tuple(_reference_standardize(g, used) for g in f.items), pos=f.pos)
+    if isinstance(f, Or):
+        start = set(used)
         parts = []
         for g in f.items:
-            b, m = _reference_hoist(g, used)
-            binders.extend(b)
-            parts.append(m)
-        return binders, type(f)(tuple(parts), pos=f.pos)
-    return [], f
+            names = set(start)
+            parts.append(_reference_standardize(g, names))
+            used |= names
+        return Or(tuple(parts), pos=f.pos)
+    return f
 
 
 def _reference_first_pos(f: Formula):
@@ -524,15 +526,18 @@ def _reference_first_pos(f: Formula):
 
 
 def _reference_dnf(f: Formula, leaf) -> list[list]:
-    """The disjuncts of ``f`` as lists of ``leaf(g)`` over its leaves ``g``;
-    ``leaf`` runs once per leaf, and every disjunct holding that leaf shares
-    its result.  A subformula with more than MAX_CLAUSES disjuncts is
-    refused before they are built: a conjunction by the product of its
-    conjuncts' counts, a disjunction by the running sum of its disjuncts'."""
+    """The disjuncts of ``f`` as lists of ``leaf(g)`` over its leaves ``g``
+    and of the Exists nodes whose bodies they lie in, in preorder; ``leaf``
+    runs once per leaf, and every disjunct holding that leaf shares its
+    result.  A subformula with more than MAX_CLAUSES disjuncts is refused
+    before they are built: a conjunction by the product of its conjuncts'
+    counts, a disjunction by the running sum of its disjuncts'."""
     if isinstance(f, TrueF):
         return [[]]
     if isinstance(f, FalseF):
         return []
+    if isinstance(f, Exists):
+        return [[f] + d for d in _reference_dnf(f.body, leaf)]
     if isinstance(f, Or):
         out: list[list] = []
         for g in f.items:
@@ -576,56 +581,32 @@ def _reference_to_literal(f: Formula, type_names: frozenset):
 
 def reference_normalize(ld: LogicDescription,
                         type_names: frozenset = frozenset()) -> NormalizedBody:
-    """``derive.normalize`` as it was before its three walks became one:
-    negation normal form, then binders hoisted and renamed, then
-    distribution over the hoisted matrix."""
+    """``derive.normalize`` as three passes instead of one walk: negation
+    normal form, then binders renamed per clause, then distribution, where
+    a binder goes with every disjunct of its body."""
     nnf = _reference_nnf(ld.definition, True)
     used = set(ld.params) | set(ast.free_names(ld.definition))
-    binders, matrix = _reference_hoist(nnf, used)
+    matrix = _reference_standardize(nnf, used)
 
     def leaf(f: Formula) -> tuple:
         lit = _reference_to_literal(f, type_names)
         return lit, ast.literal_vars(lit)
 
-    taken = set(ld.params) | set(ast.free_names(ld.definition))
-    # the last suffix given to each renamed binder; every smaller suffix is
-    # then in ``taken``, because each disjunct's names all join ``taken``
-    # and a binder is renamed at most once per disjunct
-    last_suffix: dict = {}
     disjuncts = []
     for leaves in _reference_dnf(matrix, leaf):
-        kept = []
-        seen_checks = set()
+        binders = [(g.var, g.type_name) for g in leaves if isinstance(g, Exists)]
+        literals = []
         occurring = set()
-        for lit, names in leaves:
-            if isinstance(lit, TypeCheck):
-                if lit in seen_checks:
-                    continue
-                seen_checks.add(lit)
-            kept.append((lit, names))
-            occurring.update(names)
-        # a binder shared across disjuncts through distribution gets a fresh
-        # name per disjunct: no clause-local name repeats across clauses
-        exvars = []
-        renaming: dict = {}
-        for n, t in binders:
-            if n not in occurring:
+        for entry in leaves:
+            if isinstance(entry, Exists):
                 continue
-            name = n
-            if name in taken:
-                k = last_suffix.get(n, 0) + 1
-                while f"{n}{k}" in taken or f"{n}{k}" in occurring:
-                    k += 1
-                last_suffix[n] = k
-                name = f"{n}{k}"
-                renaming[n] = Var(name)
-            taken.add(name)
-            exvars.append((name, t))
-        literals = tuple(
-            lit if renaming.keys().isdisjoint(names)
-            else ast.map_literal_terms(lit, lambda t: ast.subst_term(t, renaming))
-            for lit, names in kept)
-        disjuncts.append(Disjunct(tuple(exvars), literals))
+            lit, names = entry
+            if isinstance(lit, TypeCheck) and lit in literals:
+                continue
+            literals.append(lit)
+            occurring.update(names)
+        exvars = tuple((n, t) for n, t in binders if n in occurring)
+        disjuncts.append(Disjunct(exvars, tuple(literals)))
     return NormalizedBody(tuple(disjuncts))
 
 
