@@ -391,14 +391,6 @@ def with_subformulas(f: Formula, children: tuple) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_size(f: Formula) -> int:
-    return sum(1 for _ in walk(f))
-
-
-def has_quantifier(f: Formula) -> bool:
-    return any(isinstance(g, (Exists, Forall)) for g in walk(f))
-
-
 def free_names(f: Formula) -> tuple[str, ...]:
     """Free variable names in first-occurrence order."""
     seen: dict[str, None] = {}

@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, pred_required=False):
         p.add_argument("--manifest", required=True, help="workspace manifest file")
-        p.add_argument("--pred", required=pred_required,
-                       help="procedure name (default: every described procedure)")
+        which = "required" if pred_required else "default: every described procedure"
+        p.add_argument("--pred", required=pred_required, help=f"procedure name ({which})")
 
     p = sub.add_parser("check", help="load the workspace and report diagnostics")
     p.add_argument("--manifest", required=True)

@@ -28,6 +28,10 @@ _SINGLE = "()[]{},|:.+-*<>=~!;"
 # and this bound keeps all of them within Python's default recursion limit
 MAX_NESTING = 100
 
+# most body-only variables in one description: each becomes an existential
+# around the body, one more level for every later stage to recurse through
+MAX_LOCALS = 250
+
 # the most digits an integer literal may have: the most that Python converts
 # between text and int by default (``sys.get_int_max_str_digits``)
 MAX_INT_DIGITS = 4300
@@ -159,9 +163,10 @@ class _Parser:
     """The recursive descent over one file's tokens.  ``tags[i]`` is the
     text of token ``i`` when it is an operator and its kind otherwise, so
     one comparison tests both; ``i`` is the next token, and ``depth`` the
-    open nesting levels (see MAX_NESTING).  ``free`` collects, in order of
-    first occurrence, the variables read outside the quantifiers that bind
-    them: ``bound`` holds the variables of the quantifiers being read."""
+    open nesting levels (see MAX_NESTING).  ``free`` maps the variables read
+    outside the quantifiers that bind them, in order of first occurrence, to
+    the token of that occurrence: ``bound`` holds the variables of the
+    quantifiers being read."""
 
     __slots__ = ("tokens", "tags", "i", "depth", "filename", "free", "bound")
 
@@ -171,7 +176,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.filename = filename
-        self.free: dict[str, None] = {}
+        self.free: dict[str, Token] = {}
         self.bound: list[str] = []
 
     def accept(self, tag: str) -> bool:
@@ -260,7 +265,7 @@ class _Parser:
         if tag == "var":
             self.i = i + 1
             if t[1] not in self.bound:
-                self.free[t[1]] = None
+                self.free.setdefault(t[1], t)
             return Var(t[1])
         if tag == "ident":
             self.i = i + 1
@@ -700,11 +705,14 @@ def parse_tlds(text: str, filename: str = "<tld>") -> tuple[list[TypedLogicDescr
             p.expect("<=>")
             p.free, p.bound = {}, []
             body = p.formula()
-            p.expect(".")
             # implicit existentials made explicit: the free variables beyond
             # the parameters, bound at the universal type, the first outermost
-            definition = ast.exists_all([(var, ast.UNIVERSAL_TYPE) for var in p.free
-                                         if var not in names], body)
+            local = [var for var in p.free if var not in names]
+            if len(local) > MAX_LOCALS:
+                raise ParseError(f"more than {MAX_LOCALS} body-only variables",
+                                 p.free[local[MAX_LOCALS]], "too-many-locals")
+            p.expect(".")
+            definition = ast.exists_all([(var, ast.UNIVERSAL_TYPE) for var in local], body)
             out.append(TypedLogicDescription(name, tuple(params), definition,
                                              pos=p.pos(start)))
         except ParseError as e:

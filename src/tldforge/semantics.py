@@ -324,15 +324,16 @@ def _negated(f: Formula) -> Formula:
 class _Evaluator:
     """Compiles formulas into closures ``run(binding, budget) -> Truth``.
 
-    ``compile`` works out once whatever depends only on the formula:
-    conjunct order, free names, absorbed quantifier blocks, mandatory
-    conjuncts, narrowed and empty domains.  Each term is compiled too, into
-    a closure giving its value under the binding (see ``_term_value``), so
-    no evaluation substitutes into a term.  A closure reads nothing but the
-    binding's values, so one compiled formula serves a whole sweep.  A
-    quantifier closure memoizes its verdicts on the budget and the values of
-    its free variables where that key can recur (see ``_quantifier``).  A
-    variable missing from the binding makes what depends on it unknown.
+    ``compile`` works out once whatever depends only on the formula: free
+    names, absorbed quantifier blocks, mandatory conjuncts, narrowed and
+    empty domains; conjuncts run in the order written.  Each term is
+    compiled too, into a closure giving its value under the binding (see
+    ``_term_value``), so no evaluation substitutes into a term.  A closure
+    reads nothing but the binding's values, so one compiled formula serves
+    a whole sweep.  A quantifier closure memoizes its verdicts on the budget
+    and the values of its free variables where that key can recur (see
+    ``_quantifier``).  A variable missing from the binding makes what
+    depends on it unknown.
 
     Every value in a binding is ground, so membership tests skip the
     groundness check, and values are compared by identity, which is term
@@ -368,9 +369,7 @@ class _Evaluator:
         if isinstance(f, Atom):
             return self._atom(f)
         if isinstance(f, (And, Or)):
-            items = sorted(f.items,
-                           key=lambda g: (ast.has_quantifier(g), ast.formula_size(g)))
-            return _junction([self.compile(g, scope) for g in items],
+            return _junction([self.compile(g, scope) for g in f.items],
                              FALSE if isinstance(f, And) else TRUE)
         if isinstance(f, Not):
             body = self.compile(f.body, scope)
@@ -516,8 +515,12 @@ class _Evaluator:
     def _search(self, kernel: Formula, block: tuple, scope: frozenset):
         """Enumerate the exists block's binders that occur in the kernel.  It
         first binds values that a mandatory equation forces, narrows a domain
-        by the kernel's guards and pins, and while an outer variable is
-        unbound refutes through a mandatory conjunct it can decide."""
+        by the kernel's guards and pins, and refutes the block through a
+        mandatory conjunct that is FALSE, checked at the first node with live
+        binders whose binding covers it: a binder's value is checked before
+        the binders after it are enumerated (forward checking), the last
+        binder's by the kernel.  Every completion's kernel is FALSE there
+        too, so no verdict changes."""
         names = {n for n, _ in block}
         scope = scope | names
         run_kernel = self.compile(kernel, scope)
@@ -531,7 +534,7 @@ class _Evaluator:
         solvers = [solve for solve in (self._solver(c, forbidden, types)
                                        for c, forbidden in mandatory) if solve is not None]
         # a binder's domain is built when the search first reaches it, the
-        # refuters when an unbound outer variable first asks for them
+        # refuters when the search first reaches a node with live binders
         domain = cache(lambda name: self._narrowed_domain(name, types[name], mandatory))
 
         @cache
@@ -539,7 +542,9 @@ class _Evaluator:
             return [(self.compile(c, scope | forbidden), cvars) for c, forbidden in mandatory
                     if not (cvars := frozenset(ast.free_names(c))) & forbidden]
 
-        def search(live, binding, budget):
+        def search(live, binding, budget, new=None):
+            # ``new``: the names bound since the last node that checked the
+            # refuters, None before the first
             if not live:
                 return run_kernel(binding, budget)
             for solve in solvers:
@@ -548,20 +553,18 @@ class _Evaluator:
                     return FALSE
                 if forced is not None:
                     return search(tuple(n for n in live if n not in forced),
-                                  {**binding, **forced}, budget)
+                                  {**binding, **forced}, budget,
+                                  None if new is None else (*new, *forced))
+            for run, cvars in refuters():
+                if (cvars <= binding.keys() and (new is None or not cvars.isdisjoint(new))
+                        and run(binding, budget) is FALSE):
+                    return FALSE
             if any(n not in binding for n in outer):
-                # enumeration cannot settle anything that depends on an
-                # unbound outer variable; refute via decidable mandatory
-                # conjuncts or give up conservatively
-                for run, cvars in refuters():
-                    if (cvars.isdisjoint(live) and cvars <= binding.keys()
-                            and run(binding, budget) is FALSE):
-                        return FALSE
-                return UNKNOWN
+                return UNKNOWN  # enumeration cannot settle an unbound outer variable
             name, rest = live[0], live[1:]
             result = FALSE
             for value in domain(name):
-                v = search(rest, {**binding, name: value}, budget)
+                v = search(rest, {**binding, name: value}, budget, (name,))
                 if v is TRUE:
                     return TRUE
                 if v is UNKNOWN:

@@ -63,12 +63,21 @@ def transform_formula(env: TypingEnv, f: Formula) -> Formula:
     if isinstance(f, And):
         return And(tuple(transform_formula(env, g) for g in f.items), pos=f.pos)
     if isinstance(f, Or):
+        # each branch checks the other branches' names, a name placed where
+        # it first occurs outside the branch: at its first (branch, position)
+        # place, or at its second where the first is in this branch
+        places: dict = {}
+        for j, g in enumerate(f.items):
+            for k, name in enumerate(ast.free_names(g)):
+                at = places.setdefault(name, [])
+                if len(at) < 2:
+                    at.append((j, k))
         branches = []
         for i, g in enumerate(f.items):
-            other_names: dict = {}
-            for j, h in enumerate(f.items):
-                if j != i:
-                    other_names.update(dict.fromkeys(ast.free_names(h)))
+            # already in order but for the names moved to their second place
+            other_names = [name for _, name in sorted(
+                (at[1] if at[0][0] == i else at[0], name) for name, at in places.items()
+                if at[0][0] != i or len(at) > 1)]
             branches.append(_with_checks(transform_formula(env, g),
                                          _checks_for(env, other_names, f.pos)))
         return Or(tuple(branches), pos=f.pos)

@@ -634,6 +634,45 @@ def test_calls_memoize_on_their_arguments_and_budget(monkeypatch):
     assert calls.count("d") > len(runs)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_independent_binders_are_refuted_one_at_a_time(monkeypatch, seed):
+    # exists C1 .. Cn: term . r(C1) /\ ... /\ r(Cn) /\ Y = zero, with r true
+    # on one value w: a binder's value is checked by its own r(Ci) before the
+    # next binder is bound, so each binder but the last tries the values up
+    # to w with one call each, and the last runs the kernel, at most n calls,
+    # on each of them; a product over the binders would make it (w + 1)^n
+    rng = random.Random(seed)
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    witness = rng.choice(env.enumerate_type("nat", 2))
+    tried = env.enumerate_type("term", 2).index(witness) + 1
+    assert tried > 1
+    tlds, _ = parse_tlds(f"r(A: nat) <=> A = {witness}.")
+    r = tlds[0]
+    ctx = EvalContext(env, {"r": (r, transform_tld(r))}, universe_depth=2, unfold_depth=2)
+    calls = []
+    unfold = _Evaluator._unfold
+
+    def called(self, name, args, budget):
+        calls.append(args)
+        return unfold(self, name, args, budget)
+    monkeypatch.setattr(_Evaluator, "_unfold", called)
+    counts = []
+    for n in range(1, 17):
+        binders = [f"C{i}" for i in range(1, n + 1)]
+        conjuncts = [f"r({c})" for c in binders] + ["Y = zero"]
+        rng.shuffle(conjuncts)
+        f = parse_formula("".join(f"exists {c}: term . " for c in binders)
+                          + " /\\ ".join(conjuncts))
+        for y, expected in ((zero, TRUE), (Struct("s", (zero,)), FALSE)):
+            calls.clear()
+            assert evaluate(ctx, f, {"Y": y}) is expected, (n, y)
+            if y is zero:
+                counts.append(len(calls))
+            if n <= 2:
+                assert evaluate_reference(ctx, f, {"Y": y}) is expected, (n, y)
+    assert all(count <= 2 * n * tried for n, count in enumerate(counts, 1)), counts
+
+
 def _random_term(rng, depth, names):
     """A random term of functors of arity 0 to 3 over ``names``; ground
     when ``names`` is empty."""

@@ -85,6 +85,34 @@ def test_disjunction_weaves_cross_checks():
     ))
 
 
+def test_disjunction_checks_other_branches_names_in_first_occurrence_order():
+    # a branch checks each other branch's name where it first occurs outside
+    # the branch: X comes from the first branch for the others, but from the
+    # third, after Y and W, for the first
+    f = parse_formula("X = Y \\/ Y = W \\/ W = X \\/ q(V)")
+    env = {"X": "nat", "Y": "nat", "W": "nat", "V": "nat"}
+    got = transform_formula(env, f)
+    assert [[c.args[0].name for c in branch.items[1:]] for branch in got.items] == [
+        ["Y", "W", "X", "V"], ["X", "Y", "W", "V"], ["X", "Y", "W", "V"], ["X", "Y", "W"]]
+
+
+def test_disjunction_walks_each_branch_once(monkeypatch):
+    # an n-way disjunction takes each branch's free names once, not once for
+    # every other branch
+    calls = []
+    free_names = ast.free_names
+
+    def counted(f):
+        calls.append(f)
+        return free_names(f)
+    monkeypatch.setattr(ast, "free_names", counted)
+    for n in (10, 100, 1000):
+        calls.clear()
+        f = Or(tuple(parse_formula("X = zero" if i % 2 else "~(X = s(Y))") for i in range(n)))
+        transform_formula({"X": "nat", "Y": "nat"}, f)
+        assert len(calls) <= 2 * n, (n, len(calls))
+
+
 def test_negation_conjoins_subformula_checks():
     f = parse_formula("~(X = zero)")
     got = transform_formula({"X": "nat"}, f)

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from tldforge import cli
+from tldforge import ast, cli
 from tldforge.cli import main
-from tldforge.parser import MAX_NESTING, parse_tlds
+from tldforge.parser import MAX_LOCALS, MAX_NESTING, parse_formula, parse_tlds
 from tldforge.semantics import MAX_DEPTH, check_agreement, check_equivalence
 from tldforge.transform import simplify_description
 from tldforge.workspace import (builtin_specs, load_workspace, run_oracle,
@@ -492,6 +492,18 @@ def test_a_search_past_its_limit_is_one_positioned_error(maxprefix_dir, capsys):
         f"searched because these are not monotone: src(V, Y) at {fixture / 'probe.tld'}:40:5\n")
     # the other procedures are still analysed
     assert captured.out.startswith("procedure r/1\n")
+
+
+def test_independent_binders_check_in_the_oracle(maxprefix_dir):
+    # p's 16 binders over term each have their own r(Ci): the oracle refutes
+    # a binder's value before it binds the next one, instead of searching
+    # the 63^16 bindings at depth 2
+    ws = load_workspace(maxprefix_dir.parent / "reorder_limit" / "manifest.txt").workspace
+    reports = {depth: run_oracle(ws, "p", depth=depth) for depth in (2, 3)}
+    assert [(r.total, r.outside, r.outside_false, r.inside, r.inside_agree)
+            for r in reports.values()] == [(63, 61, 61, 2, 2), (4039, 4036, 4036, 3, 3)]
+    assert all((r.violations, r.inconclusive, r.first_violation) == (0, 0, None)
+               for r in reports.values())
 
 
 def test_a_long_clause_past_the_limit_is_one_positioned_error(maxprefix_dir, capsys):
@@ -1157,6 +1169,39 @@ def test_cli_nesting_at_the_limit_runs_and_past_it_is_diagnosed(kind, tmp_path, 
         assert main([*command, "--manifest", str(path)]) == 1, command
         err = capsys.readouterr().err
         assert re.search(r"w\.tld:1:\d+: error\[nesting-too-deep\]", err), err
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_cli_body_only_variables_at_the_limit_run_and_past_it_are_diagnosed(
+        kind, tmp_path, capsys):
+    # each body-only variable is one more existential around the body, so the
+    # limit holds with the body nested MAX_NESTING deep inside them too; the
+    # chain V1 = X, V2 = V1, ... stays a mandatory conjunct the oracle solves
+    nest, _ = NESTINGS[kind]
+    own = len(set(ast.free_names(parse_formula(nest(1)))) - {"X"})
+    spec = "procedure p(X).\ntype X : nat.\ndir (ground) : <0-1>.\n"
+    commands = (["check"], ["transform"], ["derive"], ["analyze"], ["gen", "prolog"],
+                ["gen", "mercury"], ["oracle", "equiv", "--pred", "p"])
+
+    def description(count):
+        chain = " /\\ ".join(f"V{i + 1} = {f'V{i}' if i else 'X'}" for i in range(count))
+        if kind == "implications":  # `=>` binds looser than `/\`
+            return f"p(X: nat) <=> {chain} /\\ ({nest(MAX_NESTING - 1)}).\n"
+        return f"p(X: nat) <=> {nest(MAX_NESTING)} /\\ {chain}.\n"
+
+    path = write_workspace(tmp_path, types="nat ::= zero | s(nat).\n", spec=spec,
+                           tld=description(MAX_LOCALS - own))
+    for command in commands:
+        assert main([*command, "--manifest", str(path)]) == 0, command
+    capsys.readouterr()
+    text = description(MAX_LOCALS - own + 1)
+    path = write_workspace(tmp_path, types="nat ::= zero | s(nat).\n", spec=spec, tld=text)
+    col = text.index(f"V{MAX_LOCALS - own + 1} =") + 1
+    for command in commands:
+        assert main([*command, "--manifest", str(path)]) == 1, command
+        err = capsys.readouterr().err
+        assert f"w.tld:1:{col}: error[too-many-locals]: more than {MAX_LOCALS} " \
+               "body-only variables" in err, err
 
 
 def test_cli_closed_pipe_exits_one_quietly(maxprefix_dir):
