@@ -264,8 +264,8 @@ class _Parser:
         t, tag = self.tokens[i], self.tags[i]
         if tag == "var":
             self.i = i + 1
-            if t[1] not in self.bound:
-                self.free.setdefault(t[1], t)
+            if t[1] not in self.free and t[1] not in self.bound:
+                self.free[t[1]] = t
             return Var(t[1])
         if tag == "ident":
             self.i = i + 1

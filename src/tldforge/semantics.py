@@ -56,7 +56,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from typing import Mapping, NamedTuple
 
@@ -534,12 +534,14 @@ class _Evaluator:
         solvers = [solve for solve in (self._solver(c, forbidden, types)
                                        for c, forbidden in mandatory) if solve is not None]
         # a binder's domain is built when the search first reaches it, the
-        # refuters when the search first reaches a node with live binders
+        # refuters when the search first reaches a node with live binders,
+        # and each refuter is compiled when a node first checks it
         domain = cache(lambda name: self._narrowed_domain(name, types[name], mandatory))
 
         @cache
         def refuters():
-            return [(self.compile(c, scope | forbidden), cvars) for c, forbidden in mandatory
+            return [(cache(partial(self.compile, c, scope | forbidden)), cvars)
+                    for c, forbidden in mandatory
                     if not (cvars := frozenset(ast.free_names(c))) & forbidden]
 
         def search(live, binding, budget, new=None):
@@ -557,7 +559,7 @@ class _Evaluator:
                                   None if new is None else (*new, *forced))
             for run, cvars in refuters():
                 if (cvars <= binding.keys() and (new is None or not cvars.isdisjoint(new))
-                        and run(binding, budget) is FALSE):
+                        and run()(binding, budget) is FALSE):
                     return FALSE
             if any(n not in binding for n in outer):
                 return UNKNOWN  # enumeration cannot settle an unbound outer variable

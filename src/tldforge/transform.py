@@ -74,7 +74,8 @@ def transform_formula(env: TypingEnv, f: Formula) -> Formula:
                     at.append((j, k))
         branches = []
         for i, g in enumerate(f.items):
-            # already in order but for the names moved to their second place
+            # ``places`` is in first-place order: the sort moves only the
+            # names whose first place is this branch
             other_names = [name for _, name in sorted(
                 (at[1] if at[0][0] == i else at[0], name) for name, at in places.items()
                 if at[0][0] != i or len(at) > 1)]
