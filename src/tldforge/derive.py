@@ -161,7 +161,10 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
 
 def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset(),
                    nb: NormalizedBody | None = None) -> Program:
-    """One clause per disjunct, head over the original parameter variables.
+    """One clause per disjunct, head over the original parameter variables,
+    but none for a disjunct holding a type check and its negation: the
+    transform puts a check inside each ``~`` and ``=>``, and such a clause
+    never succeeds.  A clause keeps its disjunct's number in the normal form.
 
     ``nb`` is the description's normalized body when the caller already
     computed it.
@@ -172,6 +175,12 @@ def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset(),
     clauses = []
     total = len(nb.disjuncts)
     for i, d in enumerate(nb.disjuncts, start=1):
+        lits = d.literals
+        # the type scan runs in C: most disjuncts hold no negation at all
+        if NafNot in map(type, lits) and any(
+                type(lit) is NafNot and type(lit.literal) is TypeCheck and lit.literal in lits
+                for lit in lits):
+            continue
         clauses.append(Clause(ld.predicate, head, d.literals,
                               provenance=f"disjunct {i} of {total}"))
     return Program(ld.predicate, len(ld.params), tuple(clauses))

@@ -36,9 +36,10 @@ while the untyped verdict is open, the outside values failing its filters
 (both false); once it is decided, the inside values failing the typed
 formula's filters (agreeing, or violations where the untyped formula is
 true).  A quantifier block's binder takes its filtered values from the same
-helper (``_passing``), from its kernel's filters: a forall block runs as the
-negated exists block over its negated kernel, so ``forall Y . A => K``'s
-binder is narrowed by A's filters and forced by A's equations.
+helper (``_passing``), from its kernel's filters.  A block reads its kernel
+in negation normal form (``_nnf``), and an exists block splits over each
+disjunction there, ``A => K`` as ``~A \\/ K``; a forall block runs as the
+negated exists block, so ``forall Y . A => K`` is narrowed and forced by A.
 
 The universe of ``term`` is counted.  It is built only for an enumeration
 that really ranges over all of it: a swept variable without a filter, or an
@@ -306,19 +307,18 @@ def _junction(parts, stop: Truth):
     return run
 
 
-def _negated(f: Formula) -> Formula:
-    """~f with the negation moved down one connective: ~(A => K) is A /\\ ~K,
-    ~(A \\/ B) is ~A /\\ ~B, ~(A /\\ B) is ~A \\/ ~B with each disjunct negated
-    alike, and ~~A is A (see ``_Evaluator._block``)."""
+def _nnf(f: Formula, positive: bool = True) -> Formula:
+    """f, or ~f when not ``positive``, in negation normal form: ``A => K``
+    is ``~A \\/ K``, a negation swaps ``/\\`` and ``\\/``, and an equation,
+    an atom, an ``<=>`` or a quantifier is kept or wrapped in one ``Not``."""
     if isinstance(f, Not):
-        return f.body
+        return _nnf(f.body, not positive)
     if isinstance(f, Implies):
-        return And((f.left, Not(f.right)))
-    if isinstance(f, Or):
-        return And(tuple(Not(g) for g in f.items))
-    if isinstance(f, And):
-        return Or(tuple(_negated(g) for g in f.items))
-    return Not(f)
+        return _nnf(Or((Not(f.left), f.right)), positive)
+    if isinstance(f, (And, Or)):
+        kind = type(f) if positive else (Or if isinstance(f, And) else And)
+        return kind(tuple(_nnf(g, positive) for g in f.items))
+    return f if positive else Not(f)
 
 
 class _Evaluator:
@@ -492,8 +492,8 @@ class _Evaluator:
         """A chain of ``cls`` quantifiers over ``block`` ((name, type) pairs)
         and a kernel, whose leading ``cls`` binders join the block, renamed
         away from the scope and the block.  A forall block runs as the Kleene
-        negation of the exists block over ``_negated(kernel)``, and an exists
-        block splits over a disjunction."""
+        negation of the exists block over its negated kernel; an exists block
+        splits over every disjunction of its kernel's ``_nnf``."""
         while isinstance(kernel, cls):
             name, body = kernel.var, kernel.body
             taken = scope | {n for n, _ in block}
@@ -504,11 +504,11 @@ class _Evaluator:
             block += ((name, kernel.type_name),)
             kernel = body
         if cls is Forall:
-            run = self._block(_negated(kernel), Exists, block, scope)
+            run = self._block(Not(kernel), Exists, block, scope)
             return lambda binding, budget: truth_not(run(binding, budget))
         if not all(self.ctx.types.inhabited(t, self.ctx.universe_depth) for _, t in block):
             return lambda binding, budget: FALSE  # an empty domain has no witness
-        if isinstance(kernel, Or):
+        if isinstance(kernel := _nnf(kernel), Or):
             return _junction([self._block(g, Exists, block, scope) for g in kernel.items], TRUE)
         return self._search(kernel, block, scope)
 

@@ -10,8 +10,8 @@ from tldforge.derive import (MAX_CLAUSES, body_formula, derive_clauses, normaliz
                              normalized_formula, program_formula)
 from tldforge.errors import NotDerivableError
 from tldforge.modes import GROUND, STAR, VAR, Directionality, Multiplicity, Spec
-from tldforge.parser import parse_formula, parse_types
-from tldforge.semantics import EvalContext, check_equivalence
+from tldforge.parser import parse_formula, parse_tlds, parse_types
+from tldforge.semantics import EvalContext, check_agreement, check_equivalence
 from tldforge.transform import simplify_description, transform_tld
 from tldforge.workspace import builtin_specs
 
@@ -223,6 +223,37 @@ def test_true_definition_yields_a_fact():
     prog = derive_clauses(ld(["X"], "true"), TYPES)
     assert len(prog.clauses) == 1
     assert prog.clauses[0].body == ()
+
+
+X, Y = Var("X"), Var("Y")
+ZERO = Struct("zero")
+NAT_X, NAT_Y = TypeCheck("nat", X), TypeCheck("nat", Y)
+# the transform puts a type check inside each ~ and =>, so each leaves a
+# disjunct holding the check and its negation, which derives no clause
+NEGATIONS = [
+    ("p(X: nat) <=> ~(X = zero).",
+     [((NAT_X, NafNot(Unify(X, ZERO))), "disjunct 1 of 2")]),
+    ("r(X: nat, Y: nat) <=> ~(X = Y).",
+     [((NAT_X, NAT_Y, NafNot(Unify(X, Y))), "disjunct 1 of 3")]),
+    ("q(X: nat) <=> ~~~~X = zero.",
+     [((NAT_X, Unify(X, ZERO)), "disjunct 1 of 3")]),
+    ("s(X: nat) <=> X = zero => X = s(zero).",
+     [((NAT_X, NafNot(Unify(X, ZERO))), "disjunct 1 of 3"),
+      ((NAT_X, Unify(X, Struct("s", (ZERO,)))), "disjunct 3 of 3")]),
+    ("w(X: nat) <=> ~nat(X).", []),
+]
+
+
+@pytest.mark.parametrize("text, expected", NEGATIONS)
+def test_no_clause_holds_a_check_and_its_negation(nat_env, text, expected):
+    untyped = simplify_description(transform_tld(parse_tlds(text)[0][0]))
+    prog = derive_clauses(untyped, frozenset(nat_env.defs))
+    assert [(c.body, c.provenance) for c in prog.clauses] == expected
+    # the dropped clauses are false on every binding
+    ctx = EvalContext(nat_env, {untyped.predicate: untyped}, universe_depth=2)
+    rep = check_agreement(ctx, program_formula(prog), untyped.definition,
+                          [(n, "term") for n in untyped.params], depth=2)
+    assert (rep.disagree, rep.inconclusive) == (0, 0) and rep.total > 0
 
 
 # -- bounded faithfulness ---------------------------------------------------------

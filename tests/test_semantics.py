@@ -887,11 +887,14 @@ def test_binder_domains_narrow_by_every_guard_and_pin(monkeypatch, depth):
         ("exists Y: nat . Y = s(zero) /\\ ~(X = Y)", []),
         # under the double negation s(X) = Y is mandatory and solves Y
         ("forall Y: term . ~(nat(Y) /\\ small(Y) /\\ s(X) = Y)", []),
+        # and so is the negated consequent's s(X) = Y
+        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(s(X) = Y)", []),
+        ("forall Y: term . (small(Y) \\/ nat(Y) /\\ small(Y)) => ~(s(X) = Y)", []),
         # two guards on Y, the first the wider
         ("exists Y: term . nat(Y) /\\ small(Y) /\\ ~(X = Y)", [{zero}]),
-        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(s(X) = Y)", [{zero}]),
+        ("forall Y: term . (nat(Y) /\\ small(Y)) => ~(X = zero)", [{zero}]),
         # a guard in every disjunct of the antecedent
-        ("forall Y: term . (small(Y) \\/ nat(Y) /\\ small(Y)) => ~(s(X) = Y)", [{zero}]),
+        ("forall Y: term . (small(Y) \\/ nat(Y) /\\ small(Y)) => ~(X = zero)", [{zero}]),
     ]
     for text, expected in cases:
         typed = parse_formula(text)
@@ -899,6 +902,48 @@ def test_binder_domains_narrow_by_every_guard_and_pin(monkeypatch, depth):
         domains.clear()
         _check_against_brute_force(ctx, typed, untyped, (("X", "nat"),))
         assert domains == expected, text
+
+
+def _implication_chain(n: int):
+    """p(X: nat) <=> X = zero => V1 = X /\\ V2 = V1 /\\ ... /\\ Vn = Vn-1, the
+    body-only Vi bound around the whole implication, and its untyped side."""
+    chain = " /\\ ".join(f"V{i} = {'X' if i == 1 else f'V{i - 1}'}" for i in range(1, n + 1))
+    tld = parse_tlds(f"p(X: nat) <=> X = zero => {chain}.")[0][0]
+    return tld, transform_tld(tld)
+
+
+def test_an_implication_kernel_splits_instead_of_multiplying_its_binders(monkeypatch):
+    # the exists block over the Vi reads its kernel as ~(X = zero) \/ V1 = X
+    # /\ ..., splits there, and each equation forces the next Vi: every
+    # added equation costs a bounded number of evaluations, where a search
+    # over the Vi as a product costs a factor of the universe
+    env, _ = parse_types("nat ::= zero | s(nat).")
+    runs = [0]
+    compile_ = _Evaluator.compile
+
+    def counted(self, f, scope):
+        run = compile_(self, f, scope)
+
+        def counted_run(binding, budget):
+            runs[0] += 1
+            return run(binding, budget)
+        return counted_run
+    monkeypatch.setattr(_Evaluator, "compile", counted)
+    for depth in (2, 3):
+        per_n = []
+        for n in range(1, 9):
+            tld, ld = _implication_chain(n)
+            ctx = EvalContext(env, {"p": (tld, ld)}, universe_depth=depth)
+            runs[0] = 0
+            rep = check_equivalence(ctx, tld.definition, ld.definition, list(tld.params))
+            assert (rep.violations, rep.inconclusive) == (0, 0)
+            per_n.append(runs[0])
+        assert all(0 < b - a <= 4 for a, b in zip(per_n, per_n[1:])), (depth, per_n)
+    monkeypatch.undo()
+    for n in (1, 2):
+        tld, ld = _implication_chain(n)
+        ctx = EvalContext(env, {"p": (tld, ld)}, universe_depth=2)
+        _check_against_brute_force(ctx, tld.definition, ld.definition, list(tld.params))
 
 
 # deep has no term of depth 2, so at that bound its domain is empty

@@ -506,6 +506,35 @@ def test_independent_binders_check_in_the_oracle(maxprefix_dir):
                for r in reports.values())
 
 
+def test_an_implication_kernel_splits_in_the_oracle(maxprefix_dir):
+    # p's kernel X = zero => V1 = X /\ ... /\ V6 = V5 splits into
+    # ~(X = zero) and the chain, whose equations force each Vi in turn,
+    # instead of searching the six binders as a product
+    ws = load_workspace(maxprefix_dir.parent / "implies_chain" / "manifest.txt").workspace
+    reports = [run_oracle(ws, "p", depth=depth) for depth in (2, 3)]
+    assert [(r.total, r.outside, r.outside_false, r.inside, r.inside_agree)
+            for r in reports] == [(63, 61, 61, 2, 2), (4039, 4036, 4036, 3, 3)]
+    assert all((r.violations, r.inconclusive, r.first_violation) == (0, 0, None)
+               for r in reports)
+
+
+def test_negations_derive_one_clause_each(maxprefix_dir, capsys):
+    # no clause holds a type check and its negation, so each procedure has
+    # its one clause, its <0-1> bound holds and Mercury declares it semidet
+    manifest = str(maxprefix_dir.parent / "negation" / "manifest.txt")
+    assert main(["gen", "prolog", "--manifest", manifest]) == 0
+    out = capsys.readouterr().out
+    assert [line.split("(")[0] for line in out.splitlines()
+            if line.endswith(":-")] == ["p", "r", "q"]
+    assert main(["analyze", "--manifest", manifest]) == 0
+    out = capsys.readouterr().out
+    assert out.count("computed multiplicity: <0-1> (declared <0-1>) [ok]") == 3
+    assert "outside the declared bounds" not in out
+    assert main(["gen", "mercury", "--manifest", manifest]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(" is semidet.") == 3 and captured.err == ""
+
+
 def test_a_long_clause_past_the_limit_is_one_positioned_error(maxprefix_dir, capsys):
     # src(X, Y), callable only while Y is free, 1,200 tests gt(X, c) and a
     # t(Z) that never runs: the search backtracks from 1,201 literals deep
