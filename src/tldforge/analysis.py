@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 from typing import Mapping, NamedTuple
 
 from . import ast
@@ -440,7 +439,7 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
             deepest = len(path), state, tuple(remaining)
     if mults is not None:
         mults.extend(m for _, m, _, _ in path)
-    return replace(clause, body=tuple(body[i] for i, _, _, _ in path))
+    return clause._replace(body=tuple(body[i] for i, _, _, _ in path))
 
 
 def _non_monotone(clause: Clause, start: tuple, bound: list):
@@ -602,7 +601,7 @@ def eliminate_checks(prog: Program, spec: Spec, registry: Registry,
     for ci, clause in enumerate(prog.clauses):
         gone = proved_checks(clause, registry, trusted, links=False)
         removed.extend(RemovedCheck(ci, pos, clause.body[pos]) for pos in sorted(gone))
-        clauses.append(replace(clause, body=tuple(
+        clauses.append(clause._replace(body=tuple(
             lit for pos, lit in enumerate(clause.body) if pos not in gone)))
     return EliminationResult(Program(prog.predicate, prog.arity, tuple(clauses)),
                              tuple(removed))

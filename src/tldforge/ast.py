@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagnostics import SourcePos
 from .errors import NonGroundSubstituteError, UnboundVariableError
+from .records import record
 
 UNIVERSAL_TYPE = "term"
 
@@ -216,106 +216,108 @@ def subst_term(t: Term, binding: Mapping[str, Term]) -> Term:
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# a node's ``pos`` is where it was read; a record never compares or prints it
+
+@record
 class TrueF:
     """The formula true."""
 
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class FalseF:
     """The formula false."""
 
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     """The equation left = right between two terms."""
 
     left: Term
     right: Term
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """A predicate applied to terms; with one argument naming a type, a membership check."""
 
     predicate: str
     args: tuple = ()
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class And:
     """A conjunction of two or more formulas."""
 
     items: tuple
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
     def __post_init__(self):
         if len(self.items) < 2:
             raise ValueError("And needs at least two conjuncts")
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     """A disjunction of two or more formulas."""
 
     items: tuple
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
     def __post_init__(self):
         if len(self.items) < 2:
             raise ValueError("Or needs at least two disjuncts")
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     """The negation of a formula."""
 
     body: "Formula"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
     """The implication left => right."""
 
     left: "Formula"
     right: "Formula"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Iff:
     """The equivalence left <=> right."""
 
     left: "Formula"
     right: "Formula"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     """exists var: type_name . body"""
 
     var: str
     type_name: str
     body: "Formula"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     """forall var: type_name . body"""
 
     var: str
     type_name: str
     body: "Formula"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
 Formula = Union[TrueF, FalseF, Eq, Atom, And, Or, Not, Implies, Iff, Exists, Forall]
@@ -478,14 +480,14 @@ def _substitute(f: Formula, binding: dict) -> Formula:
 # Descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TypedLogicDescription:
     """p(X1:t1, ..., Xn:tn) <=> definition, with implicit existentials made explicit."""
 
     predicate: str
     params: tuple  # of (name, type_name)
     definition: Formula
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
     def __post_init__(self):
         names = [n for n, _ in self.params]
@@ -518,39 +520,39 @@ class LogicDescription(NamedTuple):
 
 # a literal's ``pos`` is the source position of the formula it came from
 
-@dataclass(frozen=True)
+@record
 class Unify:
     """The clause literal left = right."""
 
     left: Term
     right: Term
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     """A clause literal calling a predicate."""
 
     predicate: str
     args: tuple
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TypeCheck:
     """A clause literal testing that a term belongs to a type."""
 
     type_name: str
     arg: Term
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
+@record
 class NafNot:
     """A clause literal negated as failure."""
 
     literal: "Literal"
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
 Literal = Union[Unify, Call, TypeCheck, NafNot]
@@ -590,21 +592,21 @@ def map_literal_terms(lit: Literal, fn) -> Literal:
     raise TypeError(f"not a literal: {lit!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     """A clause head and its body literals, with where it was derived from."""
 
     predicate: str
     head_args: tuple  # of Term, distinct variables after derivation
     body: tuple  # of Literal, order significant
-    provenance: str = field(default="", compare=False)
+    provenance: str = ""  # printed, not compared
 
     @property
     def arity(self) -> int:
         return len(self.head_args)
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """A predicate's clauses, in order."""
 

@@ -10,7 +10,6 @@ inline, and no type-check literals appear.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import NamedTuple
 
 from . import ast
@@ -83,7 +82,7 @@ def flatten_arithmetic(clause: Clause) -> Clause:
         lit2 = ast.map_literal_terms(lit, lambda t: flat(t, prelude, lit.pos))
         out.extend(prelude)
         out.append(lit2)
-    return replace(clause, body=tuple(out))
+    return clause._replace(body=tuple(out))
 
 
 def flatten_program(prog: Program) -> Program:
@@ -194,8 +193,8 @@ def _versioned_calls(clause: Clause, dir: Directionality, registry: Registry,
     body = list(clause.body)
     for i, k in enumerate(run_as_written(clause, dir, registry)):
         if k is not None and body[i].predicate in versioned:
-            body[i] = replace(body[i], predicate=_version_name(body[i].predicate, k, dir_index))
-    return replace(clause, body=tuple(body))
+            body[i] = body[i]._replace(predicate=_version_name(body[i].predicate, k, dir_index))
+    return clause._replace(body=tuple(body))
 
 
 def emit_prolog(spec: Spec, analysis: list, registry: Registry,

@@ -138,22 +138,29 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
     literals, named apart from the parameters, the definition's free names
     and each other, but not from another disjunct's: two clauses may both
     use ``V``.  Duplicate type-check literals within one disjunct collapse
-    to the first occurrence (conjunction idempotence).  A definition with
-    more than MAX_CLAUSES disjuncts is not derivable.
+    to the first occurrence (conjunction idempotence), and a disjunct
+    holding a type check and its negation is dropped: the transform puts a
+    check inside each ``~`` and ``=>``, and such a clause never succeeds.
+    A definition with more than MAX_CLAUSES disjuncts is not derivable.
     """
     used = set(ld.params) | set(ast.free_names(ld.definition))
     disjuncts = []
     for binders, leaves in _dnf(ld.definition, True, type_names, used):
         literals = []
         seen_checks = set()
+        negated_checks = []
         occurring = set()
         for lit, names in leaves:
             if isinstance(lit, TypeCheck):
                 if lit in seen_checks:
                     continue
                 seen_checks.add(lit)
+            elif isinstance(lit, NafNot) and isinstance(lit.literal, TypeCheck):
+                negated_checks.append(lit.literal)
             literals.append(lit)
             occurring.update(names)
+        if not seen_checks.isdisjoint(negated_checks):
+            continue
         exvars = tuple((n, t) for n, t in binders if n in occurring)
         disjuncts.append(Disjunct(exvars, tuple(literals)))
     return NormalizedBody(tuple(disjuncts))
@@ -161,10 +168,7 @@ def normalize(ld: LogicDescription, type_names: frozenset = frozenset()) -> Norm
 
 def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset(),
                    nb: NormalizedBody | None = None) -> Program:
-    """One clause per disjunct, head over the original parameter variables,
-    but none for a disjunct holding a type check and its negation: the
-    transform puts a check inside each ``~`` and ``=>``, and such a clause
-    never succeeds.  A clause keeps its disjunct's number in the normal form.
+    """One clause per disjunct, head over the original parameter variables.
 
     ``nb`` is the description's normalized body when the caller already
     computed it.
@@ -172,18 +176,10 @@ def derive_clauses(ld: LogicDescription, type_names: frozenset = frozenset(),
     if nb is None:
         nb = normalize(ld, type_names)
     head = tuple(Var(p) for p in ld.params)
-    clauses = []
     total = len(nb.disjuncts)
-    for i, d in enumerate(nb.disjuncts, start=1):
-        lits = d.literals
-        # the type scan runs in C: most disjuncts hold no negation at all
-        if NafNot in map(type, lits) and any(
-                type(lit) is NafNot and type(lit.literal) is TypeCheck and lit.literal in lits
-                for lit in lits):
-            continue
-        clauses.append(Clause(ld.predicate, head, d.literals,
-                              provenance=f"disjunct {i} of {total}"))
-    return Program(ld.predicate, len(ld.params), tuple(clauses))
+    return Program(ld.predicate, len(ld.params), tuple(
+        Clause(ld.predicate, head, d.literals, provenance=f"disjunct {i} of {total}")
+        for i, d in enumerate(nb.disjuncts, start=1)))
 
 
 # ---------------------------------------------------------------------------

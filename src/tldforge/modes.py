@@ -9,10 +9,10 @@ union and meet is intersection (an empty meet signals a contradiction).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .diagnostics import SourceDiagnostic, SourcePos, error
+from .records import record
 
 G = "g"  # ground
 V = "v"  # free variable
@@ -139,14 +139,14 @@ class Multiplicity(NamedTuple):
 # Directionalities and specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Directionality:
     """One declared mode per parameter, an answer multiplicity and no-share pairs."""
 
     modes: tuple  # of (Mode, Mode) pairs, one per parameter
     mult: Multiplicity
     nosh: frozenset = frozenset()  # of (i, j) 1-based index pairs, i < j
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
     @property
     def arity(self) -> int:
@@ -163,7 +163,7 @@ class Directionality:
         return text
 
 
-@dataclass(frozen=True)
+@record
 class Spec:
     """A procedure specification: parameter types, relation prose, directionalities."""
 
@@ -173,7 +173,7 @@ class Spec:
     relation: str = ""
     external: str = ""
     directionalities: tuple = ()
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
     @property
     def arity(self) -> int:

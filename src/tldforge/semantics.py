@@ -56,7 +56,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from itertools import product
 from typing import Mapping, NamedTuple
@@ -66,6 +65,7 @@ from .ast import (And, Atom, Eq, Exists, FalseF, Forall, Formula, Iff, Implies,
                   Not, Or, Struct, Term, TrueF, TypedLogicDescription,
                   UNIVERSAL_TYPE, Var)
 from .errors import MissingBindingError, UnknownPredicateError
+from .records import record
 from .typesys import INTEGER_RANGE, MAX_DEPTH, TypeEnv
 
 TYPED = "typed"
@@ -148,7 +148,7 @@ def _builtin_solution(name: str, hole: int, known):
     return _NO_SOLUTION if None in values else BUILTINS[name][1][hole](*values)
 
 
-@dataclass(frozen=True)
+@record
 class EvalContext:
     """Types, predicate meanings, and the two bounds.
 
@@ -158,7 +158,7 @@ class EvalContext:
     """
 
     types: TypeEnv
-    predicates: Mapping[str, object] = field(default_factory=dict)
+    predicates: Mapping[str, object] = {}  # a new dict per instance
     universe_depth: int = 2
     unfold_depth: int = 4
 
@@ -729,9 +729,11 @@ def evaluate_reference(ctx: EvalContext, f: Formula, binding: Mapping[str, Term]
 # Equivalence checking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class EquivalenceReport:
     """The counts of one equivalence check, filled in as the sweep runs."""
+
+    __hash__ = None  # a mutable record
 
     depth: int
     total: int = 0
@@ -812,7 +814,7 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
     on, each value ordered as ``iter_terms`` yields it.
     """
     if depth is not None:
-        ctx = replace(ctx, universe_depth=depth)
+        ctx = ctx._replace(universe_depth=depth)
     freevars = _checked_freevars(freevars, typed_f, untyped_f)
     names = [n for n, _ in freevars]
     n = len(names)
@@ -855,8 +857,7 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
                                    (decided, 0 if decided is None else count - len(decided))))
     # the number of completions at positions i and later inside the types
     inside_from = [math.prod(p.count for p in positions[i:]) for i in range(n + 1)]
-    report = EquivalenceReport(depth=ctx.universe_depth)
-    counts = vars(report)
+    counts = EquivalenceReport(ctx.universe_depth)._asdict()
     outside_kind = {FALSE: "outside_false", TRUE: "violations", UNKNOWN: "inconclusive"}
 
     def tally(k: int, region: str, kind: str):
@@ -946,13 +947,15 @@ def check_equivalence(ctx: EvalContext, typed_f: Formula, untyped_f: Formula,
 
     found = descend(0, {}, True, None)
     if found is not None:
-        report.first_violation, report.first_violation_kind = found
-    return report
+        counts["first_violation"], counts["first_violation_kind"] = found
+    return EquivalenceReport(**counts)
 
 
-@dataclass
+@record
 class AgreementReport:
     """The counts of one agreement check, filled in as the sweep runs."""
+
+    __hash__ = None  # a mutable record
 
     depth: int
     total: int = 0
@@ -971,7 +974,7 @@ def check_agreement(ctx: EvalContext, f: Formula, g: Formula, freevars,
     """Compare two formulas on all bindings drawn from the declared types.
     ``freevars`` lists each free name of either formula once, with its type."""
     if depth is not None:
-        ctx = replace(ctx, universe_depth=depth)
+        ctx = ctx._replace(universe_depth=depth)
     freevars = _checked_freevars(freevars, f, g)
     names = [n for n, _ in freevars]
     ev = _Evaluator(ctx, side=side)

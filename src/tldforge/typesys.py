@@ -18,7 +18,6 @@ yields it lazily, one layer at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -26,6 +25,7 @@ from . import ast
 from .ast import Struct, Term, Var
 from .diagnostics import SourceDiagnostic, SourcePos, error, warning
 from .errors import NonGroundTermError, NotStructuralError, UnknownTypeError
+from .records import record
 
 # the deepest universe an evaluation context accepts: with the built-in binary
 # list constructor in every signature the universe's size squares per layer,
@@ -56,27 +56,27 @@ class Cases(NamedTuple):
     cases: tuple  # of Case
 
 
-@dataclass(frozen=True)
+@record
 class Alias:
     """The body of a type that names another type."""
 
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class Builtin:
     """The body of a built-in type."""
 
     kind: str  # integer | float | atom | term
 
 
-@dataclass(frozen=True)
+@record
 class TypeDef:
     """A named type, as one definition in a ``.types`` file."""
 
     name: str
     body: Cases | Alias | Builtin
-    pos: SourcePos | None = field(default=None, compare=False, repr=False)
+    pos: SourcePos | None = None
 
 
 def builtin_defs() -> dict:

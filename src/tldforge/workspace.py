@@ -9,9 +9,9 @@ cross-references; any error makes the load fail as a whole.
 
 from __future__ import annotations
 
-import importlib.resources
+import importlib
+import pkgutil
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,6 +23,7 @@ from .modes import Spec, check_directionality
 from .parser import parse_specs, parse_tlds, parse_type_defs
 from .printer import (format_clause, format_formula, format_ld, format_literal,
                       format_tld)
+from .records import record
 from .typesys import TypeEnv
 
 STAGE_NAMES = ("tld", "untyped", "simplified", "normalized", "derived",
@@ -72,16 +73,15 @@ def builtin_specs() -> tuple[Spec, ...]:
     """The built-in callee preamble, parsed once per process."""
     global _builtin_specs
     if _builtin_specs is None:
-        path = importlib.resources.files("tldforge") / "data" / "builtins.spec"
-        specs, diags = parse_specs(path.read_text(encoding="utf-8"), "<builtins>")
+        text = pkgutil.get_data(__package__, "data/builtins.spec").decode("utf-8")
+        specs, diags = parse_specs(text, "<builtins>")
         if has_errors(diags):
             raise WorkspaceError("builtin callee registry failed to parse")
         _builtin_specs = tuple(specs)
     return _builtin_specs
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(NamedTuple):
     """A loaded and validated workspace: types, specifications and descriptions."""
 
     manifest: Path
@@ -333,16 +333,18 @@ def _called_predicates(tld, env: TypeEnv, diags: list):
 # Pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class PipelineResult:
     """One procedure's run of the pipeline, filled in stage by stage."""
+
+    __hash__ = None  # a mutable record
 
     predicate: str
     code: str = ""
     report: str = ""
-    warnings: list = field(default_factory=list)
+    warnings: list = []  # a new list per instance
     failure: str | None = None
-    analysis: list = field(default_factory=list)
+    analysis: list = []  # a new list per instance
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ relative to absolute.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from tldforge.analysis import (AbstractState, Registry, ReorderFailure, _bind,
                                _blocked, _outs_satisfied)
@@ -68,4 +67,4 @@ def reorder(clause: Clause, dir: Directionality, registry: Registry,
                               + which, blocked)
     if mults is not None:
         mults.extend(m for _, m in path)
-    return replace(clause, body=tuple(body[i] for i, _ in path))
+    return clause._replace(body=tuple(body[i] for i, _ in path))

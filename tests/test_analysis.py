@@ -1,7 +1,6 @@
 import contextlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -498,13 +497,13 @@ def test_fixture_multiplicities(maxprefix_ws, registry):
 def _mirrored(f):
     """f with every equation s = t written t = s."""
     if isinstance(f, ast.Eq):
-        return replace(f, left=f.right, right=f.left)
+        return f._replace(left=f.right, right=f.left)
     if isinstance(f, (ast.And, ast.Or)):
-        return replace(f, items=tuple(map(_mirrored, f.items)))
+        return f._replace(items=tuple(map(_mirrored, f.items)))
     if isinstance(f, (ast.Not, ast.Exists, ast.Forall)):
-        return replace(f, body=_mirrored(f.body))
+        return f._replace(body=_mirrored(f.body))
     if isinstance(f, (ast.Implies, ast.Iff)):
-        return replace(f, left=_mirrored(f.left), right=_mirrored(f.right))
+        return f._replace(left=_mirrored(f.left), right=_mirrored(f.right))
     return f
 
 
@@ -514,7 +513,7 @@ def test_mirrored_equations_analyze_alike(fixture, maxprefix_dir):
     loaded = load_workspace(maxprefix_dir.parent / fixture / "manifest.txt")
     assert loaded.ok
     ws = loaded.workspace
-    mirrored = replace(ws, tlds={name: replace(tld, definition=_mirrored(tld.definition))
+    mirrored = ws._replace(tlds={name: tld._replace(definition=_mirrored(tld.definition))
                                  for name, tld in ws.tlds.items()})
     assert mirrored.tlds != ws.tlds
 
@@ -964,12 +963,12 @@ def test_a_non_monotone_literal_disqualifies_a_clause(search_registry, monkeypat
     # monotone: decided by the greedy pass, with no search step at all; so
     # is X = Z, which waits until a side is bound
     assert isinstance(reorder(probe, d, search_registry), ReorderFailure)
-    clause = replace(probe, body=probe.body[:-1] + (Unify(X, Z),))
+    clause = probe._replace(body=probe.body[:-1] + (Unify(X, Z),))
     assert isinstance(reorder(clause, d, search_registry), ReorderFailure)
     # X = f(Z) leaves X neither ground nor var before Z is ground, so only a
     # search decides the clause, and at a limit of 0 it stops at its first
     # dead end
-    clause = replace(probe, body=probe.body[:-1] + (
+    clause = probe._replace(body=probe.body[:-1] + (
         Unify(X, Struct("f", (Z,)), SourcePos("w.tld", 3, 5)),))
     with pytest.raises(ReorderLimitError) as exc:
         reorder(clause, d, search_registry)

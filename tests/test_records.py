@@ -1,8 +1,10 @@
-"""The record classes: immutable, documented, dataclasses only where a
-dataclass feature is used, and the strings users read from them pinned."""
+"""The record classes: immutable, documented, built records only where a
+NamedTuple cannot serve, and the strings users read from them pinned."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 from pathlib import Path
 
@@ -10,20 +12,25 @@ import pytest
 
 import tldforge
 from tldforge.analysis import RemovedCheck
-from tldforge.ast import TypeCheck, Var
+from tldforge.ast import And, Clause, Eq, Struct, TypeCheck, Var
 from tldforge.codegen import mult_to_mercury_determinism
 from tldforge.derive import normalize
 from tldforge.diagnostics import SourcePos, error
-from tldforge.modes import INF, STAR, Multiplicity
+from tldforge.modes import GROUND, INF, STAR, Directionality, Multiplicity
 from tldforge.parser import parse_tlds, parse_types
+from tldforge.records import _ORIGIN
 from tldforge.semantics import _Position
 from tldforge.transform import simplify_description, transform_tld
+from tldforge.typesys import Alias, Builtin
 from tldforge.workspace import load_workspace
 
 
 def _is_record(obj) -> bool:
-    return dataclasses.is_dataclass(obj) or (issubclass(obj, tuple)
-                                             and hasattr(obj, "_fields"))
+    return hasattr(obj, "_fields")
+
+
+def _is_built(cls) -> bool:
+    return not issubclass(cls, tuple)
 
 
 def _records() -> list:
@@ -41,37 +48,38 @@ RECORDS = _records()
 # filled in as a check or a pipeline run goes, so they are mutable
 MUTABLE = {"EquivalenceReport", "AgreementReport", "PipelineResult"}
 
-# dataclasses that use no field option and no __post_init__, with the
-# feature they need instead
-PLAIN_DATACLASSES = {
-    "Workspace": "dataclasses.replace",
-    "Alias": "not equal to a Builtin of the same text",
-    "Builtin": "not equal to an Alias of the same text",
-}
+# built records with no uncompared field, no validation and no mutation:
+# each must differ from the other when their fields are equal, which
+# NamedTuples, being tuples, would not
+SAME_SHAPED = {"Alias", "Builtin"}
+
+
+def _filled(cls, values):
+    """An instance with ``values`` in its fields, built without validation."""
+    if not _is_built(cls):
+        return cls._make(values)
+    inst = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(inst, name, value)
+    return inst
 
 
 def _blank(cls):
     """An instance with None in every field, built without validation."""
-    if dataclasses.is_dataclass(cls):
-        inst = object.__new__(cls)
-        for f in dataclasses.fields(cls):
-            object.__setattr__(inst, f.name, None)
-        return inst
-    return cls._make([None] * len(cls._fields))
+    return _filled(cls, [None] * len(cls._fields))
 
 
 def test_the_records_are_found():
     names = {cls.__name__ for cls in RECORDS}
     assert {"SourcePos", "Multiplicity", "Token", "Clause", "Spec", "LoadResult",
-            *MUTABLE, *PLAIN_DATACLASSES} <= names
+            "Workspace", *MUTABLE, *SAME_SHAPED} <= names
     assert len(names) == len(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
 def test_records_are_immutable(cls):
     inst = _blank(cls)
-    name = (dataclasses.fields(cls)[0].name if dataclasses.is_dataclass(cls)
-            else cls._fields[0])
+    name = cls._fields[0]
     if cls.__name__ in MUTABLE:
         setattr(inst, name, 1)
         return
@@ -85,22 +93,66 @@ def test_records_are_immutable(cls):
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
 def test_records_have_their_own_docstring(cls):
-    # without one, @dataclass builds a docstring from inspect.signature at
-    # import, and NamedTuple writes "Name(field, ...)"
+    # without one, a NamedTuple writes "Name(field, ...)"
     doc = vars(cls).get("__doc__")
     assert doc and not doc.startswith(f"{cls.__name__}(")
 
 
-@pytest.mark.parametrize("cls", [c for c in RECORDS if dataclasses.is_dataclass(c)],
-                         ids=lambda cls: cls.__qualname__)
+BUILT = [cls for cls in RECORDS if _is_built(cls)]
+
+
+@pytest.mark.parametrize("cls", BUILT, ids=lambda cls: cls.__qualname__)
 def test_dataclasses_use_a_dataclass_feature(cls):
-    # a plain value record is a NamedTuple: a frozen dataclass costs about
-    # 0.8 ms of import per class, a NamedTuple about 0.1 ms
-    fields = dataclasses.fields(cls)
+    # a built record stands where a dataclass stood, and only for a feature
+    # a NamedTuple lacks; a plain value record is a NamedTuple, which costs
+    # less import time
     uses = (cls.__name__ in MUTABLE or "__post_init__" in vars(cls)
-            or any(not f.compare or not f.repr for f in fields))
-    assert uses != (cls.__name__ in PLAIN_DATACLASSES)
-    assert cls.__dataclass_params__.frozen == (cls.__name__ not in MUTABLE)
+            or not set(_ORIGIN).isdisjoint(cls._fields))
+    assert uses != (cls.__name__ in SAME_SHAPED)
+    assert (cls.__hash__ is None) == (cls.__name__ in MUTABLE)
+
+
+def test_records_of_the_same_shape_differ():
+    assert Alias("nat") != Builtin("nat") and Alias("nat") == Alias("nat")
+
+
+@pytest.mark.parametrize("cls", BUILT, ids=lambda cls: cls.__qualname__)
+def test_built_records_behave_as_the_dataclasses_they_replaced(cls):
+    # the dataclass each record was: equality and hashing skip the origin
+    # fields, and repr skips pos
+    reference = dataclasses.make_dataclass(cls.__name__, [
+        (name, object, dataclasses.field(compare=name not in _ORIGIN, repr=name != "pos"))
+        for name in cls._fields], frozen=cls.__name__ not in MUTABLE)
+    values = [f"v{i}" for i in range(len(cls._fields))]
+    inst, ref = _filled(cls, values), reference(*values)
+    assert repr(inst) == repr(ref)
+    assert inst._asdict() == dataclasses.asdict(ref)
+    moved = _filled(cls, [f"w{i}" if name in _ORIGIN else v
+                          for i, (name, v) in enumerate(zip(cls._fields, values))])
+    assert inst == moved and not inst != moved
+    changed = _filled(cls, [f"w{i}" for i in range(len(values))])
+    assert (inst == changed) == all(name in _ORIGIN for name in cls._fields)
+    if cls.__name__ not in MUTABLE:
+        compared = tuple(v for name, v in zip(cls._fields, values) if name not in _ORIGIN)
+        assert hash(inst) == hash(compared) == hash(ref) == hash(moved)
+
+
+def test_replace_copy_and_pickle_keep_a_record():
+    pos = SourcePos("w.tld", 1, 2)
+    eq = Eq(Var("X"), Struct("zero"), pos)
+    clause = Clause("p", (Var("X"),), (TypeCheck("nat", Var("X"), pos),), "disjunct 1 of 1")
+    d = Directionality(((GROUND, GROUND),), Multiplicity(0, 1))
+    for inst in (eq, clause, d):
+        for other in (inst._replace(), copy.copy(inst), copy.deepcopy(inst),
+                      pickle.loads(pickle.dumps(inst))):
+            assert other == inst and repr(other) == repr(inst)
+            assert other._asdict() == inst._asdict()
+    assert eq._replace(right=Var("Y")) == Eq(Var("X"), Var("Y"))
+    assert eq._replace(right=Var("Y")).pos == pos
+    with pytest.raises(TypeError):
+        eq._replace(middle=Var("Y"))
+    with pytest.raises(ValueError):  # __post_init__ runs again
+        And((eq, eq))._replace(items=(eq,))
 
 
 def test_repr_of_a_record_of_each_module():

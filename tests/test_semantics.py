@@ -1,7 +1,6 @@
 import itertools
 import operator
 import random
-from dataclasses import asdict, replace
 
 import pytest
 
@@ -160,7 +159,7 @@ def test_builtin_solutions_match_enumeration():
 def test_builtin_solver_agrees_with_reference(ctx):
     """``exists Y: integer`` over a builtin call with Y at a solved position,
     alone and with ``Y = v`` after or before the call."""
-    shallow = replace(ctx, universe_depth=1)
+    shallow = ctx._replace(universe_depth=1)
     sample = shallow.types.enumerate_type("integer", 1)
     known = list(sample) + [Struct("3"), Struct("7"), zero]
     y = Var("Y")
@@ -326,7 +325,7 @@ def test_term_parameters_sweep_the_universe_in_enumeration_order():
         assert all(types.bounded_member("term", v, depth) for v in universe)
         rep = check_equivalence(ctx, parse_formula("true"), parse_formula("true"),
                                 [("X", "term")])
-        assert asdict(rep) == {
+        assert rep._asdict() == {
             "depth": depth, "total": len(universe), "outside": 0, "outside_false": 0,
             "inside": len(universe), "inside_agree": len(universe), "violations": 0,
             "inconclusive": 0, "first_violation": None, "first_violation_kind": None}
@@ -714,7 +713,7 @@ def test_term_closures_are_substitution_and_match():
 def test_maxprefix_depth_three_counts_are_pinned(maxprefix_ws):
     from tldforge.workspace import run_oracle
     rep = run_oracle(maxprefix_ws, "max_prefix_gen", depth=3)
-    assert asdict(rep) == {
+    assert rep._asdict() == {
         "depth": 3, "total": 5545233000, "outside": 5545232225,
         "outside_false": 5545232225, "inside": 775, "inside_agree": 775,
         "violations": 0, "inconclusive": 0, "first_violation": None,
@@ -737,10 +736,9 @@ def test_verdicts_are_monotone_in_depth(ctx):
         parse_formula("forall X: fruit . fruit(X)"),
         parse_formula("q(zero)"),
     ]
-    import dataclasses
     for f in formulas:
-        v2 = evaluate(dataclasses.replace(ctx, universe_depth=2), f, {})
-        v3 = evaluate(dataclasses.replace(ctx, universe_depth=3), f, {})
+        v2 = evaluate(ctx._replace(universe_depth=2), f, {})
+        v3 = evaluate(ctx._replace(universe_depth=3), f, {})
         if v2 is not UNKNOWN:
             assert v2 is v3
 
@@ -1088,7 +1086,7 @@ def test_unknown_verdicts_match_the_reference_at_every_budget(recursive_ctx, tex
     # the slow oracle enumerates once per unfolding: 63^budget bindings
     for side, budgets in ((TYPED, range(1, 5)), (UNTYPED, range(1, 3))):
         for budget in budgets:
-            ctx = replace(recursive_ctx, unfold_depth=budget)
+            ctx = recursive_ctx._replace(unfold_depth=budget)
             fast = evaluate(ctx, f, {}, side=side)
             assert fast is evaluate_reference(ctx, f, {}, side=side), (budget, side)
             verdicts.add(fast)
@@ -1098,7 +1096,7 @@ def test_unknown_verdicts_match_the_reference_at_every_budget(recursive_ctx, tex
 
 def test_agreement_counts_inconclusive_bindings_as_brute_force_does(recursive_ctx):
     f, g = parse_formula("loop(X)"), parse_formula("even(X) \\/ odd(X)")
-    ctx = replace(recursive_ctx, universe_depth=3, unfold_depth=2)
+    ctx = recursive_ctx._replace(universe_depth=3, unfold_depth=2)
     rep = check_agreement(ctx, f, g, [("X", "nat")])
     tally = {"agree": 0, "disagree": 0, "inconclusive": 0}
     for value in ctx.types.enumerate_type("nat", ctx.universe_depth):

@@ -533,6 +533,10 @@ def test_negations_derive_one_clause_each(maxprefix_dir, capsys):
     assert main(["gen", "mercury", "--manifest", manifest]) == 0
     captured = capsys.readouterr()
     assert captured.out.count(" is semidet.") == 3 and captured.err == ""
+    # the normal form holds the one disjunct of each
+    assert main(["derive", "--emit-stage", "normalized", "--manifest", manifest]) == 0
+    assert capsys.readouterr().out == (
+        "nat(X) /\\ ~X = zero\n\nnat(X) /\\ nat(Y) /\\ ~X = Y\n\nnat(X) /\\ X = zero\n")
 
 
 def test_a_long_clause_past_the_limit_is_one_positioned_error(maxprefix_dir, capsys):
@@ -1112,14 +1116,20 @@ def test_cli_entry_point_runs_as_module(maxprefix_dir):
 
 STAGE_MODULES = {"analysis", "codegen", "derive", "semantics", "transform"}
 
-# runs its arguments as a command line, then prints the exit code and the
-# tldforge modules loaded
-_LOADED_PROBE = """
+# the library modules that cost most start-up, which no command needs
+SLOW_LIBRARY_MODULES = {"dataclasses", "inspect", "importlib.resources"}
+
+# runs its arguments as a command line, then prints the exit code, the
+# tldforge modules loaded and the slow library modules that the import and
+# the command loaded (site may have loaded some of them before)
+_LOADED_PROBE = f"""
 import sys
+before = set(sys.modules)
 from tldforge.cli import main
 code = main(sys.argv[1:])
+slow = {SLOW_LIBRARY_MODULES!r} - before
 print(code, *sorted(m.removeprefix("tldforge.") for m in sys.modules
-                  if m.startswith("tldforge.")))
+                  if m.startswith("tldforge.") or m in slow))
 """
 
 
@@ -1135,9 +1145,10 @@ def test_check_starts_without_the_stage_modules(maxprefix_dir):
     code, *loaded = _fresh_interpreter(_LOADED_PROBE, "check", "--manifest", manifest)
     assert code == "0"
     assert set(loaded) == {"ast", "cli", "diagnostics", "errors", "modes", "parser",
-                           "printer", "typesys", "workspace"}
+                           "printer", "records", "typesys", "workspace"}
     code, *loaded = _fresh_interpreter(_LOADED_PROBE, "gen", "prolog", "--manifest", manifest)
     assert code == "0" and STAGE_MODULES <= set(loaded)
+    assert SLOW_LIBRARY_MODULES.isdisjoint(loaded)
     # the package's names resolve on first access, from a fresh start too
     names = _fresh_interpreter("from tldforge import reorder, EvalContext\n"
                                "print(reorder.__module__, EvalContext.__module__)")

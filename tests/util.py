@@ -4,7 +4,6 @@ and the slow references that faster code is compared with."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from tldforge import ast
 from tldforge.analysis import AbstractState, detect_switch, initial_state
@@ -440,7 +439,7 @@ def reinstated_clause(result, removed):
     ordered = result.ordered.clauses[removed.clause_index]
     others = {rc.position for rc in result.removed
               if rc.clause_index == removed.clause_index and rc != removed}
-    return replace(ordered, body=tuple(lit for pos, lit in enumerate(ordered.body)
+    return ordered._replace(body=tuple(lit for pos, lit in enumerate(ordered.body)
                                        if pos not in others))
 
 
@@ -605,6 +604,9 @@ def reference_normalize(ld: LogicDescription,
                 continue
             literals.append(lit)
             occurring.update(names)
+        negated = [lit.literal for lit in literals if isinstance(lit, NafNot)]
+        if any(isinstance(n, TypeCheck) and n in literals for n in negated):
+            continue  # a type check and its negation: a clause that never succeeds
         exvars = tuple((n, t) for n, t in binders if n in occurring)
         disjuncts.append(Disjunct(exvars, tuple(literals)))
     return NormalizedBody(tuple(disjuncts))
